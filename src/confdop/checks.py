@@ -3,6 +3,14 @@
 Each suite samples admissible inputs (parameter scaled so the flow never
 approaches the singular surface), measures the worst violation of the
 property it guards, and reports pass/fail against a tolerance.
+
+The group and metric suites are one batched pass each through the array
+kernels of `confdop.conformal`, and the hill suite one batch per alpha.
+Every suite draws its whole Generator stream as one `rng.random` block,
+in the order a per-case loop of `rng.uniform` calls would consume it;
+`low + (high - low) * u` is what `Generator.uniform` computes.  So every
+summary line equals that of the per-case loop.  The oracle suite still
+integrates each case with the scalar RK4 `flow_oracle`.
 """
 
 from __future__ import annotations
@@ -15,12 +23,13 @@ import numpy as np
 from .conformal import (
     Event,
     GroupParameter,
-    differential_map,
+    conformal_factor_array,
+    differential_map_array,
     flow_oracle,
     hill_transform,
-    interval_scale,
     line_element_squared,
     transform_finite,
+    transform_finite_array,
 )
 
 SUITES = ("group", "oracle", "hill", "metric")
@@ -53,68 +62,89 @@ class SuiteResult:
         )
 
 
-def _sample_event(rng) -> tuple[float, float]:
-    r = rng.uniform(0.05, 2.0)
-    x4 = rng.uniform(-2.0, 2.0)
-    return r, x4
+def _uniform(u, low: float, high: float):
+    # Generator.uniform(low, high) from its underlying rng.random() draw
+    return low + (high - low) * u
 
 
-def _scaled_beta(rng, r: float, x4: float, budget: float) -> float:
+def _draws(rng, cases: int, per_case: int) -> np.ndarray:
+    """The next cases*per_case draws, one row per draw slot of a case."""
+    return rng.random(per_case * max(cases, 0)).reshape(-1, per_case).T
+
+
+def _sample_events(u_r, u_x4):
+    return _uniform(u_r, 0.05, 2.0), _uniform(u_x4, -2.0, 2.0)
+
+
+def _scaled_beta(u, r, x4, budget: float):
     # keeps |beta*(|x4| + r)| <= budget so the whole flow stays admissible
-    return rng.uniform(-1.0, 1.0) * budget / (r + abs(x4))
+    return _uniform(u, -1.0, 1.0) * budget / (r + abs(x4))
 
 
-def _rel_err(a: Event, b: Event) -> float:
-    scale = max(a.r + abs(a.x4), b.r + abs(b.x4), 1e-30)
-    return max(abs(a.r - b.r), abs(a.x4 - b.x4)) / scale
+def _rel_err(a_r, a_x4, b_r, b_x4):
+    scale = np.maximum(np.maximum(a_r + abs(a_x4), b_r + abs(b_x4)), 1e-30)
+    return np.maximum(abs(a_r - b_r), abs(a_x4 - b_x4)) / scale
+
+
+def _result(name, cases, metric_name, err, tol, describe) -> SuiteResult:
+    """Suite outcome from the per-case errors.
+
+    The worst case is the first largest error (np.argmax), the one a
+    strict `>` scan from 0 keeps; no case is named when every error is 0.
+    A NaN error is reported as the worst and fails the suite.
+    """
+    worst, worst_case = 0.0, ""
+    if err.size:
+        i = int(np.argmax(err))
+        worst = float(err[i])
+        if worst != 0.0:
+            worst_case = describe(i)
+    return SuiteResult(name, cases, metric_name, worst, tol, worst <= tol, worst_case)
 
 
 def run_group_suite(cases: int, tol: float, seed: int) -> SuiteResult:
     """Composition law: applying beta2 then beta1 equals applying beta1+beta2."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    worst_case = ""
-    for _ in range(cases):
-        r, x4 = _sample_event(rng)
-        b1 = _scaled_beta(rng, r, x4, 0.15)
-        b2 = _scaled_beta(rng, r, x4, 0.15)
-        e = Event(r=r, x4=x4)
-        via_two = transform_finite(GroupParameter(b1), transform_finite(GroupParameter(b2), e))
-        direct = transform_finite(GroupParameter(b1 + b2), e)
-        err = _rel_err(via_two, direct)
-        if err > worst:
-            worst = err
-            worst_case = f"r={r:.6g} x4={x4:.6g} b1={b1:.6g} b2={b2:.6g}"
-    return SuiteResult("group", cases, "max_rel_err", worst, tol, worst <= tol, worst_case)
+    u_r, u_x4, u_b1, u_b2 = _draws(np.random.default_rng(seed), cases, 4)
+    r, x4 = _sample_events(u_r, u_x4)
+    b1 = _scaled_beta(u_b1, r, x4, 0.15)
+    b2 = _scaled_beta(u_b2, r, x4, 0.15)
+    via_two = transform_finite_array(b1, *transform_finite_array(b2, r, x4))
+    direct = transform_finite_array(b1 + b2, r, x4)
+    err = _rel_err(*via_two, *direct)
+    return _result(
+        "group", cases, "max_rel_err", err, tol,
+        lambda i: f"r={r[i]:.6g} x4={x4[i]:.6g} b1={b1[i]:.6g} b2={b2[i]:.6g}",
+    )
 
 
 def run_oracle_suite(cases: int, tol: float, seed: int, steps: int = 5000) -> SuiteResult:
     """Closed form against RK4 integration of the generating flow."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    worst_case = ""
-    for _ in range(cases):
-        r, x4 = _sample_event(rng)
-        b = _scaled_beta(rng, r, x4, 0.3)
-        e = Event(r=r, x4=x4)
-        p = GroupParameter(b)
-        err = _rel_err(transform_finite(p, e), flow_oracle(p, e, steps=steps))
-        if err > worst:
-            worst = err
-            worst_case = f"r={r:.6g} x4={x4:.6g} beta4={b:.6g}"
-    return SuiteResult("oracle", cases, "max_rel_err", worst, tol, worst <= tol, worst_case)
+    u_r, u_x4, u_b = _draws(np.random.default_rng(seed), cases, 3)
+    r, x4 = _sample_events(u_r, u_x4)
+    b = _scaled_beta(u_b, r, x4, 0.3)
+    rows = []
+    # Python floats: the RK4 loop runs far slower on numpy scalars
+    for ri, xi, bi in zip(r.tolist(), x4.tolist(), b.tolist()):
+        e = Event(ri, xi)
+        p = GroupParameter(bi)
+        fin = transform_finite(p, e)
+        flowed = flow_oracle(p, e, steps=steps)
+        rows.append((fin.r, fin.x4, flowed.r, flowed.x4))
+    err = _rel_err(*np.reshape(rows, (-1, 4)).T)
+    return _result(
+        "oracle", cases, "max_rel_err", err, tol,
+        lambda i: f"r={r[i]:.6g} x4={x4[i]:.6g} beta4={b[i]:.6g}",
+    )
 
 
 def hill_deviation(p: GroupParameter, grid) -> float:
-    """Max relative mismatch between the first-order map and the finite one."""
-    worst = 0.0
-    for r, t in grid:
-        x4 = p.c * t
-        fin = transform_finite(p, Event(r=r, x4=x4))
-        hr, ht = hill_transform(p, r, t)
-        scale = r + abs(x4)
-        worst = max(worst, max(abs(fin.r - hr), abs(fin.x4 - p.c * ht)) / scale)
-    return worst
+    """Max relative mismatch between the first-order map and the finite one,
+    over the whole grid in one batch."""
+    r, t = np.array(grid).T
+    x4 = p.c * t
+    fin_r, fin_x4 = transform_finite_array(p.beta4, r, x4)
+    hr, ht = hill_transform(p, r, t)
+    return float((np.maximum(abs(fin_r - hr), abs(fin_x4 - p.c * ht)) / (r + abs(x4))).max())
 
 
 def hill_grid() -> list[tuple[float, float]]:
@@ -137,31 +167,31 @@ def run_metric_suite(cases: int, tol: float, seed: int) -> SuiteResult:
     """Line-element rescaling: ds'^2 = gamma^2 * ds^2, null mapping to null.
 
     Errors are measured against the displacement magnitude scale
-    gamma^2*(dr^2 + dx4^2), since ds^2 itself can cancel to zero.
+    gamma^2*(dr^2 + dx4^2), since ds^2 itself can cancel to zero.  Every
+    10th case takes the exact null displacement dx4 = -dr and so draws
+    four numbers instead of five.
     """
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    worst_case = ""
-    for i in range(cases):
-        r, x4 = _sample_event(rng)
-        b = _scaled_beta(rng, r, x4, 0.3)
-        e = Event(r=r, x4=x4)
-        p = GroupParameter(b)
-        dr = rng.uniform(-1.0, 1.0)
-        if i % 10 == 0:
-            dx4 = -dr  # exact null displacement
-        else:
-            dx4 = rng.uniform(-1.0, 1.0)
-        g2 = interval_scale(p, e)
-        drp, dx4p = differential_map(p, e, dr, dx4)
-        lhs = line_element_squared(drp, dx4p)
-        rhs = g2 * line_element_squared(dr, dx4)
-        scale = g2 * (dr * dr + dx4 * dx4)
-        err = abs(lhs - rhs) / scale
-        if err > worst:
-            worst = err
-            worst_case = f"r={r:.6g} x4={x4:.6g} beta4={b:.6g} dr={dr:.6g} dx4={dx4:.6g}"
-    return SuiteResult("metric", cases, "max_scaled_err", worst, tol, worst <= tol, worst_case)
+    n = max(cases, 0)
+    i = np.arange(n)
+    null = i % 10 == 0
+    first = 5 * i - (i + 9) // 10  # index of each case's first draw
+    u = np.random.default_rng(seed).random(5 * n - (n + 9) // 10)
+    r, x4 = _sample_events(u[first], u[first + 1])
+    b = _scaled_beta(u[first + 2], r, x4, 0.3)
+    dr = _uniform(u[first + 3], -1.0, 1.0)
+    dx4 = -dr
+    dx4[~null] = _uniform(u[first[~null] + 4], -1.0, 1.0)
+    g = conformal_factor_array(b, r, x4)
+    g2 = g * g
+    drp, dx4p = differential_map_array(b, r, x4, dr, dx4)
+    lhs = line_element_squared(drp, dx4p)
+    rhs = g2 * line_element_squared(dr, dx4)
+    scale = g2 * (dr * dr + dx4 * dx4)
+    err = abs(lhs - rhs) / scale
+    return _result(
+        "metric", cases, "max_scaled_err", err, tol,
+        lambda k: f"r={r[k]:.6g} x4={x4[k]:.6g} beta4={b[k]:.6g} dr={dr[k]:.6g} dx4={dx4[k]:.6g}",
+    )
 
 
 def run_suite(name: str, tol: float | None, seed: int, cases: int | None) -> SuiteResult:

@@ -15,6 +15,13 @@ inverse-time parameter alpha = 2*c*beta4, and a fixed-step Runge-Kutta
 integration of the generating vector field used as an independent
 cross-check of the closed forms.
 
+The conformal factor, the finite transformation and the differential map
+also come as `*_array` functions over numpy arrays of (beta4, r, x4).
+They share their formula body with the scalar functions, so each element
+is bit-identical to the scalar call on the same floats.  The admissible
+domain is 1 - beta4*(x4 + r) > 0 and 1 - beta4*(x4 - r) > 0: the two
+null-coordinate factors whose product is 1/gamma.
+
 Everything here is a pure function of immutable values; all operations
 are safe to share between threads.
 """
@@ -23,6 +30,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .constants import SPEED_OF_LIGHT
 from .errors import (
@@ -39,13 +48,26 @@ EPS_SINGULAR = 1e-12
 
 _DIRECTION_NORM_TOL = 1e-12
 
+_INF = math.inf
+
+
+def _require_finite(name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+
+
+def _require_positive(name: str, value: float) -> None:
+    if not 0.0 < value < _INF:
+        _require_finite(name, value)
+        raise ValueError(f"{name} must be positive, got {value}")
+
 
 @dataclass(frozen=True)
 class Event:
     """A point (r, x4) in an observer's light-cone coordinates.
 
-    r is the radial distance (length, >= 0) and x4 = c*t the time
-    coordinate (length, signed).  The optional direction is a unit
+    r is the radial distance (length, >= 0, finite) and x4 = c*t the time
+    coordinate (length, signed, finite).  The optional direction is a unit
     3-vector; the transformations act on the radial magnitude only and
     never alter it.
     """
@@ -55,7 +77,10 @@ class Event:
     direction: tuple[float, float, float] | None = None
 
     def __post_init__(self):
-        if not self.r >= 0.0:
+        # one chained test on the hot path; the slow path names the field
+        if not (0.0 <= self.r < _INF and -_INF < self.x4 < _INF):
+            _require_finite("r", self.r)
+            _require_finite("x4", self.x4)
             raise ValueError(f"r must be >= 0, got {self.r}")
         if self.direction is not None:
             dx, dy, dz = self.direction
@@ -76,12 +101,14 @@ class GroupParameter:
     c: float = SPEED_OF_LIGHT
 
     def __post_init__(self):
-        if not self.c > 0.0:
-            raise ValueError(f"c must be positive, got {self.c}")
+        _require_positive("c", self.c)
+        _require_finite("beta4", self.beta4)
 
     @classmethod
     def from_alpha(cls, alpha: float, c: float = SPEED_OF_LIGHT) -> "GroupParameter":
         """Build from the inverse-time parameter, beta4 = alpha / (2c)."""
+        _require_positive("c", c)
+        _require_finite("alpha", alpha)
         return cls(beta4=alpha / (2.0 * c), c=c)
 
     @property
@@ -112,28 +139,90 @@ def line_element_squared(dr: float, dx4: float) -> float:
     return abs(dr * dr - dx4 * dx4)
 
 
+def _finite_map(b, r, x4, eps, refuse):
+    """Formula body of the finite map, shared by the scalar and array kernels.
+
+    Elementwise on floats or numpy arrays; returns (gamma, r', x4').
+    `refuse` raises for events outside the domain, given the regularity
+    test (false near the singular surface, and where the denominator
+    overflowed to NaN) and the two null-coordinate factors.
+    """
+    s2 = x4 * x4 - r * r
+    linear = 2.0 * b * x4
+    quadratic = b * b * s2
+    denom = 1.0 - linear + quadratic
+    regular = abs(denom) >= eps * (1.0 + abs(linear) + abs(quadratic))
+    refuse(b, r, x4, regular, 1.0 - b * (x4 + r), 1.0 - b * (x4 - r))
+    g = 1.0 / denom
+    return g, g * r, g * (x4 - b * s2)
+
+
+def _refuse(b, r, x4, regular, u_factor, v_factor) -> None:
+    if not regular:
+        raise SingularTransform(
+            f"conformal factor singular at (r={r}, x4={x4}) for beta4={b}"
+        )
+    if not (u_factor > 0.0 and v_factor > 0.0):
+        raise DomainCrossing(
+            f"event (r={r}, x4={x4}) lies beyond the singular surface of beta4={b}"
+        )
+
+
+def _refuse_any(b, r, x4, regular, u_factor, v_factor) -> None:
+    # raises as the scalar kernel would for the first element outside the domain
+    bad = ~(regular & (u_factor > 0.0) & (v_factor > 0.0))
+    if bad.any():
+        i = int(np.argmax(bad))
+        _refuse(*(np.broadcast_to(a, bad.shape).flat[i].item()
+                  for a in (b, r, x4, regular, u_factor, v_factor)))
+
+
+def _finite_arrays(**fields) -> list[np.ndarray]:
+    """The named inputs as float arrays; refuses non-finite values and r < 0."""
+    arrays = []
+    for name, value in fields.items():
+        a = np.asarray(value, dtype=float)
+        if not np.isfinite(a).all():
+            raise ValueError(f"{name} must be finite, got {a[~np.isfinite(a)].flat[0]}")
+        if name == "r" and (a < 0.0).any():
+            raise ValueError(f"r must be >= 0, got {a.min()}")
+        arrays.append(a)
+    return arrays
+
+
+def _differential_terms(b, r, x4):
+    """A = 1 - 2*beta4*x4 + beta4^2*(r^2 + x4^2) and B = 2*beta4*r*(1 - beta4*x4)."""
+    return 1.0 - 2.0 * b * x4 + b * b * (r * r + x4 * x4), 2.0 * b * r * (1.0 - b * x4)
+
+
+def _differential(b, r, x4, dr, dx4, eps, refuse):
+    g = _finite_map(b, r, x4, eps, refuse)[0]
+    a_coeff, b_coeff = _differential_terms(b, r, x4)
+    g2 = g * g
+    return g2 * (a_coeff * dr + b_coeff * dx4), g2 * (b_coeff * dr + a_coeff * dx4)
+
+
 def conformal_factor(p: GroupParameter, e: Event, eps: float = EPS_SINGULAR) -> float:
     """Conformal factor gamma = 1 / (1 - 2*beta4*x4 + beta4^2 * s2).
 
     gamma is positive everywhere on the admissible domain.  Raises
     SingularTransform when the denominator is within `eps` (relative to
     the magnitude of its terms) of zero, and DomainCrossing when the
-    denominator is negative, i.e. the event lies beyond the singular
-    surface where transformed coordinates diverge and flip sign.
+    event lies beyond a singular surface, i.e. when 1 - beta4*(x4 + r)
+    or 1 - beta4*(x4 - r) is not positive.  Past both surfaces the
+    denominator is positive again, but the flow from the identity
+    diverges before it gets there.
     """
-    b = p.beta4
-    s2 = interval_squared(e)
-    denom = 1.0 - 2.0 * b * e.x4 + b * b * s2
-    scale = 1.0 + abs(2.0 * b * e.x4) + abs(b * b * s2)
-    if abs(denom) < eps * scale:
-        raise SingularTransform(
-            f"conformal factor singular at (r={e.r}, x4={e.x4}) for beta4={b}"
-        )
-    if denom < 0.0:
-        raise DomainCrossing(
-            f"event (r={e.r}, x4={e.x4}) lies beyond the singular surface of beta4={b}"
-        )
-    return 1.0 / denom
+    return _finite_map(p.beta4, e.r, e.x4, eps, _refuse)[0]
+
+
+def conformal_factor_array(beta4, r, x4) -> np.ndarray:
+    """conformal_factor over broadcastable arrays of beta4, r and x4.
+
+    Raises as the scalar call would for the first element outside the
+    domain, and ValueError for non-finite inputs or r < 0.
+    """
+    return _finite_map(*_finite_arrays(beta4=beta4, r=r, x4=x4), EPS_SINGULAR, _refuse_any)[0]
 
 
 def transform_finite(p: GroupParameter, e: Event, eps: float = EPS_SINGULAR) -> Event:
@@ -141,9 +230,19 @@ def transform_finite(p: GroupParameter, e: Event, eps: float = EPS_SINGULAR) -> 
 
     The direction vector, if present, is passed through unchanged.
     """
-    g = conformal_factor(p, e, eps)
-    s2 = interval_squared(e)
-    return Event(r=g * e.r, x4=g * (e.x4 - p.beta4 * s2), direction=e.direction)
+    _, r, x4 = _finite_map(p.beta4, e.r, e.x4, eps, _refuse)
+    return Event(r, x4, e.direction)
+
+
+def transform_finite_array(beta4, r, x4) -> tuple[np.ndarray, np.ndarray]:
+    """transform_finite over broadcastable arrays; returns (r', x4').
+
+    Raises as conformal_factor_array does, and ValueError where an image
+    coordinate overflows, as the Event that transform_finite builds would.
+    """
+    arrays = _finite_arrays(beta4=beta4, r=r, x4=x4)
+    _, r_out, x4_out = _finite_map(*arrays, EPS_SINGULAR, _refuse_any)
+    return tuple(_finite_arrays(r=r_out, x4=x4_out))
 
 
 def transform_inverse_finite(p: GroupParameter, e_primed: Event, eps: float = EPS_SINGULAR) -> Event:
@@ -158,8 +257,7 @@ def differential_coeffs(p: GroupParameter, e: Event) -> DifferentialCoeffs:
     Never raises; a singular gamma^2 only surfaces in dependent operations.
     """
     b = p.beta4
-    a_coeff = 1.0 - 2.0 * b * e.x4 + b * b * (e.r * e.r + e.x4 * e.x4)
-    b_coeff = 2.0 * b * e.r * (1.0 - b * e.x4)
+    a_coeff, b_coeff = _differential_terms(b, e.r, e.x4)
     denom = 1.0 - 2.0 * b * e.x4 + b * b * interval_squared(e)
     d2 = denom * denom
     gamma2 = math.inf if d2 == 0.0 else 1.0 / d2
@@ -173,10 +271,16 @@ def differential_map(
 
     dr' = gamma^2 * (A dr + B dx4),  dx4' = gamma^2 * (B dr + A dx4).
     """
-    g = conformal_factor(p, e, eps)
-    co = differential_coeffs(p, e)
-    g2 = g * g
-    return (g2 * (co.A * dr + co.B * dx4), g2 * (co.B * dr + co.A * dx4))
+    return _differential(p.beta4, e.r, e.x4, dr, dx4, eps, _refuse)
+
+
+def differential_map_array(beta4, r, x4, dr, dx4) -> tuple[np.ndarray, np.ndarray]:
+    """differential_map over broadcastable arrays; returns (dr', dx4').
+
+    Raises as conformal_factor_array does.
+    """
+    arrays = _finite_arrays(beta4=beta4, r=r, x4=x4, dr=dr, dx4=dx4)
+    return _differential(*arrays, EPS_SINGULAR, _refuse_any)
 
 
 def slope_transform(

@@ -1,9 +1,15 @@
-"""End-to-end tests of the command-line interface (in-process)."""
+"""End-to-end tests of the command-line interface (in-process, except for
+one run of `python -m confdop.cli`)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import confdop
 from confdop import Event, GroupParameter, flow_oracle, verify_manifest
 from confdop.cli import main
 from confdop.constants import SPEED_OF_LIGHT
@@ -80,6 +86,33 @@ class TestTransform:
         code, _, err = run(capsys, "transform", "--beta4", "1", "--r", "1", "--x4", "0.5")
         assert code == 1
         assert "singular surface" in err
+
+    def test_past_both_singular_surfaces_exits_one(self, capsys):
+        code, out, err = run(capsys, "transform", "--beta4", "1", "--r", "0.1", "--x4", "3")
+        assert (code, out) == (1, "")
+        assert "singular surface" in err
+
+    @pytest.mark.parametrize(
+        "flag, field",
+        [("--r", "r"), ("--x4", "x4"), ("--beta4", "beta4"), ("--alpha", "alpha"), ("--c", "c")],
+    )
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_input_names_field(self, capsys, flag, field, value):
+        argv = {"--r": "1", "--x4": "0.5", "--beta4": "0.1"}
+        if flag == "--alpha":
+            del argv["--beta4"]
+        argv[flag] = value
+        # the --flag=value form lets argparse take "-inf" as a value
+        code, out, err = run(capsys, "transform", *[f"{k}={v}" for k, v in argv.items()])
+        assert (code, out) == (1, "")
+        assert err == f"error: {field} must be finite, got {float(value)}\n"
+
+    @pytest.mark.parametrize(
+        "c, message", [("nan", "c must be finite, got nan"), ("0", "c must be positive, got 0.0")]
+    )
+    def test_bad_c_with_alpha_names_c(self, capsys, c, message):
+        code, out, err = run(capsys, "transform", "--alpha", "1", "--c", c, "--r", "1", "--x4", "0")
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
     def test_conflicting_parameters_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -259,3 +292,17 @@ class TestReport:
     def test_missing_fit_file_exits_one(self, capsys, tmp_path):
         code, _, err = run(capsys, "report", "--fit", str(tmp_path / "nope.json"))
         assert code == 1
+
+
+def test_module_entry_point_runs_a_suite():
+    src = str(Path(confdop.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "confdop.cli", "check", "--suite", "hill"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": pythonpath},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("suite=hill ") and " PASS " in proc.stdout

@@ -6,6 +6,8 @@ Jacobian coefficients, and parameter-halving (Richardson) experiments
 for the first-order maps.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,11 @@ from confdop import (
     slope_transform,
     transform_finite,
     transform_inverse_finite,
+)
+from confdop.conformal import (
+    conformal_factor_array,
+    differential_map_array,
+    transform_finite_array,
 )
 from confdop.constants import SPEED_OF_LIGHT
 
@@ -67,6 +74,21 @@ class TestEventAndParameter:
         with pytest.raises(ValueError):
             GroupParameter(beta4=0.0, c=0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "field, build",
+        [
+            ("r", lambda v: Event(r=v, x4=0.0)),
+            ("x4", lambda v: Event(r=1.0, x4=v)),
+            ("beta4", lambda v: GroupParameter(beta4=v)),
+            ("c", lambda v: GroupParameter(beta4=0.1, c=v)),
+            ("alpha", lambda v: GroupParameter.from_alpha(v)),
+        ],
+    )
+    def test_non_finite_input_names_field(self, field, build, bad):
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got {bad}$"):
+            build(bad)
+
 
 class TestConformalFactor:
     def test_identity_parameter(self):
@@ -92,6 +114,26 @@ class TestConformalFactor:
     def test_domain_crossing_raises(self):
         with pytest.raises(DomainCrossing):
             conformal_factor(GroupParameter(1.0), Event(r=1.0, x4=0.5))
+
+    def test_unevaluable_denominator_raises(self):
+        # inside the domain, but beta4^2 overflows while s2 underflows to 0
+        p, e = GroupParameter(3.977726403005618e275), Event(r=0.0, x4=2.2625990548770504e-276)
+        with pytest.raises(SingularTransform):
+            transform_finite(p, e)
+        with pytest.raises(SingularTransform):
+            transform_finite_array(p.beta4, e.r, e.x4)
+
+    @pytest.mark.parametrize("r, x4", [(0.1, 3.0), (0.0, 3.0)])
+    def test_beyond_both_singular_surfaces_raises(self, r, x4):
+        # 1 - beta4*(x4 + r) and 1 - beta4*(x4 - r) are both negative here, so
+        # their product 1/gamma is positive; the flow diverges before reaching it
+        p, e = GroupParameter(1.0), Event(r=r, x4=x4)
+        with pytest.raises(DomainCrossing):
+            conformal_factor(p, e)
+        with pytest.raises(DomainCrossing):
+            transform_finite(p, e)
+        with pytest.raises(StepDivergence):
+            flow_oracle(p, e, steps=20_000)
 
 
 class TestTransformFinite:
@@ -403,3 +445,48 @@ def test_hill_differentials_match_transform_differential():
 
     m1, m2 = mismatch(1e-4), mismatch(5e-5)
     assert m1 / m2 == pytest.approx(4.0, rel=0.15)
+
+
+class TestArrayKernel:
+    def test_broadcasts_parameters_against_events(self):
+        b = np.array([[0.0], [0.05]])
+        r_out, x4_out = transform_finite_array(b, [1.0, 0.5], [2.0, -1.0])
+        assert r_out.shape == (2, 2)
+        out = transform_finite(GroupParameter(0.05), Event(r=0.5, x4=-1.0))
+        assert (r_out[1, 1], x4_out[1, 1]) == (out.r, out.x4)
+        assert (r_out[0].tolist(), x4_out[0].tolist()) == ([1.0, 0.5], [2.0, -1.0])
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            ((0.1, 3.0, 1.0), DomainCrossing),  # past both singular surfaces
+            ((1.0, 0.5, 1.0), DomainCrossing),  # past the u = x4 + r surface
+            ((1.0, -0.5, -1.0), DomainCrossing),  # past the v = x4 - r surface
+            ((0.0, 1.0, 1.0), SingularTransform),  # on one
+        ],
+    )
+    @pytest.mark.parametrize("kernel", ["factor", "finite", "differential"])
+    def test_one_element_outside_the_domain_refuses_the_batch(self, bad, error, kernel):
+        rng = np.random.default_rng(37)
+        cases = [sample_admissible(rng) for _ in range(9)]
+        cases.insert(6, bad)  # (r, x4, beta4), as sample_admissible returns
+        r, x4, b = (np.array(col) for col in zip(*cases))
+        ones = np.ones_like(r)
+        call = {
+            "factor": lambda: conformal_factor_array(b, r, x4),
+            "finite": lambda: transform_finite_array(b, r, x4),
+            "differential": lambda: differential_map_array(b, r, x4, ones, ones),
+        }[kernel]
+        with pytest.raises(error, match=f"r={bad[0]}, x4={bad[1]}"):
+            call()
+
+    @pytest.mark.parametrize("field", ["beta4", "r", "x4"])
+    def test_non_finite_element_names_field(self, field):
+        columns = {"beta4": [0.1, 0.1], "r": [1.0, 1.0], "x4": [0.5, 0.5]}
+        columns[field][1] = math.nan
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got nan$"):
+            transform_finite_array(**columns)
+
+    def test_negative_radius_refused(self):
+        with pytest.raises(ValueError, match="r must be >= 0"):
+            conformal_factor_array(0.1, [1.0, -0.5], 0.0)
