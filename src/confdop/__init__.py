@@ -50,7 +50,7 @@ from .tracking import (
     AnomalyResidual,
     SignComparison,
     SimConfig,
-    TrackingRecord,
+    TrackingTable,
     anomaly_residuals,
     make_trajectory,
     read_records_csv,

@@ -151,9 +151,9 @@ def cmd_simulate(args) -> int:
     if seed is not None:
         raw = dict(raw, seed=seed)
     cfg = SimConfig.from_dict(raw)
-    records = simulate(cfg)
+    table = simulate(cfg)
     out = Path(args.out)
-    write_records_csv(records, out)
+    write_records_csv(table, out)
     manifest = build_manifest(
         command="simulate",
         tool_version=__version__,
@@ -165,19 +165,19 @@ def cmd_simulate(args) -> int:
     )
     manifest_path = out.with_name(out.name + ".manifest.json")
     write_manifest(manifest, manifest_path)
-    print(f"wrote {out} ({len(records)} records) and {manifest_path}")
+    print(f"wrote {out} ({len(table)} records) and {manifest_path}")
     return 0
 
 
 def cmd_fit(args) -> int:
-    records = read_records_csv(args.input)
-    fit = fit_alpha(records, c=args.c)
+    table = read_records_csv(args.input)
+    fit = fit_alpha(table, c=args.c)
     decision = decide_metric(fit, z_threshold=args.z_threshold)
     doc = fit.to_dict()
     doc["decision"] = decision.value
     if args.bootstrap is not None:
-        doc["alpha_stderr_boot"] = bootstrap_alpha(records, args.bootstrap, args.seed, c=args.c)
-    Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")
+        doc["alpha_stderr_boot"] = bootstrap_alpha(table, args.bootstrap, args.seed, c=args.c)
+    Path(args.out).write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n")
     print(
         f"alpha_hat={fit.alpha_hat:.6e} 1/s  stderr={fit.alpha_stderr:.6e}  "
         f"z={fit.z_score_alpha_zero:.3f}  decision={decision.value}"

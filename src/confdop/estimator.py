@@ -16,7 +16,7 @@ import numpy as np
 
 from .constants import SPEED_OF_LIGHT
 from .errors import DegenerateDesign, ZeroSigma
-from .tracking import TrackingRecord
+from .tracking import TrackingTable
 
 
 @dataclass(frozen=True)
@@ -46,14 +46,14 @@ class MetricDecision(enum.Enum):
     CONFORMAL_DETECTED = "ConformalDetected"
 
 
-def _weights(sigma_frac: np.ndarray, sigma_rate: np.ndarray, c: float) -> np.ndarray:
+def _weights(sigma_frac: np.ndarray, sigma_rate: float, c: float) -> np.ndarray:
     """Per-record weights 1/Var(y) with Var(y) = (c*sigma_frac)^2 + sigma_rate^2.
 
     A uniformly zero variance (noiseless input) falls back to unit
     weights, which leave alpha_hat unchanged; mixed zero/positive
     variances are rejected as ill-posed.
     """
-    if np.any(sigma_frac < 0.0) or np.any(sigma_rate < 0.0):
+    if np.any(sigma_frac < 0.0) or sigma_rate < 0.0:
         raise ZeroSigma("sigmas must be >= 0")
     var = (c * sigma_frac) ** 2 + sigma_rate**2
     if np.all(var == 0.0):
@@ -63,46 +63,26 @@ def _weights(sigma_frac: np.ndarray, sigma_rate: np.ndarray, c: float) -> np.nda
     return 1.0 / var
 
 
-def _fit_arrays(
-    r: np.ndarray,
-    rate: np.ndarray,
-    frac: np.ndarray,
-    sigma_frac: np.ndarray,
-    sigma_rate: np.ndarray,
-    c: float,
-) -> FitResult:
+def _wls_terms(table: TrackingTable, c: float, sigma_rate: float):
+    """Per-record terms of the fit: ranges r, residual velocities
+    y = c*frac - rate, weights w, and the summands w*r*y and w*r^2.
+
+    Raises DegenerateDesign for n < 2 or all-equal ranges.
+    """
+    r = table.range_true
     n = r.size
     if n < 2:
         raise DegenerateDesign(f"need at least 2 records, got {n}")
     if np.all(r == r[0]):
         raise DegenerateDesign("all ranges are equal; alpha is not identifiable")
-    w = _weights(sigma_frac, sigma_rate, c)
-    y = c * frac - rate
-    swr2 = float(np.sum(w * r * r))
-    alpha_hat = float(np.sum(w * r * y)) / swr2
-    stderr = swr2**-0.5
-    resid = y - alpha_hat * r
-    chi2 = float(np.sum(w * resid * resid))
-    return FitResult(
-        alpha_hat=alpha_hat,
-        alpha_stderr=stderr,
-        chi2=chi2,
-        dof=n - 1,
-        z_score_alpha_zero=alpha_hat / stderr,
-        n_used=n,
-    )
-
-
-def _record_arrays(records: list[TrackingRecord]):
-    r = np.array([rec.range_true for rec in records], dtype=float)
-    rate = np.array([rec.range_rate_true for rec in records], dtype=float)
-    frac = np.array([rec.doppler_frac_meas for rec in records], dtype=float)
-    sig = np.array([rec.sigma_frac for rec in records], dtype=float)
-    return r, rate, frac, sig
+    w = _weights(table.sigma_frac, sigma_rate, c)
+    y = c * table.doppler_frac_meas - table.range_rate_true
+    wr = w * r
+    return r, y, w, wr * y, wr * r
 
 
 def fit_alpha(
-    records: list[TrackingRecord],
+    table: TrackingTable,
     c: float = SPEED_OF_LIGHT,
     sigma_rate: float = 0.0,
 ) -> FitResult:
@@ -118,13 +98,24 @@ def fit_alpha(
     to form y and is folded into the weights.  Raises DegenerateDesign
     for n < 2 or all-equal ranges.
     """
-    r, rate, frac, sig = _record_arrays(records)
-    sr = np.full_like(sig, float(sigma_rate))
-    return _fit_arrays(r, rate, frac, sig, sr, c)
+    r, y, w, wry, wr2 = _wls_terms(table, c, float(sigma_rate))
+    swr2 = float(np.sum(wr2))
+    alpha_hat = float(np.sum(wry)) / swr2
+    stderr = swr2**-0.5
+    resid = y - alpha_hat * r
+    chi2 = float(np.sum(w * resid * resid))
+    return FitResult(
+        alpha_hat=alpha_hat,
+        alpha_stderr=stderr,
+        chi2=chi2,
+        dof=r.size - 1,
+        z_score_alpha_zero=alpha_hat / stderr,
+        n_used=r.size,
+    )
 
 
 def bootstrap_alpha(
-    records: list[TrackingRecord],
+    table: TrackingTable,
     n_resamples: int,
     seed: int,
     c: float = SPEED_OF_LIGHT,
@@ -134,18 +125,21 @@ def bootstrap_alpha(
     Resamples records with replacement and refits; the resample index
     stream for draw i comes from a counter-based generator keyed by
     (seed, i), so the result is reproducible and independent of
-    evaluation order.
+    evaluation order.  A resample whose ranges are all equal raises
+    DegenerateDesign.
     """
     if n_resamples < 100:
         raise ValueError(f"n_resamples must be >= 100, got {n_resamples}")
-    r, rate, frac, sig = _record_arrays(records)
-    sr = np.zeros_like(sig)
+    r, _, _, wry, wr2 = _wls_terms(table, c, 0.0)
     n = r.size
     estimates = np.empty(n_resamples)
     for i in range(n_resamples):
         rng = np.random.Generator(np.random.Philox(key=seed, counter=i << 64))
         idx = rng.integers(0, n, size=n)
-        estimates[i] = _fit_arrays(r[idx], rate[idx], frac[idx], sig[idx], sr[idx], c).alpha_hat
+        r_i = r.take(idx)
+        if r_i.min() == r_i.max():
+            raise DegenerateDesign("all ranges are equal; alpha is not identifiable")
+        estimates[i] = float(np.sum(wry.take(idx))) / float(np.sum(wr2.take(idx)))
     return float(np.std(estimates, ddof=1))
 
 

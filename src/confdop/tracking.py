@@ -3,9 +3,9 @@
 Generates two-way Doppler and ranging observables for a constant-rate
 radial coast, under either the plain Minkowski model (alpha = 0) or the
 conformal one (alpha != 0), plus the observed-minus-expected anomaly
-residuals.  The record stream is a pure function of SimConfig, seed
-included: noise comes from a counter-based Philox generator keyed by the
-seed, so reruns are byte-identical.
+residuals.  A run is one TrackingTable of numpy columns, a pure function
+of SimConfig, seed included: noise comes from a counter-based Philox
+generator keyed by the seed, so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -21,6 +21,9 @@ from .errors import ConfigInvalid, EpochOutOfRange, MalformedCsv, ZeroRange
 from .wave import doppler_model_conformal
 
 CSV_HEADER = "epoch_s,range_m,range_rate_mps,range_meas_m,doppler_frac,sigma_frac"
+_CSV_ROW = ",".join(["%.17e"] * 6) + "\n"
+# Rows formatted per write call: bounds the formatting buffers of large tables.
+_CSV_CHUNK_ROWS = 4096
 
 # Noise stream identifier recorded in run manifests: one Philox generator
 # keyed by the config seed, two standard normals per record in epoch order
@@ -46,10 +49,18 @@ class SimConfig:
     c: float = SPEED_OF_LIGHT
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigInvalid(f"{f.name}: must be finite, got {value}")
         if not self.r0 > 0.0:
             raise ConfigInvalid(f"r0: must be > 0, got {self.r0}")
         if not self.t_end > self.t_start:
             raise ConfigInvalid(f"t_end: must exceed t_start, got {self.t_end} <= {self.t_start}")
+        if not math.isfinite(self.t_end - self.t_start):
+            raise ConfigInvalid(
+                f"t_end: t_end - t_start must be finite, got {self.t_end - self.t_start}"
+            )
         if not isinstance(self.n_obs, int) or self.n_obs < 2:
             raise ConfigInvalid(f"n_obs: must be an integer >= 2, got {self.n_obs!r}")
         if self.sigma_frac < 0.0:
@@ -60,6 +71,13 @@ class SimConfig:
             raise ConfigInvalid(f"seed: must be a 64-bit unsigned integer, got {self.seed!r}")
         if not self.c > 0.0:
             raise ConfigInvalid(f"c: must be > 0, got {self.c}")
+        # the coast is linear, so a range > 0 at both ends is > 0 throughout
+        r_end = _coast_range(self, self.t_end)
+        if not (r_end > 0.0 and math.isfinite(r_end)):
+            raise ConfigInvalid(
+                f"v_radial: the range must stay finite and > 0 up to t_end, "
+                f"got {r_end} m at t_end = {self.t_end} s"
+            )
 
     @classmethod
     def from_dict(cls, d: dict) -> "SimConfig":
@@ -87,25 +105,49 @@ class SimConfig:
         return asdict(self)
 
 
-@dataclass(frozen=True)
-class TrackingRecord:
-    """One epoch of simulated observables."""
+@dataclass(frozen=True, eq=False)
+class TrackingTable:
+    """Simulated or recorded observables: one float64 column per quantity,
+    one row per epoch, every column the same length.
 
-    epoch: float
-    range_true: float
-    range_rate_true: float
-    range_meas: float
-    doppler_frac_meas: float
-    sigma_frac: float
+    Each column is a read-only view (a float64 array passed in is not
+    copied), so a table does not change through its own attributes.
+    """
+
+    epoch: np.ndarray
+    range_true: np.ndarray
+    range_rate_true: np.ndarray
+    range_meas: np.ndarray
+    doppler_frac_meas: np.ndarray
+    sigma_frac: np.ndarray
+
+    def __post_init__(self):
+        n = None
+        for f in fields(self):
+            col = np.asarray(getattr(self, f.name), dtype=np.float64).view()
+            if col.ndim != 1:
+                raise ValueError(f"{f.name}: must be a 1-D column, got shape {col.shape}")
+            if n is None:
+                n = col.size
+            elif col.size != n:
+                raise ValueError(f"{f.name}: has {col.size} rows, epoch has {n}")
+            col.flags.writeable = False
+            object.__setattr__(self, f.name, col)
+
+    def __len__(self) -> int:
+        return self.epoch.size
 
 
-@dataclass(frozen=True)
+_COLUMNS = tuple(f.name for f in fields(TrackingTable))
+
+
+@dataclass(frozen=True, eq=False)
 class AnomalyResidual:
-    """Observed-minus-expected Doppler residual at one epoch."""
+    """Observed-minus-expected Doppler residuals, one column entry per epoch."""
 
-    epoch: float
-    residual_velocity: float
-    residual_rate: float
+    epoch: np.ndarray
+    residual_velocity: np.ndarray
+    residual_rate: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -126,17 +168,22 @@ _TIME_COORDINATE_CAVEAT = (
 )
 
 
+def _coast_range(cfg: SimConfig, epoch):
+    """Range of the linear coast at an epoch or an array of epochs."""
+    return cfg.r0 + cfg.v_radial * (epoch - cfg.t_start)
+
+
 def make_trajectory(cfg: SimConfig, epoch: float) -> tuple[float, float]:
     """Heliocentric range and range rate of the linear coast at an epoch."""
     if epoch < cfg.t_start or epoch > cfg.t_end:
         raise EpochOutOfRange(
             f"epoch {epoch} outside [{cfg.t_start}, {cfg.t_end}]"
         )
-    return cfg.r0 + cfg.v_radial * (epoch - cfg.t_start), cfg.v_radial
+    return _coast_range(cfg, epoch), cfg.v_radial
 
 
-def simulate(cfg: SimConfig) -> list[TrackingRecord]:
-    """Produce n_obs records at uniform epochs.
+def simulate(cfg: SimConfig) -> TrackingTable:
+    """Produce a table of n_obs rows at uniform epochs.
 
     doppler_frac_meas is the conformal model prediction over c plus
     Gaussian noise of width sigma_frac; range_meas is the true range plus
@@ -145,51 +192,45 @@ def simulate(cfg: SimConfig) -> list[TrackingRecord]:
     """
     p = GroupParameter.from_alpha(cfg.alpha_true, cfg.c)
     epochs = np.linspace(cfg.t_start, cfg.t_end, cfg.n_obs)
-    ranges = cfg.r0 + cfg.v_radial * (epochs - cfg.t_start)
-    rate = cfg.v_radial
+    ranges = _coast_range(cfg, epochs)
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
     draws = rng.standard_normal((cfg.n_obs, 2))
-    frac = doppler_model_conformal(p, ranges, rate) / cfg.c + cfg.sigma_frac * draws[:, 0]
-    range_meas = ranges + cfg.sigma_range * draws[:, 1]
-    return [
-        TrackingRecord(
-            epoch=float(epochs[i]),
-            range_true=float(ranges[i]),
-            range_rate_true=rate,
-            range_meas=float(range_meas[i]),
-            doppler_frac_meas=float(frac[i]),
-            sigma_frac=cfg.sigma_frac,
-        )
-        for i in range(cfg.n_obs)
-    ]
+    return TrackingTable(
+        epoch=epochs,
+        range_true=ranges,
+        range_rate_true=np.full(cfg.n_obs, cfg.v_radial),
+        range_meas=ranges + cfg.sigma_range * draws[:, 1],
+        doppler_frac_meas=(
+            doppler_model_conformal(p, ranges, cfg.v_radial) / cfg.c
+            + cfg.sigma_frac * draws[:, 0]
+        ),
+        sigma_frac=np.full(cfg.n_obs, cfg.sigma_frac),
+    )
 
 
 def anomaly_residuals(
-    records: list[TrackingRecord],
+    table: TrackingTable,
     c: float = SPEED_OF_LIGHT,
     expected_model=None,
-) -> list[AnomalyResidual]:
+) -> AnomalyResidual:
     """Residuals of measured Doppler against an alpha = 0 expectation.
 
-    expected_model(range_true, range_rate_true) -> velocity defaults to
-    the Minkowski prediction, i.e. the range rate itself.  With zero
-    noise the residual rate equals the simulated alpha at every epoch.
+    expected_model(range_true, range_rate_true) -> velocity is called once
+    with the two columns and defaults to the Minkowski prediction, i.e.
+    the range rate itself.  With zero noise the residual rate equals the
+    simulated alpha at every epoch.
     """
     if expected_model is None:
         expected_model = lambda r, v: v
-    out = []
-    for rec in records:
-        if rec.range_true == 0.0:
-            raise ZeroRange(f"record at epoch {rec.epoch} has zero range")
-        resid_v = c * rec.doppler_frac_meas - expected_model(rec.range_true, rec.range_rate_true)
-        out.append(
-            AnomalyResidual(
-                epoch=rec.epoch,
-                residual_velocity=resid_v,
-                residual_rate=resid_v / rec.range_true,
-            )
-        )
-    return out
+    zero = np.flatnonzero(table.range_true == 0.0)
+    if zero.size:
+        raise ZeroRange(f"record at epoch {table.epoch[zero[0]]} has zero range")
+    resid_v = c * table.doppler_frac_meas - expected_model(table.range_true, table.range_rate_true)
+    return AnomalyResidual(
+        epoch=table.epoch,
+        residual_velocity=resid_v,
+        residual_rate=resid_v / table.range_true,
+    )
 
 
 def sign_comparison_report(anomaly_rate: float, hubble_rate: float) -> SignComparison:
@@ -209,53 +250,62 @@ def sign_comparison_report(anomaly_rate: float, hubble_rate: float) -> SignCompa
     )
 
 
-def write_records_csv(records: list[TrackingRecord], path) -> None:
-    """Write records with the fixed header; floats carry 18 significant digits."""
-    lines = [CSV_HEADER]
-    for rec in records:
-        lines.append(
-            ",".join(
-                f"{v:.17e}"
-                for v in (
-                    rec.epoch,
-                    rec.range_true,
-                    rec.range_rate_true,
-                    rec.range_meas,
-                    rec.doppler_frac_meas,
-                    rec.sigma_frac,
-                )
-            )
-        )
+def write_records_csv(table: TrackingTable, path) -> None:
+    """Write the table with the fixed header; floats carry 18 significant digits."""
+    rows = np.column_stack([getattr(table, name) for name in _COLUMNS])
     with open(path, "w", newline="") as f:
-        f.write("\n".join(lines) + "\n")
+        f.write(CSV_HEADER + "\n")
+        for start in range(0, len(rows), _CSV_CHUNK_ROWS):
+            chunk = rows[start : start + _CSV_CHUNK_ROWS]
+            f.write((_CSV_ROW * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
-def read_records_csv(path) -> list[TrackingRecord]:
-    """Parse a tracking CSV, validating the header and every line."""
-    records = []
+def read_records_csv(path) -> TrackingTable:
+    """Parse a tracking CSV, validating the header and every line.
+
+    Blank lines are skipped.  A line without six numeric fields, or with a
+    non-finite value, raises MalformedCsv naming its line number.
+    """
     with open(path, "r", newline="") as f:
         header = f.readline().rstrip("\r\n")
         if header != CSV_HEADER:
             raise MalformedCsv(f"line 1: header must be {CSV_HEADER!r}, got {header!r}")
+        has_rows = any(line.strip() for line in f)
+    rows = None
+    if has_rows:  # loadtxt warns on a file without rows
+        try:
+            rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, comments=None)
+        except ValueError:
+            pass
+    if rows is None or rows.shape[1] != len(_COLUMNS) or not np.isfinite(rows).all():
+        rows = _scan_rows(path)
+    return TrackingTable(*rows.T)
+
+
+def _scan_rows(path) -> np.ndarray:
+    """Parse the data lines one at a time with float().
+
+    This is the reference for what a valid line is: it names the first
+    bad line in a MalformedCsv, and it also reads the valid files that
+    np.loadtxt refuses (whitespace-only lines, say).
+    """
+    names = CSV_HEADER.split(",")
+    rows = []
+    with open(path, "r", newline="") as f:
+        f.readline()
         for lineno, line in enumerate(f, start=2):
             line = line.strip()
             if not line:
                 continue
             parts = line.split(",")
-            if len(parts) != 6:
-                raise MalformedCsv(f"line {lineno}: expected 6 fields, got {len(parts)}")
+            if len(parts) != len(names):
+                raise MalformedCsv(f"line {lineno}: expected {len(names)} fields, got {len(parts)}")
             try:
                 vals = [float(x) for x in parts]
             except ValueError as exc:
                 raise MalformedCsv(f"line {lineno}: {exc}") from exc
-            records.append(
-                TrackingRecord(
-                    epoch=vals[0],
-                    range_true=vals[1],
-                    range_rate_true=vals[2],
-                    range_meas=vals[3],
-                    doppler_frac_meas=vals[4],
-                    sigma_frac=vals[5],
-                )
-            )
-    return records
+            for name, v in zip(names, vals):
+                if not math.isfinite(v):
+                    raise MalformedCsv(f"line {lineno}: {name} must be finite, got {v}")
+            rows.append(vals)
+    return np.array(rows, dtype=np.float64).reshape(-1, len(names))

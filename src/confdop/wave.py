@@ -185,16 +185,21 @@ def doppler_model_conformal(p: GroupParameter, r, v):
     the plain shift-equals-velocity relation.  Accepts scalars or numpy
     arrays for r and v.
     """
-    return v + p.alpha * r
+    return _shift_velocity(v, p.alpha, r)
 
 
 def hubble_prediction(h: HubbleInputs) -> float:
     """Velocity-equivalent shift V + H0*R of the distance-velocity relation.
 
-    Symbol-for-symbol the same arithmetic as doppler_model_conformal
-    under (V, H0, R) <-> (v, alpha, r).
+    The same relation as doppler_model_conformal under
+    (V, H0, R) <-> (v, alpha, r).
     """
-    return h.V + h.H0 * h.R
+    return _shift_velocity(h.V, h.H0, h.R)
+
+
+def _shift_velocity(v, rate, r):
+    """Velocity-equivalent shift v + rate*r: a velocity plus a rate times a range."""
+    return v + rate * r
 
 
 def hubble_alpha_correction(H0: float, alpha: float) -> float:

@@ -182,6 +182,16 @@ class TestSimulate:
         assert code == 1
         assert "n_obs" in err
 
+    @pytest.mark.parametrize("key", ["sigma_frac", "v_radial"])
+    def test_non_finite_config_value_exits_one(self, capsys, tmp_path, key):
+        cfg = write_config(tmp_path, **{key: float("nan")})
+        assert "NaN" in cfg.read_text()
+        out = tmp_path / "x.csv"
+        code, _, err = run(capsys, "simulate", "--config", str(cfg), "--out", str(out))
+        assert code == 1
+        assert key in err
+        assert not out.exists()
+
     def test_seed_precedence_flag_over_env_over_config(self, capsys, tmp_path, monkeypatch):
         cfg = write_config(tmp_path, sigma_frac=1e-12, seed=1)
 
@@ -256,6 +266,36 @@ class TestFit:
         code, _, err = run(capsys, "fit", "--input", str(bad), "--out", str(tmp_path / "f.json"))
         assert code == 1
         assert "line 3" in err
+
+    def test_nan_in_csv_exits_one_without_fit_json(self, capsys, tmp_path):
+        cfg = write_config(tmp_path, sigma_frac=1e-12)
+        csv_path = tmp_path / "run.csv"
+        fit_path = tmp_path / "fit.json"
+        run(capsys, "simulate", "--config", str(cfg), "--out", str(csv_path))
+        lines = csv_path.read_text().splitlines()
+        fields = lines[5].split(",")
+        fields[4] = "nan"
+        lines[5] = ",".join(fields)
+        csv_path.write_text("\n".join(lines) + "\n")
+        code, _, err = run(capsys, "fit", "--input", str(csv_path), "--out", str(fit_path))
+        assert code == 1
+        assert "line 6: doppler_frac must be finite" in err
+        assert not fit_path.exists()
+
+    def test_non_finite_fit_is_not_written_as_json(self, capsys, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path, sigma_frac=1e-12)
+        csv_path = tmp_path / "run.csv"
+        fit_path = tmp_path / "fit.json"
+        run(capsys, "simulate", "--config", str(cfg), "--out", str(csv_path))
+        nan_fit = confdop.FitResult(
+            alpha_hat=float("nan"), alpha_stderr=1.0, chi2=0.0, dof=39,
+            z_score_alpha_zero=float("nan"), n_used=40,
+        )
+        monkeypatch.setattr(confdop.cli, "fit_alpha", lambda table, c: nan_fit)
+        code, _, err = run(capsys, "fit", "--input", str(csv_path), "--out", str(fit_path))
+        assert code == 1
+        assert "JSON" in err
+        assert not fit_path.exists()
 
     def test_missing_input_exits_one(self, capsys, tmp_path):
         code, _, err = run(

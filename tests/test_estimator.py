@@ -5,6 +5,8 @@ behaviour) were frozen from a 100-seed Monte Carlo study run against the
 simulator before these tests were written.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from confdop import (
     DegenerateDesign,
     MetricDecision,
     SimConfig,
-    TrackingRecord,
+    TrackingTable,
     ZeroSigma,
     bootstrap_alpha,
     decide_metric,
@@ -56,18 +58,36 @@ def exact_recovery_cfg(alpha_true):
     )
 
 
-def make_records(r, rate, frac, sigma):
-    return [
-        TrackingRecord(
-            epoch=float(i),
-            range_true=float(r[i]),
-            range_rate_true=float(rate[i]),
-            range_meas=float(r[i]),
-            doppler_frac_meas=float(frac[i]),
-            sigma_frac=float(sigma[i]),
-        )
-        for i in range(len(r))
-    ]
+def make_table(r, rate, frac, sigma):
+    return TrackingTable(
+        epoch=np.arange(len(r), dtype=float),
+        range_true=r,
+        range_rate_true=rate,
+        range_meas=r,
+        doppler_frac_meas=frac,
+        sigma_frac=sigma,
+    )
+
+
+def head(table, n):
+    """The first n rows of a table."""
+    return TrackingTable(*(getattr(table, f.name)[:n] for f in dataclasses.fields(table)))
+
+
+def reference_fit(table, c=C, sigma_rate=0.0):
+    """alpha_hat, stderr and chi2 by a per-record loop over the same formulas."""
+    swr2 = swry = 0.0
+    terms = []
+    for i in range(len(table)):
+        r = float(table.range_true[i])
+        y = c * float(table.doppler_frac_meas[i]) - float(table.range_rate_true[i])
+        var = (c * float(table.sigma_frac[i])) ** 2 + sigma_rate**2
+        terms.append((r, y, 1.0 / var))
+        swr2 += r * r / var
+        swry += r * y / var
+    alpha_hat = swry / swr2
+    chi2 = sum(w * (y - alpha_hat * r) ** 2 for r, y, w in terms)
+    return alpha_hat, swr2**-0.5, chi2
 
 
 class TestFitAlpha:
@@ -113,38 +133,38 @@ class TestFitAlpha:
     def test_scale_equivariance(self):
         # multiplying every sigma by a power of two scales stderr exactly
         # and leaves alpha_hat bit-identical
-        records = simulate(pioneer_like_cfg(4))
+        table = simulate(pioneer_like_cfg(4))
         k = 4.0
-        scaled = [
-            TrackingRecord(
-                epoch=r.epoch,
-                range_true=r.range_true,
-                range_rate_true=r.range_rate_true,
-                range_meas=r.range_meas,
-                doppler_frac_meas=r.doppler_frac_meas,
-                sigma_frac=k * r.sigma_frac,
-            )
-            for r in records
-        ]
-        fit = fit_alpha(records)
+        scaled = dataclasses.replace(table, sigma_frac=k * table.sigma_frac)
+        fit = fit_alpha(table)
         fit_k = fit_alpha(scaled)
         assert fit_k.alpha_hat == fit.alpha_hat
         assert fit_k.alpha_stderr == k * fit.alpha_stderr
 
     def test_rate_noise_widens_errors(self):
-        records = simulate(pioneer_like_cfg(4))
-        plain = fit_alpha(records)
-        widened = fit_alpha(records, sigma_rate=C * 1e-12)
+        table = simulate(pioneer_like_cfg(4))
+        plain = fit_alpha(table)
+        widened = fit_alpha(table, sigma_rate=C * 1e-12)
         assert widened.alpha_stderr == pytest.approx(np.sqrt(2.0) * plain.alpha_stderr, rel=1e-12)
 
     def test_chi2_scale(self):
         fit = fit_alpha(simulate(pioneer_like_cfg(8, n_obs=5000)))
         assert fit.chi2 / fit.dof == pytest.approx(1.0, rel=0.1)
 
+    def test_agrees_with_per_record_loop(self):
+        # the loop sums in another order, so agreement is to a few ulp
+        table = simulate(pioneer_like_cfg(2, n_obs=500))
+        for sigma_rate in (0.0, C * 1e-12):
+            fit = fit_alpha(table, sigma_rate=sigma_rate)
+            alpha_hat, stderr, chi2 = reference_fit(table, sigma_rate=sigma_rate)
+            assert fit.alpha_hat == pytest.approx(alpha_hat, rel=1e-12)
+            assert fit.alpha_stderr == pytest.approx(stderr, rel=1e-12)
+            assert fit.chi2 == pytest.approx(chi2, rel=1e-9)
+
     def test_too_few_records(self):
-        records = simulate(pioneer_like_cfg(0))[:1]
+        table = head(simulate(pioneer_like_cfg(0)), 1)
         with pytest.raises(DegenerateDesign):
-            fit_alpha(records)
+            fit_alpha(table)
 
     def test_equal_ranges_rejected(self):
         cfg = SimConfig(
@@ -161,33 +181,51 @@ class TestFitAlpha:
         sigma = np.full(10, 1e-12)
         sigma[3] = 0.0
         with pytest.raises(ZeroSigma):
-            fit_alpha(make_records(r, rate, frac, sigma))
+            fit_alpha(make_table(r, rate, frac, sigma))
 
     def test_negative_sigma_rejected(self):
         r = np.linspace(1e12, 2e12, 10)
         with pytest.raises(ZeroSigma):
-            fit_alpha(make_records(r, np.zeros(10), np.zeros(10), np.full(10, -1.0)))
+            fit_alpha(make_table(r, np.zeros(10), np.zeros(10), np.full(10, -1.0)))
 
 
 class TestBootstrap:
     def test_noiseless_data_gives_zero_spread(self):
-        records = simulate(exact_recovery_cfg(2.19e-18))
-        assert bootstrap_alpha(records, 200, seed=7) < 1e-30
+        table = simulate(exact_recovery_cfg(2.19e-18))
+        assert bootstrap_alpha(table, 200, seed=7) < 1e-30
 
     def test_matches_analytic_for_gaussian_noise(self):
-        records = simulate(pioneer_like_cfg(5))
-        fit = fit_alpha(records)
-        boot = bootstrap_alpha(records, 300, seed=42)
+        table = simulate(pioneer_like_cfg(5))
+        fit = fit_alpha(table)
+        boot = bootstrap_alpha(table, 300, seed=42)
         assert boot == pytest.approx(fit.alpha_stderr, rel=0.20)
 
     def test_deterministic_given_seed(self):
-        records = simulate(pioneer_like_cfg(6, n_obs=500))
-        assert bootstrap_alpha(records, 150, seed=11) == bootstrap_alpha(records, 150, seed=11)
+        table = simulate(pioneer_like_cfg(6, n_obs=500))
+        assert bootstrap_alpha(table, 150, seed=11) == bootstrap_alpha(table, 150, seed=11)
+
+    def test_equals_refit_of_each_resample(self):
+        # the resample-and-refit loop of the row-based version, as the reference
+        table = simulate(pioneer_like_cfg(6, n_obs=300))
+        estimates = []
+        for i in range(120):
+            rng = np.random.Generator(np.random.Philox(key=11, counter=i << 64))
+            idx = rng.integers(0, len(table), size=len(table))
+            fields = dataclasses.fields(table)
+            resample = TrackingTable(*(getattr(table, f.name)[idx] for f in fields))
+            estimates.append(fit_alpha(resample).alpha_hat)
+        assert bootstrap_alpha(table, 120, seed=11) == float(np.std(estimates, ddof=1))
+
+    def test_resample_of_one_repeated_range_rejected(self):
+        # with 2 records, some of the first 100 resamples repeat one row
+        table = head(simulate(pioneer_like_cfg(0)), 2)
+        with pytest.raises(DegenerateDesign):
+            bootstrap_alpha(table, 100, seed=0)
 
     def test_rejects_too_few_resamples(self):
-        records = simulate(pioneer_like_cfg(0, n_obs=100))
+        table = simulate(pioneer_like_cfg(0, n_obs=100))
         with pytest.raises(ValueError):
-            bootstrap_alpha(records, 99, seed=0)
+            bootstrap_alpha(table, 99, seed=0)
 
 
 class TestDecideMetric:
