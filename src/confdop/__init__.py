@@ -4,11 +4,9 @@ spacecraft tracking simulator with an estimator for the group rate alpha."""
 __version__ = "0.1.0"
 
 from .conformal import (
-    DifferentialCoeffs,
     Event,
     GroupParameter,
     conformal_factor,
-    differential_coeffs,
     differential_map,
     flow_oracle,
     hill_differentials,

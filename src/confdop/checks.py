@@ -43,6 +43,9 @@ DEFAULT_TOLERANCES = {
 
 DEFAULT_CASES = {"group": 10_000, "oracle": 100, "hill": 0, "metric": 10_000}
 
+ORACLE_STEPS = 5000  # RK4 steps per oracle case
+HILL_ALPHA0 = 1e-4  # largest alpha of the hill suite's halving sequence, 1/s
+
 
 @dataclass
 class SuiteResult:
@@ -117,7 +120,7 @@ def run_group_suite(cases: int, tol: float, seed: int) -> SuiteResult:
     )
 
 
-def run_oracle_suite(cases: int, tol: float, seed: int, steps: int = 5000) -> SuiteResult:
+def run_oracle_suite(cases: int, tol: float, seed: int) -> SuiteResult:
     """Closed form against RK4 integration of the generating flow."""
     u_r, u_x4, u_b = _draws(np.random.default_rng(seed), cases, 3)
     r, x4 = _sample_events(u_r, u_x4)
@@ -128,7 +131,7 @@ def run_oracle_suite(cases: int, tol: float, seed: int, steps: int = 5000) -> Su
         e = Event(ri, xi)
         p = GroupParameter(bi)
         fin = transform_finite(p, e)
-        flowed = flow_oracle(p, e, steps=steps)
+        flowed = flow_oracle(p, e, steps=ORACLE_STEPS)
         rows.append((fin.r, fin.x4, flowed.r, flowed.x4))
     err = _rel_err(*np.reshape(rows, (-1, 4)).T)
     return _result(
@@ -153,10 +156,10 @@ def hill_grid() -> list[tuple[float, float]]:
     return [(r, t) for r in radii for t in times]
 
 
-def run_hill_suite(min_order: float = 1.9, alpha0: float = 1e-4) -> SuiteResult:
+def run_hill_suite(min_order: float = 1.9) -> SuiteResult:
     """Empirical convergence order of the first-order map under alpha halving."""
     grid = hill_grid()
-    devs = [hill_deviation(GroupParameter.from_alpha(alpha0 / 2**k), grid) for k in range(4)]
+    devs = [hill_deviation(GroupParameter.from_alpha(HILL_ALPHA0 / 2**k), grid) for k in range(4)]
     orders = [math.log2(devs[k] / devs[k + 1]) for k in range(3)]
     observed = min(orders)
     detail = "orders per halving: " + ", ".join(f"{o:.4f}" for o in orders)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -98,6 +99,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _require_finite_fields(doc: dict, prefix: str) -> None:
+    """Refuse a float field strict JSON cannot hold, naming it."""
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            _require_finite_fields(value, f"{prefix}{key}.")
+        elif isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{prefix}{key} is not finite ({value}); strict JSON cannot hold it")
+
+
 def cmd_transform(args) -> int:
     c = args.c
     if args.beta4 is not None:
@@ -124,7 +134,8 @@ def cmd_transform(args) -> int:
     if args.hill:
         hr, ht = hill_transform(p, e.r, e.x4 / c)
         doc["hill"] = {"r_prime": hr, "t_prime": ht, "x4_prime": c * ht}
-    print(json.dumps(doc, indent=2))
+    _require_finite_fields(doc, "")
+    print(json.dumps(doc, indent=2, allow_nan=False))
     return 0
 
 

@@ -43,8 +43,12 @@ from .errors import (
 )
 
 # Relative tolerance below which the conformal-factor denominator is
-# treated as singular.
+# treated as singular; also the absolute one of the slope-map denominator.
 EPS_SINGULAR = 1e-12
+
+# flow_oracle gives up once |r| + |x4| exceeds this: the flow is then
+# approaching the singular surface.
+FLOW_DIVERGENCE_BOUND = 1e12
 
 _DIRECTION_NORM_TOL = 1e-12
 
@@ -120,15 +124,6 @@ class GroupParameter:
         return GroupParameter(beta4=-self.beta4, c=self.c)
 
 
-@dataclass(frozen=True)
-class DifferentialCoeffs:
-    """Coefficients of the differential map dr' = gamma2*(A dr + B dx4)."""
-
-    A: float
-    B: float
-    gamma2: float
-
-
 def interval_squared(e: Event) -> float:
     """Signed squared interval s2 = x4^2 - r^2 of an event."""
     return e.x4 * e.x4 - e.r * e.r
@@ -139,7 +134,7 @@ def line_element_squared(dr: float, dx4: float) -> float:
     return abs(dr * dr - dx4 * dx4)
 
 
-def _finite_map(b, r, x4, eps, refuse):
+def _finite_map(b, r, x4, refuse):
     """Formula body of the finite map, shared by the scalar and array kernels.
 
     Elementwise on floats or numpy arrays; returns (gamma, r', x4').
@@ -151,7 +146,7 @@ def _finite_map(b, r, x4, eps, refuse):
     linear = 2.0 * b * x4
     quadratic = b * b * s2
     denom = 1.0 - linear + quadratic
-    regular = abs(denom) >= eps * (1.0 + abs(linear) + abs(quadratic))
+    regular = abs(denom) >= EPS_SINGULAR * (1.0 + abs(linear) + abs(quadratic))
     refuse(b, r, x4, regular, 1.0 - b * (x4 + r), 1.0 - b * (x4 - r))
     g = 1.0 / denom
     return g, g * r, g * (x4 - b * s2)
@@ -195,25 +190,25 @@ def _differential_terms(b, r, x4):
     return 1.0 - 2.0 * b * x4 + b * b * (r * r + x4 * x4), 2.0 * b * r * (1.0 - b * x4)
 
 
-def _differential(b, r, x4, dr, dx4, eps, refuse):
-    g = _finite_map(b, r, x4, eps, refuse)[0]
+def _differential(b, r, x4, dr, dx4, refuse):
+    g = _finite_map(b, r, x4, refuse)[0]
     a_coeff, b_coeff = _differential_terms(b, r, x4)
     g2 = g * g
     return g2 * (a_coeff * dr + b_coeff * dx4), g2 * (b_coeff * dr + a_coeff * dx4)
 
 
-def conformal_factor(p: GroupParameter, e: Event, eps: float = EPS_SINGULAR) -> float:
+def conformal_factor(p: GroupParameter, e: Event) -> float:
     """Conformal factor gamma = 1 / (1 - 2*beta4*x4 + beta4^2 * s2).
 
     gamma is positive everywhere on the admissible domain.  Raises
-    SingularTransform when the denominator is within `eps` (relative to
-    the magnitude of its terms) of zero, and DomainCrossing when the
-    event lies beyond a singular surface, i.e. when 1 - beta4*(x4 + r)
-    or 1 - beta4*(x4 - r) is not positive.  Past both surfaces the
+    SingularTransform when the denominator is within EPS_SINGULAR
+    (relative to the magnitude of its terms) of zero, and DomainCrossing
+    when the event lies beyond a singular surface, i.e. when
+    1 - beta4*(x4 + r) or 1 - beta4*(x4 - r) is not positive.  Past both surfaces the
     denominator is positive again, but the flow from the identity
     diverges before it gets there.
     """
-    return _finite_map(p.beta4, e.r, e.x4, eps, _refuse)[0]
+    return _finite_map(p.beta4, e.r, e.x4, _refuse)[0]
 
 
 def conformal_factor_array(beta4, r, x4) -> np.ndarray:
@@ -222,15 +217,15 @@ def conformal_factor_array(beta4, r, x4) -> np.ndarray:
     Raises as the scalar call would for the first element outside the
     domain, and ValueError for non-finite inputs or r < 0.
     """
-    return _finite_map(*_finite_arrays(beta4=beta4, r=r, x4=x4), EPS_SINGULAR, _refuse_any)[0]
+    return _finite_map(*_finite_arrays(beta4=beta4, r=r, x4=x4), _refuse_any)[0]
 
 
-def transform_finite(p: GroupParameter, e: Event, eps: float = EPS_SINGULAR) -> Event:
+def transform_finite(p: GroupParameter, e: Event) -> Event:
     """Finite transformation (r, x4) -> (gamma*r, gamma*(x4 - beta4*s2)).
 
     The direction vector, if present, is passed through unchanged.
     """
-    _, r, x4 = _finite_map(p.beta4, e.r, e.x4, eps, _refuse)
+    _, r, x4 = _finite_map(p.beta4, e.r, e.x4, _refuse)
     return Event(r, x4, e.direction)
 
 
@@ -241,37 +236,24 @@ def transform_finite_array(beta4, r, x4) -> tuple[np.ndarray, np.ndarray]:
     coordinate overflows, as the Event that transform_finite builds would.
     """
     arrays = _finite_arrays(beta4=beta4, r=r, x4=x4)
-    _, r_out, x4_out = _finite_map(*arrays, EPS_SINGULAR, _refuse_any)
+    _, r_out, x4_out = _finite_map(*arrays, _refuse_any)
     return tuple(_finite_arrays(r=r_out, x4=x4_out))
 
 
-def transform_inverse_finite(p: GroupParameter, e_primed: Event, eps: float = EPS_SINGULAR) -> Event:
+def transform_inverse_finite(p: GroupParameter, e_primed: Event) -> Event:
     """Inverse map: the finite transformation taken at -beta4."""
-    return transform_finite(p.negated(), e_primed, eps)
+    return transform_finite(p.negated(), e_primed)
 
 
-def differential_coeffs(p: GroupParameter, e: Event) -> DifferentialCoeffs:
-    """Polynomial coefficients A, B and the factor gamma^2 at an event.
-
-    A = 1 - 2*beta4*x4 + beta4^2*(r^2 + x4^2) and B = 2*beta4*r*(1 - beta4*x4).
-    Never raises; a singular gamma^2 only surfaces in dependent operations.
-    """
-    b = p.beta4
-    a_coeff, b_coeff = _differential_terms(b, e.r, e.x4)
-    denom = 1.0 - 2.0 * b * e.x4 + b * b * interval_squared(e)
-    d2 = denom * denom
-    gamma2 = math.inf if d2 == 0.0 else 1.0 / d2
-    return DifferentialCoeffs(A=a_coeff, B=b_coeff, gamma2=gamma2)
-
-
-def differential_map(
-    p: GroupParameter, e: Event, dr: float, dx4: float, eps: float = EPS_SINGULAR
-) -> tuple[float, float]:
+def differential_map(p: GroupParameter, e: Event, dr: float, dx4: float) -> tuple[float, float]:
     """Push a displacement (dr, dx4) at event e through the transformation:
 
-    dr' = gamma^2 * (A dr + B dx4),  dx4' = gamma^2 * (B dr + A dx4).
+    dr' = gamma^2 * (A dr + B dx4),  dx4' = gamma^2 * (B dr + A dx4),
+
+    with A = 1 - 2*beta4*x4 + beta4^2*(r^2 + x4^2) and
+    B = 2*beta4*r*(1 - beta4*x4).  Raises as conformal_factor does.
     """
-    return _differential(p.beta4, e.r, e.x4, dr, dx4, eps, _refuse)
+    return _differential(p.beta4, e.r, e.x4, dr, dx4, _refuse)
 
 
 def differential_map_array(beta4, r, x4, dr, dx4) -> tuple[np.ndarray, np.ndarray]:
@@ -280,24 +262,25 @@ def differential_map_array(beta4, r, x4, dr, dx4) -> tuple[np.ndarray, np.ndarra
     Raises as conformal_factor_array does.
     """
     arrays = _finite_arrays(beta4=beta4, r=r, x4=x4, dr=dr, dx4=dx4)
-    return _differential(*arrays, EPS_SINGULAR, _refuse_any)
+    return _differential(*arrays, _refuse_any)
 
 
-def slope_transform(
-    p: GroupParameter, e: Event, slope: float, eps: float = EPS_SINGULAR
-) -> float:
+def slope_transform(p: GroupParameter, e: Event, slope: float) -> float:
     """Moebius map of a coordinate slope dr/dx4:
 
-    slope' = (A*slope + B) / (B*slope + A).
+    slope' = (A*slope + B) / (B*slope + A),
 
-    Slopes +1 and -1 (light speed) are fixed points.  Raises
-    SlopeSingular when the denominator is within eps of zero.
+    with A and B as in differential_map.  Slopes +1 and -1 (light speed)
+    are fixed points.  Raises as conformal_factor does for an event
+    outside the domain, and SlopeSingular when the denominator is within
+    EPS_SINGULAR of zero.
     """
-    co = differential_coeffs(p, e)
-    denom = co.B * slope + co.A
-    if abs(denom) < eps:
+    _finite_map(p.beta4, e.r, e.x4, _refuse)
+    a_coeff, b_coeff = _differential_terms(p.beta4, e.r, e.x4)
+    denom = b_coeff * slope + a_coeff
+    if abs(denom) < EPS_SINGULAR:
         raise SlopeSingular(f"slope map singular: B*slope + A = {denom!r}")
-    return (co.A * slope + co.B) / denom
+    return (a_coeff * slope + b_coeff) / denom
 
 
 def invariant_ratio(e: Event) -> float:
@@ -307,13 +290,13 @@ def invariant_ratio(e: Event) -> float:
     return interval_squared(e) / e.r
 
 
-def interval_scale(p: GroupParameter, e: Event, eps: float = EPS_SINGULAR) -> float:
+def interval_scale(p: GroupParameter, e: Event) -> float:
     """Factor gamma^2 by which squared line elements rescale at this event.
 
     The finite interval s2 itself rescales by a single factor of gamma;
     use conformal_factor for that.
     """
-    g = conformal_factor(p, e, eps)
+    g = conformal_factor(p, e)
     return g * g
 
 
@@ -354,12 +337,7 @@ def hill_velocity(p: GroupParameter, r: float, v: float) -> float:
     return v + p.alpha * r * (1.0 - v * v / (p.c * p.c))
 
 
-def flow_oracle(
-    p: GroupParameter,
-    e: Event,
-    steps: int = 100_000,
-    divergence_bound: float = 1e12,
-) -> Event:
+def flow_oracle(p: GroupParameter, e: Event, steps: int = 100_000) -> Event:
     """Integrate the generating vector field
 
         dr/dtau = 2*x4*r,  dx4/dtau = r^2 + x4^2
@@ -368,8 +346,8 @@ def flow_oracle(
     the independent cross-check for transform_finite (the closed form is
     the exponential of this generator).
 
-    Raises StepDivergence if |r| + |x4| exceeds divergence_bound, which
-    signals an approach to the singular surface.
+    Raises StepDivergence if |r| + |x4| exceeds FLOW_DIVERGENCE_BOUND,
+    which signals an approach to the singular surface.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -395,8 +373,8 @@ def flow_oracle(
         k4x = r4 * r4 + x4 * x4
         r += h * (k1r + 2.0 * (k2r + k3r) + k4r) / 6.0
         x += h * (k1x + 2.0 * (k2x + k3x) + k4x) / 6.0
-        if abs(r) + abs(x) > divergence_bound:
+        if abs(r) + abs(x) > FLOW_DIVERGENCE_BOUND:
             raise StepDivergence(
-                f"flow state exceeded bound {divergence_bound:g} (r={r:g}, x4={x:g})"
+                f"flow state exceeded bound {FLOW_DIVERGENCE_BOUND:g} (r={r:g}, x4={x:g})"
             )
     return Event(r=r, x4=x, direction=e.direction)

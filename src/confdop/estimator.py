@@ -10,13 +10,14 @@ double precision.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import SPEED_OF_LIGHT
 from .errors import DegenerateDesign, ZeroSigma
-from .tracking import TrackingTable
+from .tracking import TrackingTable, _residual_velocity
 
 
 @dataclass(frozen=True)
@@ -76,7 +77,7 @@ def _wls_terms(table: TrackingTable, c: float, sigma_rate: float):
     if np.all(r == r[0]):
         raise DegenerateDesign("all ranges are equal; alpha is not identifiable")
     w = _weights(table.sigma_frac, sigma_rate, c)
-    y = c * table.doppler_frac_meas - table.range_rate_true
+    y = _residual_velocity(table, c)
     wr = w * r
     return r, y, w, wr * y, wr * r
 
@@ -96,10 +97,16 @@ def fit_alpha(
 
     sigma_rate, when nonzero, models independent noise on the rate used
     to form y and is folded into the weights.  Raises DegenerateDesign
-    for n < 2 or all-equal ranges.
+    for n < 2, all-equal ranges, or a sum(w r^2) that overflows to inf or
+    underflows to 0, where the standard error is undefined.
     """
     r, y, w, wry, wr2 = _wls_terms(table, c, float(sigma_rate))
     swr2 = float(np.sum(wr2))
+    if not 0.0 < swr2 < math.inf:
+        cause = "overflows" if swr2 else "underflows to 0"
+        raise DegenerateDesign(
+            f"sum(w*r^2) {cause} ({swr2!r}); the standard error of alpha is undefined"
+        )
     alpha_hat = float(np.sum(wry)) / swr2
     stderr = swr2**-0.5
     resid = y - alpha_hat * r

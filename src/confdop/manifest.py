@@ -61,7 +61,8 @@ def build_manifest(
 
 
 def write_manifest(manifest: RunManifest, path) -> None:
-    Path(path).write_text(json.dumps(asdict(manifest), indent=2, sort_keys=True) + "\n")
+    text = json.dumps(asdict(manifest), indent=2, sort_keys=True, allow_nan=False)
+    Path(path).write_text(text + "\n")
 
 
 def load_manifest(path) -> RunManifest:

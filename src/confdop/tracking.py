@@ -208,24 +208,22 @@ def simulate(cfg: SimConfig) -> TrackingTable:
     )
 
 
-def anomaly_residuals(
-    table: TrackingTable,
-    c: float = SPEED_OF_LIGHT,
-    expected_model=None,
-) -> AnomalyResidual:
+def _residual_velocity(table: TrackingTable, c: float) -> np.ndarray:
+    """Measured Doppler velocity minus the alpha = 0 (Minkowski) prediction,
+    the range rate itself: y = c*doppler_frac_meas - range_rate_true."""
+    return c * table.doppler_frac_meas - table.range_rate_true
+
+
+def anomaly_residuals(table: TrackingTable, c: float = SPEED_OF_LIGHT) -> AnomalyResidual:
     """Residuals of measured Doppler against an alpha = 0 expectation.
 
-    expected_model(range_true, range_rate_true) -> velocity is called once
-    with the two columns and defaults to the Minkowski prediction, i.e.
-    the range rate itself.  With zero noise the residual rate equals the
-    simulated alpha at every epoch.
+    With zero noise the residual rate equals the simulated alpha at every
+    epoch.
     """
-    if expected_model is None:
-        expected_model = lambda r, v: v
     zero = np.flatnonzero(table.range_true == 0.0)
     if zero.size:
         raise ZeroRange(f"record at epoch {table.epoch[zero[0]]} has zero range")
-    resid_v = c * table.doppler_frac_meas - expected_model(table.range_true, table.range_rate_true)
+    resid_v = _residual_velocity(table, c)
     return AnomalyResidual(
         epoch=table.epoch,
         residual_velocity=resid_v,

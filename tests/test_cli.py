@@ -114,6 +114,12 @@ class TestTransform:
         code, out, err = run(capsys, "transform", "--alpha", "1", "--c", c, "--r", "1", "--x4", "0")
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
+    def test_non_finite_output_field_exits_one(self, capsys):
+        # s2/r = 1e308 / 1e-10 overflows although every input is finite
+        code, out, err = run(capsys, "transform", "--beta4", "0", "--r", "1e-10", "--x4", "1e154")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: s2_over_r is not finite (inf)")
+
     def test_conflicting_parameters_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["transform", "--beta4", "1", "--alpha", "1", "--r", "1", "--x4", "0"])
@@ -191,6 +197,16 @@ class TestSimulate:
         assert code == 1
         assert key in err
         assert not out.exists()
+
+    def test_manifest_refuses_non_finite_config(self, tmp_path):
+        manifest = confdop.RunManifest(
+            command="simulate", tool_version=confdop.__version__, rng_algorithm="none",
+            seed=0, config={"r0": float("nan")}, config_digest="", outputs=[],
+        )
+        path = tmp_path / "m.json"
+        with pytest.raises(ValueError, match="JSON"):
+            confdop.write_manifest(manifest, path)
+        assert not path.exists()
 
     def test_seed_precedence_flag_over_env_over_config(self, capsys, tmp_path, monkeypatch):
         cfg = write_config(tmp_path, sigma_frac=1e-12, seed=1)
@@ -295,6 +311,21 @@ class TestFit:
         code, _, err = run(capsys, "fit", "--input", str(csv_path), "--out", str(fit_path))
         assert code == 1
         assert "JSON" in err
+        assert not fit_path.exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_design_exits_one_without_fit_json(self, capsys, tmp_path):
+        csv_path = tmp_path / "big.csv"
+        fit_path = tmp_path / "fit.json"
+        csv_path.write_text(
+            "epoch_s,range_m,range_rate_mps,range_meas_m,doppler_frac,sigma_frac\n"
+            "0,1e200,0,1e200,1e-12,1e-12\n"
+            "1,2e200,0,2e200,2e-12,1e-12\n"
+        )
+        code, _, err = run(capsys, "fit", "--input", str(csv_path), "--out", str(fit_path))
+        assert code == 1
+        assert err.startswith("error: sum(w*r^2) overflows")
+        assert "Traceback" not in err
         assert not fit_path.exists()
 
     def test_missing_input_exits_one(self, capsys, tmp_path):

@@ -20,7 +20,6 @@ from confdop import (
     StepDivergence,
     ZeroRadius,
     conformal_factor,
-    differential_coeffs,
     differential_map,
     flow_oracle,
     hill_transform,
@@ -215,32 +214,27 @@ class TestInverse:
             assert rel_err_events(transform_inverse_finite(p, transform_finite(p, e)), e) < 1e-12
 
 
-class TestDifferentialCoeffs:
+class TestDifferentialMap:
     def test_identity_parameter(self):
-        co = differential_coeffs(GroupParameter(0.0), Event(r=1.2, x4=-0.4))
-        assert (co.A, co.B, co.gamma2) == (1.0, 0.0, 1.0)
+        assert differential_map(GroupParameter(0.0), Event(r=1.0, x4=0.5), 0.3, -0.7) == (0.3, -0.7)
+        # gamma^2*A = 1 and gamma^2*B = 0 exactly
+        e = Event(r=1.2, x4=-0.4)
+        assert differential_map(GroupParameter(0.0), e, 1.0, 0.0) == (1.0, 0.0)
+        assert differential_map(GroupParameter(0.0), e, 0.0, 1.0) == (0.0, 1.0)
 
     def test_b_vanishes_at_zero_radius(self):
-        for b in (0.1, -0.7, 3.0):
-            co = differential_coeffs(GroupParameter(b), Event(r=0.0, x4=0.8))
-            assert co.B == 0.0
-
-    def test_polynomials_reproduce(self):
-        rng = np.random.default_rng(5)
-        for _ in range(200):
-            r, x4, b = sample_admissible(rng, budget=0.5)
-            co = differential_coeffs(GroupParameter(b), Event(r=r, x4=x4))
-            a_ref = 1.0 - 2.0 * b * x4 + b * b * (r * r + x4 * x4)
-            b_ref = 2.0 * b * r * (1.0 - b * x4)
-            assert co.A == pytest.approx(a_ref, rel=1e-14, abs=1e-300)
-            assert co.B == pytest.approx(b_ref, rel=1e-14, abs=1e-300)
+        # B = 2*beta4*r*(1 - beta4*x4) is exactly 0, so a radial step moves no time
+        for b in (0.1, -0.7, 1.2):
+            assert differential_map(GroupParameter(b), Event(r=0.0, x4=0.8), 0.37, 0.0)[1] == 0.0
 
     def test_against_finite_difference_jacobian(self):
-        # central differences of the finite map: d(r')/d(r) = gamma^2 * A, etc.
+        # central differences of the finite map give the Jacobian columns,
+        # the images of the unit displacements (1, 0) and (0, 1)
         p = GroupParameter(0.1)
         e = Event(r=0.5, x4=1.0)
         h = 1e-6
-        co = differential_coeffs(p, e)
+        col_r = differential_map(p, e, 1.0, 0.0)
+        col_x4 = differential_map(p, e, 0.0, 1.0)
 
         def fin(r, x4):
             out = transform_finite(p, Event(r=r, x4=x4))
@@ -255,15 +249,10 @@ class TestDifferentialCoeffs:
         drp_dx = (rp_plus - rp_minus) / (2 * h)
         dxp_dx = (xp_plus - xp_minus) / (2 * h)
 
-        assert drp_dr == pytest.approx(co.gamma2 * co.A, rel=1e-7)
-        assert dxp_dx == pytest.approx(co.gamma2 * co.A, rel=1e-7)
-        assert dxp_dr == pytest.approx(co.gamma2 * co.B, rel=1e-7)
-        assert drp_dx == pytest.approx(co.gamma2 * co.B, rel=1e-7)
-
-
-class TestDifferentialMap:
-    def test_identity_parameter(self):
-        assert differential_map(GroupParameter(0.0), Event(r=1.0, x4=0.5), 0.3, -0.7) == (0.3, -0.7)
+        assert drp_dr == pytest.approx(col_r[0], rel=1e-7)
+        assert dxp_dr == pytest.approx(col_r[1], rel=1e-7)
+        assert drp_dx == pytest.approx(col_x4[0], rel=1e-7)
+        assert dxp_dx == pytest.approx(col_x4[1], rel=1e-7)
 
     def test_null_stays_null_exactly(self):
         rng = np.random.default_rng(17)
@@ -296,11 +285,19 @@ class TestSlopeTransform:
         assert slope_transform(GroupParameter(0.0), Event(r=1.0, x4=0.0), 0.37) == 0.37
 
     def test_singular_slope_raises(self):
-        p = GroupParameter(0.2)
-        e = Event(r=0.5, x4=1.0)
-        co = differential_coeffs(p, e)
+        b, r, x4 = 0.2, 0.5, 1.0
+        a_coeff = 1.0 - 2.0 * b * x4 + b * b * (r * r + x4 * x4)
+        b_coeff = 2.0 * b * r * (1.0 - b * x4)
         with pytest.raises(SlopeSingular):
-            slope_transform(p, e, -co.A / co.B)
+            slope_transform(GroupParameter(b), Event(r=r, x4=x4), -a_coeff / b_coeff)
+
+    @pytest.mark.parametrize(
+        "r, x4",
+        [(0.1, 3.0), (1.0, 0.5)],  # past both null surfaces; past the u surface only
+    )
+    def test_event_outside_domain_raises(self, r, x4):
+        with pytest.raises(DomainCrossing):
+            slope_transform(GroupParameter(1.0), Event(r=r, x4=x4), 0.3)
 
 
 class TestInvariantRatio:

@@ -174,6 +174,17 @@ class TestFitAlpha:
         with pytest.raises(DegenerateDesign):
             fit_alpha(simulate(cfg))
 
+    @pytest.mark.parametrize(
+        "r0, cause", [(1e200, "overflows"), (1e-200, "underflows to 0")]
+    )
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_out_of_range_sum_wr2_rejected(self, r0, cause):
+        # stderr = sum(w r^2)^(-1/2) would be 0 or inf, and alpha_hat/stderr undefined
+        r = np.array([r0, 2 * r0])
+        table = make_table(r, np.zeros(2), np.array([1e-12, 2e-12]), np.full(2, 1e-12))
+        with pytest.raises(DegenerateDesign, match=f"sum\\(w\\*r\\^2\\) {cause}"):
+            fit_alpha(table)
+
     def test_mixed_zero_sigma_rejected(self):
         r = np.linspace(1e12, 2e12, 10)
         rate = np.zeros(10)
