@@ -31,7 +31,6 @@ from .errors import (
     ConfigInvalid,
     DegenerateDesign,
     DomainCrossing,
-    EpochOutOfRange,
     MalformedCsv,
     ManifestMismatch,
     NotPastCone,
@@ -50,19 +49,13 @@ from .tracking import (
     SimConfig,
     TrackingTable,
     anomaly_residuals,
-    make_trajectory,
     read_records_csv,
     sign_comparison_report,
     simulate,
     write_records_csv,
 )
 from .wave import (
-    DopplerObservable,
-    EmissionEvent,
-    HubbleInputs,
-    WaveSample,
     doppler_model_conformal,
-    doppler_velocity,
     hubble_alpha_correction,
     hubble_prediction,
     inbound_ray_coords,

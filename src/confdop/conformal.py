@@ -29,6 +29,7 @@ are safe to share between threads.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,9 +51,9 @@ EPS_SINGULAR = 1e-12
 # approaching the singular surface.
 FLOW_DIVERGENCE_BOUND = 1e12
 
-_DIRECTION_NORM_TOL = 1e-12
-
 _INF = math.inf
+
+_C2_MIN = sys.float_info.min
 
 
 def _require_finite(name: str, value: float) -> None:
@@ -60,10 +61,13 @@ def _require_finite(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite, got {value}")
 
 
-def _require_positive(name: str, value: float) -> None:
-    if not 0.0 < value < _INF:
-        _require_finite(name, value)
-        raise ValueError(f"{name} must be positive, got {value}")
+def _require_c(c: float) -> None:
+    # c*c divides the Hill and inbound-ray maps, so it must be a normal float
+    if not (c > 0.0 and _C2_MIN <= c * c < _INF):
+        _require_finite("c", c)
+        if not c > 0.0:
+            raise ValueError(f"c must be positive, got {c}")
+        raise ValueError(f"c must square to a normal float, got {c} (c*c = {c * c})")
 
 
 @dataclass(frozen=True)
@@ -71,14 +75,11 @@ class Event:
     """A point (r, x4) in an observer's light-cone coordinates.
 
     r is the radial distance (length, >= 0, finite) and x4 = c*t the time
-    coordinate (length, signed, finite).  The optional direction is a unit
-    3-vector; the transformations act on the radial magnitude only and
-    never alter it.
+    coordinate (length, signed, finite).
     """
 
     r: float
     x4: float
-    direction: tuple[float, float, float] | None = None
 
     def __post_init__(self):
         # one chained test on the hot path; the slow path names the field
@@ -86,11 +87,6 @@ class Event:
             _require_finite("r", self.r)
             _require_finite("x4", self.x4)
             raise ValueError(f"r must be >= 0, got {self.r}")
-        if self.direction is not None:
-            dx, dy, dz = self.direction
-            norm = math.sqrt(dx * dx + dy * dy + dz * dz)
-            if abs(norm - 1.0) > _DIRECTION_NORM_TOL:
-                raise ValueError(f"direction must be a unit vector, |d| = {norm!r}")
 
 
 @dataclass(frozen=True)
@@ -98,20 +94,21 @@ class GroupParameter:
     """Selects a group element: beta4 in 1/length, c in length/time.
 
     beta4 is stored; the inverse-time form alpha = 2*c*beta4 is derived,
-    so the pair always satisfies the relation exactly.
+    so the pair always satisfies the relation exactly.  c must be positive
+    with c*c a normal float (at least sys.float_info.min, below inf).
     """
 
     beta4: float
     c: float = SPEED_OF_LIGHT
 
     def __post_init__(self):
-        _require_positive("c", self.c)
+        _require_c(self.c)
         _require_finite("beta4", self.beta4)
 
     @classmethod
     def from_alpha(cls, alpha: float, c: float = SPEED_OF_LIGHT) -> "GroupParameter":
         """Build from the inverse-time parameter, beta4 = alpha / (2c)."""
-        _require_positive("c", c)
+        _require_c(c)
         _require_finite("alpha", alpha)
         return cls(beta4=alpha / (2.0 * c), c=c)
 
@@ -221,12 +218,9 @@ def conformal_factor_array(beta4, r, x4) -> np.ndarray:
 
 
 def transform_finite(p: GroupParameter, e: Event) -> Event:
-    """Finite transformation (r, x4) -> (gamma*r, gamma*(x4 - beta4*s2)).
-
-    The direction vector, if present, is passed through unchanged.
-    """
+    """Finite transformation (r, x4) -> (gamma*r, gamma*(x4 - beta4*s2))."""
     _, r, x4 = _finite_map(p.beta4, e.r, e.x4, _refuse)
-    return Event(r, x4, e.direction)
+    return Event(r, x4)
 
 
 def transform_finite_array(beta4, r, x4) -> tuple[np.ndarray, np.ndarray]:
@@ -352,7 +346,7 @@ def flow_oracle(p: GroupParameter, e: Event, steps: int = 100_000) -> Event:
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     if p.beta4 == 0.0:
-        return Event(r=e.r, x4=e.x4, direction=e.direction)
+        return Event(r=e.r, x4=e.x4)
     h = p.beta4 / steps
     r = e.r
     x = e.x4
@@ -377,4 +371,4 @@ def flow_oracle(p: GroupParameter, e: Event, steps: int = 100_000) -> Event:
             raise StepDivergence(
                 f"flow state exceeded bound {FLOW_DIVERGENCE_BOUND:g} (r={r:g}, x4={x:g})"
             )
-    return Event(r=r, x4=x, direction=e.direction)
+    return Event(r=r, x4=x)

@@ -29,10 +29,6 @@ class NotPastCone(ConfdopError):
     """Emission coordinates must lie on the past light cone (t < 0)."""
 
 
-class EpochOutOfRange(ConfdopError):
-    """Requested epoch falls outside the configured tracking window."""
-
-
 class ConfigInvalid(ConfdopError):
     """Simulation config failed validation; the message names the offending key."""
 

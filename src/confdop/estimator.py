@@ -47,16 +47,16 @@ class MetricDecision(enum.Enum):
     CONFORMAL_DETECTED = "ConformalDetected"
 
 
-def _weights(sigma_frac: np.ndarray, sigma_rate: float, c: float) -> np.ndarray:
-    """Per-record weights 1/Var(y) with Var(y) = (c*sigma_frac)^2 + sigma_rate^2.
+def _weights(sigma_frac: np.ndarray, c: float) -> np.ndarray:
+    """Per-record weights 1/Var(y) with Var(y) = (c*sigma_frac)^2.
 
     A uniformly zero variance (noiseless input) falls back to unit
     weights, which leave alpha_hat unchanged; mixed zero/positive
     variances are rejected as ill-posed.
     """
-    if np.any(sigma_frac < 0.0) or sigma_rate < 0.0:
+    if np.any(sigma_frac < 0.0):
         raise ZeroSigma("sigmas must be >= 0")
-    var = (c * sigma_frac) ** 2 + sigma_rate**2
+    var = (c * sigma_frac) ** 2
     if np.all(var == 0.0):
         return np.ones_like(var)
     if np.any(var == 0.0):
@@ -64,7 +64,7 @@ def _weights(sigma_frac: np.ndarray, sigma_rate: float, c: float) -> np.ndarray:
     return 1.0 / var
 
 
-def _wls_terms(table: TrackingTable, c: float, sigma_rate: float):
+def _wls_terms(table: TrackingTable, c: float):
     """Per-record terms of the fit: ranges r, residual velocities
     y = c*frac - rate, weights w, and the summands w*r*y and w*r^2.
 
@@ -76,17 +76,28 @@ def _wls_terms(table: TrackingTable, c: float, sigma_rate: float):
         raise DegenerateDesign(f"need at least 2 records, got {n}")
     if np.all(r == r[0]):
         raise DegenerateDesign("all ranges are equal; alpha is not identifiable")
-    w = _weights(table.sigma_frac, sigma_rate, c)
+    w = _weights(table.sigma_frac, c)
     y = _residual_velocity(table, c)
     wr = w * r
     return r, y, w, wr * y, wr * r
 
 
-def fit_alpha(
-    table: TrackingTable,
-    c: float = SPEED_OF_LIGHT,
-    sigma_rate: float = 0.0,
-) -> FitResult:
+def _alpha_hat(wry: np.ndarray, wr2: np.ndarray) -> tuple[float, float]:
+    """alpha_hat = sum(w r y) / sum(w r^2), returned with sum(w r^2).
+
+    Raises DegenerateDesign when sum(w r^2) overflows to inf or underflows
+    to 0, where alpha_hat and its standard error are undefined.
+    """
+    swr2 = float(np.sum(wr2))
+    if not 0.0 < swr2 < math.inf:
+        cause = "overflows" if swr2 else "underflows to 0"
+        raise DegenerateDesign(
+            f"sum(w*r^2) {cause} ({swr2!r}); the standard error of alpha is undefined"
+        )
+    return float(np.sum(wry)) / swr2, swr2
+
+
+def fit_alpha(table: TrackingTable, c: float = SPEED_OF_LIGHT) -> FitResult:
     """Closed-form weighted least squares for y = alpha * r.
 
     Per record, y = c*doppler_frac_meas - range_rate_true and the weight
@@ -95,19 +106,12 @@ def fit_alpha(
         alpha_hat = sum(w r y) / sum(w r^2),  stderr = sum(w r^2)^(-1/2),
         z = alpha_hat / stderr.
 
-    sigma_rate, when nonzero, models independent noise on the rate used
-    to form y and is folded into the weights.  Raises DegenerateDesign
-    for n < 2, all-equal ranges, or a sum(w r^2) that overflows to inf or
-    underflows to 0, where the standard error is undefined.
+    Raises DegenerateDesign for n < 2, all-equal ranges, or a sum(w r^2)
+    that overflows to inf or underflows to 0, where the standard error is
+    undefined.
     """
-    r, y, w, wry, wr2 = _wls_terms(table, c, float(sigma_rate))
-    swr2 = float(np.sum(wr2))
-    if not 0.0 < swr2 < math.inf:
-        cause = "overflows" if swr2 else "underflows to 0"
-        raise DegenerateDesign(
-            f"sum(w*r^2) {cause} ({swr2!r}); the standard error of alpha is undefined"
-        )
-    alpha_hat = float(np.sum(wry)) / swr2
+    r, y, w, wry, wr2 = _wls_terms(table, c)
+    alpha_hat, swr2 = _alpha_hat(wry, wr2)
     stderr = swr2**-0.5
     resid = y - alpha_hat * r
     chi2 = float(np.sum(w * resid * resid))
@@ -132,12 +136,12 @@ def bootstrap_alpha(
     Resamples records with replacement and refits; the resample index
     stream for draw i comes from a counter-based generator keyed by
     (seed, i), so the result is reproducible and independent of
-    evaluation order.  A resample whose ranges are all equal raises
-    DegenerateDesign.
+    evaluation order.  A resample whose ranges are all equal, or whose
+    sum(w r^2) overflows or underflows, raises DegenerateDesign.
     """
     if n_resamples < 100:
         raise ValueError(f"n_resamples must be >= 100, got {n_resamples}")
-    r, _, _, wry, wr2 = _wls_terms(table, c, 0.0)
+    r, _, _, wry, wr2 = _wls_terms(table, c)
     n = r.size
     estimates = np.empty(n_resamples)
     for i in range(n_resamples):
@@ -146,7 +150,7 @@ def bootstrap_alpha(
         r_i = r.take(idx)
         if r_i.min() == r_i.max():
             raise DegenerateDesign("all ranges are equal; alpha is not identifiable")
-        estimates[i] = float(np.sum(wry.take(idx))) / float(np.sum(wr2.take(idx)))
+        estimates[i] = _alpha_hat(wry.take(idx), wr2.take(idx))[0]
     return float(np.std(estimates, ddof=1))
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .conformal import GroupParameter
 from .constants import SPEED_OF_LIGHT
-from .errors import ConfigInvalid, EpochOutOfRange, MalformedCsv, ZeroRange
+from .errors import ConfigInvalid, MalformedCsv, ZeroRange
 from .wave import doppler_model_conformal
 
 CSV_HEADER = "epoch_s,range_m,range_rate_mps,range_meas_m,doppler_frac,sigma_frac"
@@ -171,15 +171,6 @@ _TIME_COORDINATE_CAVEAT = (
 def _coast_range(cfg: SimConfig, epoch):
     """Range of the linear coast at an epoch or an array of epochs."""
     return cfg.r0 + cfg.v_radial * (epoch - cfg.t_start)
-
-
-def make_trajectory(cfg: SimConfig, epoch: float) -> tuple[float, float]:
-    """Heliocentric range and range rate of the linear coast at an epoch."""
-    if epoch < cfg.t_start or epoch > cfg.t_end:
-        raise EpochOutOfRange(
-            f"epoch {epoch} outside [{cfg.t_start}, {cfg.t_end}]"
-        )
-    return _coast_range(cfg, epoch), cfg.v_radial
 
 
 def simulate(cfg: SimConfig) -> TrackingTable:

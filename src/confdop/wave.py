@@ -10,99 +10,8 @@ velocity or as velocity plus an alpha*r kinematic term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .conformal import Event, GroupParameter, transform_finite
-from .constants import SPEED_OF_LIGHT
+from .conformal import GroupParameter
 from .errors import NotPastCone
-
-
-@dataclass(frozen=True)
-class EmissionEvent:
-    """Emission coordinates of one inbound wave in both systems.
-
-    Times are stored negative (emission in the past).  Construct via
-    from_unprimed so the two coordinate pairs are related by the finite
-    transformation.
-    """
-
-    r_in: float
-    t_in: float
-    primed_r_in: float
-    primed_t_in: float
-
-    def __post_init__(self):
-        if not (self.t_in < 0.0 and self.primed_t_in < 0.0):
-            raise NotPastCone(
-                f"emission times must be negative, got t={self.t_in}, t'={self.primed_t_in}"
-            )
-
-    @classmethod
-    def from_unprimed(cls, p: GroupParameter, r_in: float, t_in: float) -> "EmissionEvent":
-        ev = transform_finite(p, Event(r=r_in, x4=p.c * t_in))
-        return cls(
-            r_in=r_in,
-            t_in=t_in,
-            primed_r_in=ev.r,
-            primed_t_in=ev.x4 / p.c,
-        )
-
-
-@dataclass(frozen=True)
-class WaveSample:
-    """Wavelengths of an inbound wave sample in both coordinate systems."""
-
-    lambda_unprimed: float
-    lambda_primed: float
-    r_prime: float
-    t_prime: float
-
-    @classmethod
-    def from_primed(
-        cls, p: GroupParameter, lambda_primed: float, r_prime: float, t_prime: float
-    ) -> "WaveSample":
-        lam = wavelength_map(p, lambda_primed, r_prime, t_prime)
-        return cls(
-            lambda_unprimed=lam,
-            lambda_primed=lambda_primed,
-            r_prime=r_prime,
-            t_prime=t_prime,
-        )
-
-
-@dataclass(frozen=True)
-class DopplerObservable:
-    """Fractional Doppler shift of an observed wavelength against a reference."""
-
-    frac_shift: float
-    lambda_ref: float
-    lambda_obs: float
-
-    @classmethod
-    def from_wavelengths(cls, lambda_obs: float, lambda_ref: float) -> "DopplerObservable":
-        return cls(
-            frac_shift=(lambda_obs - lambda_ref) / lambda_ref,
-            lambda_ref=lambda_ref,
-            lambda_obs=lambda_obs,
-        )
-
-    @classmethod
-    def from_frac_shift(cls, frac_shift: float, lambda_ref: float = 1.0) -> "DopplerObservable":
-        return cls(
-            frac_shift=frac_shift,
-            lambda_ref=lambda_ref,
-            lambda_obs=lambda_ref * (1.0 + frac_shift),
-        )
-
-
-@dataclass(frozen=True)
-class HubbleInputs:
-    """Inputs of the distance-velocity relation: c*shift = V + H0*R."""
-
-    V: float
-    R: float
-    H0: float
-    alpha: float = 0.0
 
 
 def inbound_ray_coords(p: GroupParameter, r_prime: float, t_prime: float) -> tuple[float, float]:
@@ -169,14 +78,6 @@ def wavelength_map(
     return lambda_primed * (1.0 + p.alpha * (abs(t_prime) + r_prime / p.c))
 
 
-def doppler_velocity(obs: DopplerObservable, c: float = SPEED_OF_LIGHT) -> float:
-    """Source radial velocity read off a fractional shift: c * frac_shift.
-
-    Nonrelativistic regime; interpreted as dr'/dt' of the source.
-    """
-    return c * obs.frac_shift
-
-
 def doppler_model_conformal(p: GroupParameter, r, v):
     """Velocity-equivalent Doppler shift c*dLambda/Lambda_ref = v + alpha*r.
 
@@ -188,13 +89,13 @@ def doppler_model_conformal(p: GroupParameter, r, v):
     return _shift_velocity(v, p.alpha, r)
 
 
-def hubble_prediction(h: HubbleInputs) -> float:
+def hubble_prediction(V: float, R: float, H0: float) -> float:
     """Velocity-equivalent shift V + H0*R of the distance-velocity relation.
 
     The same relation as doppler_model_conformal under
     (V, H0, R) <-> (v, alpha, r).
     """
-    return _shift_velocity(h.V, h.H0, h.R)
+    return _shift_velocity(V, H0, R)
 
 
 def _shift_velocity(v, rate, r):

@@ -108,11 +108,31 @@ class TestTransform:
         assert err == f"error: {field} must be finite, got {float(value)}\n"
 
     @pytest.mark.parametrize(
-        "c, message", [("nan", "c must be finite, got nan"), ("0", "c must be positive, got 0.0")]
+        "c, message",
+        [
+            ("nan", "c must be finite, got nan"),
+            ("0", "c must be positive, got 0.0"),
+            ("1e-300", "c must square to a normal float, got 1e-300 (c*c = 0.0)"),
+        ],
     )
     def test_bad_c_with_alpha_names_c(self, capsys, c, message):
         code, out, err = run(capsys, "transform", "--alpha", "1", "--c", c, "--r", "1", "--x4", "0")
         assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_hill_with_underflowing_c_squared_exits_one(self, capsys):
+        # hill_transform divides by c*c, which is 0.0 for c = 1e-300
+        code, out, err = run(
+            capsys, "transform", "--beta4", "0", "--r", "1", "--x4", "1", "--hill", "--c", "1e-300"
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: c must square to a normal float, got 1e-300 (c*c = 0.0)\n"
+
+    def test_hill_with_overflowing_c_squared_exits_one(self, capsys):
+        code, out, err = run(
+            capsys, "transform", "--beta4", "0", "--r", "1", "--x4", "1", "--hill", "--c", "1e155"
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: c must square to a normal float, got 1e+155 (c*c = inf)\n"
 
     def test_non_finite_output_field_exits_one(self, capsys):
         # s2/r = 1e308 / 1e-10 overflows although every input is finite

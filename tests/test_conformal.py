@@ -7,6 +7,8 @@ for the first-order maps.
 """
 
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -57,11 +59,6 @@ class TestEventAndParameter:
         with pytest.raises(ValueError):
             Event(r=-0.1, x4=0.0)
 
-    def test_event_rejects_non_unit_direction(self):
-        with pytest.raises(ValueError):
-            Event(r=1.0, x4=0.0, direction=(1.0, 1.0, 0.0))
-        Event(r=1.0, x4=0.0, direction=(0.0, 0.0, 1.0))  # unit vector is fine
-
     def test_alpha_is_derived_exactly(self):
         p = GroupParameter(beta4=0.37)
         assert p.alpha == 2.0 * p.c * p.beta4
@@ -72,6 +69,30 @@ class TestEventAndParameter:
     def test_c_must_be_positive(self):
         with pytest.raises(ValueError):
             GroupParameter(beta4=0.0, c=0.0)
+
+    @pytest.mark.parametrize(
+        "c", [1e-300, math.nextafter(2.0**-511, 0.0), 2.0**512, 1e200], ids=repr
+    )
+    def test_c_squared_must_be_normal(self, c):
+        # the Hill and inbound-ray maps divide by c*c
+        message = re.escape(f"c must square to a normal float, got {c} (c*c = {c * c})")
+        message = f"^{message}$"
+        with pytest.raises(ValueError, match=message):
+            GroupParameter(beta4=0.0, c=c)
+        with pytest.raises(ValueError, match=message):
+            GroupParameter.from_alpha(0.0, c=c)
+
+    @pytest.mark.parametrize("c", [2.0**-511, 2.0**511], ids=repr)
+    def test_c_at_normal_square_bounds_accepted(self, c):
+        p = GroupParameter.from_alpha(1.0, c=c)
+        assert p.c * p.c == c * c
+        assert sys.float_info.min <= p.c * p.c < math.inf
+        assert p.alpha == 1.0
+
+    def test_from_alpha_checks_c_before_dividing(self):
+        # alpha/(2c) overflows to inf here, so a later check would name beta4
+        with pytest.raises(ValueError, match="^c must square to a normal float"):
+            GroupParameter.from_alpha(1e300, c=1e-300)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize(
@@ -114,6 +135,8 @@ class TestConformalFactor:
         with pytest.raises(DomainCrossing):
             conformal_factor(GroupParameter(1.0), Event(r=1.0, x4=0.5))
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_unevaluable_denominator_raises(self):
         # inside the domain, but beta4^2 overflows while s2 underflows to 0
         p, e = GroupParameter(3.977726403005618e275), Event(r=0.0, x4=2.2625990548770504e-276)
@@ -137,9 +160,9 @@ class TestConformalFactor:
 
 class TestTransformFinite:
     def test_identity_parameter(self):
-        e = Event(r=1.5, x4=-0.25, direction=(0.0, 1.0, 0.0))
+        e = Event(r=1.5, x4=-0.25)
         out = transform_finite(GroupParameter(0.0), e)
-        assert (out.r, out.x4, out.direction) == (e.r, e.x4, e.direction)
+        assert (out.r, out.x4) == (e.r, e.x4)
 
     def test_origin_fixed(self):
         out = transform_finite(GroupParameter(0.8), Event(r=0.0, x4=0.0))
@@ -159,11 +182,6 @@ class TestTransformFinite:
             p = GroupParameter(beta)
             e = Event(r=r, x4=x4)
             assert rel_err_events(transform_finite(p, e), flow_oracle(p, e, steps=4000)) < 1e-9
-
-    def test_direction_passthrough(self):
-        d = (3 / 13, 4 / 13, 12 / 13)
-        out = transform_finite(GroupParameter(0.05), Event(r=1.0, x4=2.0, direction=d))
-        assert out.direction == d
 
     def test_group_law(self):
         rng = np.random.default_rng(11)
@@ -391,9 +409,9 @@ class TestHill:
 
 class TestFlowOracle:
     def test_identity_parameter(self):
-        e = Event(r=1.0, x4=2.0, direction=(1.0, 0.0, 0.0))
+        e = Event(r=1.0, x4=2.0)
         out = flow_oracle(GroupParameter(0.0), e)
-        assert (out.r, out.x4, out.direction) == (e.r, e.x4, e.direction)
+        assert (out.r, out.x4) == (e.r, e.x4)
 
     def test_origin_fixed(self):
         out = flow_oracle(GroupParameter(0.7), Event(r=0.0, x4=0.0), steps=100)

@@ -10,7 +10,6 @@ import pytest
 from confdop import (
     ConfigInvalid,
     DegenerateDesign,
-    EpochOutOfRange,
     MalformedCsv,
     SimConfig,
     TrackingTable,
@@ -18,7 +17,6 @@ from confdop import (
     anomaly_residuals,
     bootstrap_alpha,
     fit_alpha,
-    make_trajectory,
     read_records_csv,
     sign_comparison_report,
     simulate,
@@ -112,28 +110,6 @@ class TestConfig:
         assert SimConfig.from_dict(d).n_obs == 50
 
 
-class TestTrajectory:
-    def test_endpoints(self):
-        cfg = noiseless_cfg()
-        assert make_trajectory(cfg, cfg.t_start) == (cfg.r0, cfg.v_radial)
-        r_end, v_end = make_trajectory(cfg, cfg.t_end)
-        assert r_end == cfg.r0 + cfg.v_radial * (cfg.t_end - cfg.t_start)
-        assert v_end == cfg.v_radial
-
-    def test_midpoint_linearity(self):
-        cfg = noiseless_cfg()
-        mid = 0.5 * (cfg.t_start + cfg.t_end)
-        r_mid, _ = make_trajectory(cfg, mid)
-        r0, _ = make_trajectory(cfg, cfg.t_start)
-        r1, _ = make_trajectory(cfg, cfg.t_end)
-        assert r_mid == pytest.approx(0.5 * (r0 + r1), rel=1e-15)
-
-    def test_epoch_out_of_range(self):
-        cfg = noiseless_cfg()
-        with pytest.raises(EpochOutOfRange):
-            make_trajectory(cfg, cfg.t_end + 1.0)
-
-
 class TestSimulate:
     def test_noiseless_alpha_zero_doppler_equals_rate_exactly(self):
         table = simulate(noiseless_cfg())
@@ -143,8 +119,17 @@ class TestSimulate:
     def test_ranges_match_make_trajectory(self):
         cfg = noiseless_cfg(v_radial=12200.0)
         table = simulate(cfg)
+        # the linear coast, written out per epoch
         for epoch, r, rate in zip(table.epoch, table.range_true, table.range_rate_true):
-            assert make_trajectory(cfg, float(epoch)) == (r, rate)
+            expected = cfg.r0 + cfg.v_radial * (float(epoch) - cfg.t_start)
+            assert (r, rate) == (expected, cfg.v_radial)
+
+    def test_endpoints(self):
+        cfg = noiseless_cfg(v_radial=12200.0, t_start=5.0)
+        table = simulate(cfg)
+        assert (table.epoch[0], table.epoch[-1]) == (cfg.t_start, cfg.t_end)
+        assert table.range_true[0] == cfg.r0
+        assert table.range_true[-1] == cfg.r0 + cfg.v_radial * (cfg.t_end - cfg.t_start)
 
     def test_noiseless_residual_velocity_magnitude(self):
         # alpha*r at 4.5e12 m for the Hubble-valued rate
