@@ -20,7 +20,9 @@ also come as `*_array` functions over numpy arrays of (beta4, r, x4).
 They share their formula body with the scalar functions, so each element
 is bit-identical to the scalar call on the same floats.  The admissible
 domain is 1 - beta4*(x4 + r) > 0 and 1 - beta4*(x4 - r) > 0: the two
-null-coordinate factors whose product is 1/gamma.
+null-coordinate factors whose product is 1/gamma.  The RK4 oracle
+likewise comes as flow_oracle_array, over one step body it shares with
+flow_oracle.
 
 Everything here is a pure function of immutable values; all operations
 are safe to share between threads.
@@ -331,44 +333,94 @@ def hill_velocity(p: GroupParameter, r: float, v: float) -> float:
     return v + p.alpha * r * (1.0 - v * v / (p.c * p.c))
 
 
+def _rk4_step(r, x, h, half_h):
+    """One classical RK4 step of dr/dtau = 2*x4*r, dx4/dtau = r^2 + x4^2.
+
+    Elementwise on floats or numpy arrays, shared by flow_oracle and
+    flow_oracle_array; half_h is 0.5*h, the grouping 0.5*h*k already has.
+    """
+    k1r = 2.0 * x * r
+    k1x = r * r + x * x
+    r2 = r + half_h * k1r
+    x2 = x + half_h * k1x
+    k2r = 2.0 * x2 * r2
+    k2x = r2 * r2 + x2 * x2
+    r3 = r + half_h * k2r
+    x3 = x + half_h * k2x
+    k3r = 2.0 * x3 * r3
+    k3x = r3 * r3 + x3 * x3
+    r4 = r + h * k3r
+    x4 = x + h * k3x
+    k4r = 2.0 * x4 * r4
+    k4x = r4 * r4 + x4 * x4
+    return (
+        r + h * (k1r + 2.0 * (k2r + k3r) + k4r) / 6.0,
+        x + h * (k1x + 2.0 * (k2x + k3x) + k4x) / 6.0,
+    )
+
+
+def _require_steps(steps: int) -> None:
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
+
+
+def _divergence(r: float, x: float) -> StepDivergence:
+    return StepDivergence(
+        f"flow state exceeded bound {FLOW_DIVERGENCE_BOUND:g} (r={r:g}, x4={x:g})"
+    )
+
+
 def flow_oracle(p: GroupParameter, e: Event, steps: int = 100_000) -> Event:
     """Integrate the generating vector field
 
         dr/dtau = 2*x4*r,  dx4/dtau = r^2 + x4^2
 
-    from tau = 0 to tau = beta4 with classical fixed-step RK4.  Serves as
-    the independent cross-check for transform_finite (the closed form is
-    the exponential of this generator).
+    from tau = 0 to tau = beta4 with classical fixed-step RK4, one Python
+    float loop over the step body that flow_oracle_array shares.  Serves
+    as the independent cross-check for transform_finite (the closed form
+    is the exponential of this generator).
 
     Raises StepDivergence if |r| + |x4| exceeds FLOW_DIVERGENCE_BOUND,
     which signals an approach to the singular surface.
     """
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
+    _require_steps(steps)
     if p.beta4 == 0.0:
         return Event(r=e.r, x4=e.x4)
     h = p.beta4 / steps
+    half_h = 0.5 * h
     r = e.r
     x = e.x4
     for _ in range(steps):
-        k1r = 2.0 * x * r
-        k1x = r * r + x * x
-        r2 = r + 0.5 * h * k1r
-        x2 = x + 0.5 * h * k1x
-        k2r = 2.0 * x2 * r2
-        k2x = r2 * r2 + x2 * x2
-        r3 = r + 0.5 * h * k2r
-        x3 = x + 0.5 * h * k2x
-        k3r = 2.0 * x3 * r3
-        k3x = r3 * r3 + x3 * x3
-        r4 = r + h * k3r
-        x4 = x + h * k3x
-        k4r = 2.0 * x4 * r4
-        k4x = r4 * r4 + x4 * x4
-        r += h * (k1r + 2.0 * (k2r + k3r) + k4r) / 6.0
-        x += h * (k1x + 2.0 * (k2x + k3x) + k4x) / 6.0
+        r, x = _rk4_step(r, x, h, half_h)
         if abs(r) + abs(x) > FLOW_DIVERGENCE_BOUND:
-            raise StepDivergence(
-                f"flow state exceeded bound {FLOW_DIVERGENCE_BOUND:g} (r={r:g}, x4={x:g})"
-            )
+            raise _divergence(r, x)
     return Event(r=r, x4=x)
+
+
+def flow_oracle_array(beta4, r, x4, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """flow_oracle for every element of broadcastable arrays at once;
+    returns (r', x4').
+
+    Each element takes its own step h = beta4/steps and is bit-identical
+    to the scalar call on the same floats; beta4 = 0 returns the input.
+    After each step, the lowest-index element past FLOW_DIVERGENCE_BOUND
+    raises the StepDivergence the scalar call would.  Raises ValueError
+    for non-finite inputs or r < 0.
+    """
+    _require_steps(steps)
+    b, r_in, x_in = np.broadcast_arrays(*_finite_arrays(beta4=beta4, r=r, x4=x4))
+    moving = b != 0.0
+    h = b[moving] / steps
+    half_h = 0.5 * h
+    r, x = r_in[moving], x_in[moving]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(steps):
+            r, x = _rk4_step(r, x, h, half_h)
+            over = abs(r) + abs(x) > FLOW_DIVERGENCE_BOUND
+            if over.any():
+                i = int(np.argmax(over))
+                raise _divergence(float(r[i]), float(x[i]))
+    r_out, x_out = r_in.copy(), x_in.copy()
+    r_out[moving] = r
+    x_out[moving] = x
+    return r_out, x_out

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .conformal import _require_c
 from .constants import SPEED_OF_LIGHT
 from .errors import DegenerateDesign, ZeroSigma
 from .tracking import TrackingTable, _residual_velocity
@@ -68,8 +69,10 @@ def _wls_terms(table: TrackingTable, c: float):
     """Per-record terms of the fit: ranges r, residual velocities
     y = c*frac - rate, weights w, and the summands w*r*y and w*r^2.
 
-    Raises DegenerateDesign for n < 2 or all-equal ranges.
+    Raises ValueError for a c that GroupParameter refuses, and
+    DegenerateDesign for n < 2 or all-equal ranges.
     """
+    _require_c(c)
     r = table.range_true
     n = r.size
     if n < 2:
@@ -106,9 +109,10 @@ def fit_alpha(table: TrackingTable, c: float = SPEED_OF_LIGHT) -> FitResult:
         alpha_hat = sum(w r y) / sum(w r^2),  stderr = sum(w r^2)^(-1/2),
         z = alpha_hat / stderr.
 
-    Raises DegenerateDesign for n < 2, all-equal ranges, or a sum(w r^2)
-    that overflows to inf or underflows to 0, where the standard error is
-    undefined.
+    Raises ValueError for a c that GroupParameter refuses (c must be
+    positive with c*c a normal float), and DegenerateDesign for n < 2,
+    all-equal ranges, or a sum(w r^2) that overflows to inf or underflows
+    to 0, where the standard error is undefined.
     """
     r, y, w, wry, wr2 = _wls_terms(table, c)
     alpha_hat, swr2 = _alpha_hat(wry, wr2)
@@ -137,10 +141,14 @@ def bootstrap_alpha(
     stream for draw i comes from a counter-based generator keyed by
     (seed, i), so the result is reproducible and independent of
     evaluation order.  A resample whose ranges are all equal, or whose
-    sum(w r^2) overflows or underflows, raises DegenerateDesign.
+    sum(w r^2) overflows or underflows, raises DegenerateDesign.  The
+    seed is a Philox key, so it must lie in [0, 2**128); c is checked as
+    fit_alpha checks it.
     """
     if n_resamples < 100:
         raise ValueError(f"n_resamples must be >= 100, got {n_resamples}")
+    if not 0 <= seed < 2**128:
+        raise ValueError(f"bootstrap seed must be in [0, 2**128), got {seed}")
     r, _, _, wry, wr2 = _wls_terms(table, c)
     n = r.size
     estimates = np.empty(n_resamples)
@@ -155,7 +163,10 @@ def bootstrap_alpha(
 
 
 def decide_metric(fit: FitResult, z_threshold: float = 5.0) -> MetricDecision:
-    """Conformal metric detected iff |z| strictly exceeds the threshold."""
+    """Conformal metric detected iff |z| strictly exceeds the threshold,
+    which must be finite and >= 0: no |z| exceeds NaN or inf."""
+    if not 0.0 <= z_threshold < math.inf:
+        raise ValueError(f"z_threshold must be finite and >= 0, got {z_threshold}")
     if abs(fit.z_score_alpha_zero) > z_threshold:
         return MetricDecision.CONFORMAL_DETECTED
     return MetricDecision.MINKOWSKI_CONSISTENT

@@ -10,6 +10,7 @@ case count, so it is pinned once.
 
 import pytest
 
+import confdop.checks
 from confdop.checks import run_suite
 
 PINNED = {
@@ -69,6 +70,17 @@ PINNED = {
 @pytest.mark.parametrize("suite, seed, cases", list(PINNED))
 def test_summary_matches_pinned_line(suite, seed, cases):
     assert run_suite(suite, None, seed, cases).summary() == PINNED[suite, seed, cases]
+
+
+@pytest.mark.parametrize(
+    "seed, cases", [(seed, cases) for suite, seed, cases in PINNED if suite == "oracle"
+                    and cases is not None and cases < confdop.checks._ORACLE_ARRAY_MIN_CASES],
+)
+def test_small_oracle_lines_match_on_the_array_path(monkeypatch, seed, cases):
+    # these counts run the scalar loop by default, and the 100- and
+    # 300-case lines (recorded from that loop) now run the array path
+    monkeypatch.setattr(confdop.checks, "_ORACLE_ARRAY_MIN_CASES", 1)
+    assert run_suite("oracle", None, seed, cases).summary() == PINNED["oracle", seed, cases]
 
 
 @pytest.mark.parametrize("suite", ["group", "oracle", "metric"])

@@ -354,6 +354,52 @@ class TestFit:
         )
         assert code == 1
 
+    def noisy_csv(self, capsys, tmp_path):
+        cfg = write_config(tmp_path, sigma_frac=1e-12, n_obs=100)
+        csv_path = tmp_path / "run.csv"
+        run(capsys, "simulate", "--config", str(cfg), "--out", str(csv_path))
+        return csv_path
+
+    @pytest.mark.parametrize("c, message", [
+        # (c*sigma_frac)**2 underflowed to 0, so unit weights gave z = -1e5
+        ("1e-300", "c must square to a normal float"),
+        ("-1", "c must be positive"),
+    ])
+    def test_bad_c_exits_one_without_fit_json(self, capsys, tmp_path, c, message):
+        csv_path = self.noisy_csv(capsys, tmp_path)
+        fit_path = tmp_path / "fit.json"
+        code, _, err = run(
+            capsys, "fit", "--input", str(csv_path), "--out", str(fit_path), "--c", c
+        )
+        assert code == 1
+        assert err.startswith(f"error: {message}, got {float(c)}")
+        assert not fit_path.exists()
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-1"])
+    def test_bad_z_threshold_exits_one_without_fit_json(self, capsys, tmp_path, threshold):
+        # |z| > nan is false, so nan used to decide MinkowskiConsistent for any z
+        csv_path = self.noisy_csv(capsys, tmp_path)
+        fit_path = tmp_path / "fit.json"
+        code, _, err = run(
+            capsys, "fit", "--input", str(csv_path), "--out", str(fit_path),
+            "--z-threshold", threshold,
+        )
+        assert code == 1
+        assert err == f"error: z_threshold must be finite and >= 0, got {float(threshold)}\n"
+        assert not fit_path.exists()
+
+    @pytest.mark.parametrize("seed", [str(-1), str(2**128)])
+    def test_out_of_range_bootstrap_seed_is_named(self, capsys, tmp_path, seed):
+        csv_path = self.noisy_csv(capsys, tmp_path)
+        fit_path = tmp_path / "fit.json"
+        code, _, err = run(
+            capsys, "fit", "--input", str(csv_path), "--out", str(fit_path),
+            "--bootstrap", "100", "--seed", seed,
+        )
+        assert code == 1
+        assert err == f"error: bootstrap seed must be in [0, 2**128), got {seed}\n"
+        assert not fit_path.exists()
+
 
 class TestReport:
     def test_default_rates(self, capsys):

@@ -1,24 +1,33 @@
-"""Property test: the array kernels of confdop.conformal agree with the
-scalar kernels bit for bit, element by element, inside the domain.
+"""Property tests: the array kernels of confdop.conformal agree with the
+scalar kernels bit for bit, element by element, inside the domain; and
+the array RK4 oracle diverges where, and as, the scalar one does.
 
 Kept apart from test_conformal.py so that those tests do not depend on
 hypothesis being installed.
 """
 
+import warnings
+
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import confdop.checks
 from confdop import (
     Event,
     GroupParameter,
+    StepDivergence,
     conformal_factor,
     differential_map,
+    flow_oracle,
     transform_finite,
 )
+from confdop.checks import _ORACLE_ARRAY_MIN_CASES, run_oracle_suite
 from confdop.conformal import (
     conformal_factor_array,
     differential_map_array,
+    flow_oracle_array,
     transform_finite_array,
 )
 
@@ -54,3 +63,76 @@ def test_elements_equal_scalar_calls_bit_for_bit(batch):
     assert same_bits(conformal_factor_array(b, r, x4), g)
     assert same_bits(np.ravel(transform_finite_array(b, r, x4)), rp + x4p)
     assert same_bits(np.ravel(differential_map_array(b, r, x4, dr, dx4)), drp + dx4p)
+
+
+def oracle_batches():
+    """Lists of (beta4, r, x4) scaled as in admissible_batches, with
+    beta4 = 0 and r = 0 drawn on purpose.  Up to 10 distinct cases are
+    repeated to a count on either side of the one from which the oracle
+    suite takes the array path; drawing every case would cost far more."""
+    beta = st.one_of(st.just(0.0), st.floats(-1.0, 1.0))
+    radius = st.one_of(st.just(0.0), st.floats(0.0, 1e3))
+    case = st.tuples(beta, radius, st.floats(-1e3, 1e3)).map(
+        lambda c: (c[0] * 0.9 / max(c[1] + abs(c[2]), 1.0),) + c[1:]
+    )
+    n = _ORACLE_ARRAY_MIN_CASES
+    count = st.one_of(st.integers(1, n - 1), st.integers(n, 2 * n))
+    return st.tuples(st.lists(case, min_size=1, max_size=10), count).map(
+        lambda d: [d[0][i % len(d[0])] for i in range(d[1])]
+    )
+
+
+@given(oracle_batches(), st.integers(1, 40))
+def test_flow_oracle_array_equals_scalar_calls_bit_for_bit(batch, steps):
+    b, r, x4 = (np.array(col) for col in zip(*batch))
+    flows = [flow_oracle(GroupParameter(bi), Event(r=ri, x4=xi), steps=steps)
+             for bi, ri, xi in batch]
+    expected = [e.r for e in flows] + [e.x4 for e in flows]
+    assert same_bits(np.ravel(flow_oracle_array(b, r, x4, steps)), expected)
+
+
+def test_flow_oracle_array_divergence_raises_without_warning():
+    # the trajectory from (1, 2) hits the singular surface near tau = 1/3 of 0.4
+    steps = 2000
+    with pytest.raises(StepDivergence) as scalar:
+        flow_oracle(GroupParameter(0.4), Event(r=1.0, x4=2.0), steps=steps)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StepDivergence) as array:
+            flow_oracle_array([0.1, 0.4], [0.5, 1.0], [0.3, 2.0], steps)
+    assert str(array.value) == str(scalar.value)
+
+
+def test_flow_oracle_array_raises_for_the_earliest_step_then_lowest_index():
+    steps = 2000
+    # beta4 = 0.8 doubles the step, so case 1 crosses the bound in fewer
+    # steps than case 0 and is the one reported
+    with pytest.raises(StepDivergence) as scalar:
+        flow_oracle(GroupParameter(0.8), Event(r=1.0, x4=2.0), steps=steps)
+    with pytest.raises(StepDivergence) as array:
+        flow_oracle_array([0.4, 0.8], 1.0, 2.0, steps)
+    assert str(array.value) == str(scalar.value)
+    # both cases cross at step 1667, with different states; case 0 is reported
+    with pytest.raises(StepDivergence) as scalar:
+        flow_oracle(GroupParameter(0.4), Event(r=1.0, x4=2.000001), steps=steps)
+    with pytest.raises(StepDivergence) as array:
+        flow_oracle_array(0.4, 1.0, [2.000001, 2.0], steps)
+    assert str(array.value) == str(scalar.value)
+
+
+def test_flow_oracle_array_refuses_bad_inputs():
+    with pytest.raises(ValueError, match="steps must be >= 1"):
+        flow_oracle_array([0.1], [1.0], [0.0], 0)
+    with pytest.raises(ValueError, match="r must be >= 0"):
+        flow_oracle_array([0.1], [-1.0], [0.0], 10)
+    with pytest.raises(ValueError, match="beta4 must be finite"):
+        flow_oracle_array([np.nan], [1.0], [0.0], 10)
+
+
+def test_default_oracle_suite_runs_no_scalar_kernel(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("scalar kernel called")
+
+    monkeypatch.setattr(confdop.checks, "flow_oracle", refuse)
+    monkeypatch.setattr(confdop.checks, "transform_finite", refuse)
+    assert run_oracle_suite(confdop.checks.DEFAULT_CASES["oracle"], 1e-9, 0).passed

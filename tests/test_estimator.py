@@ -198,6 +198,18 @@ class TestFitAlpha:
         with pytest.raises(ZeroSigma):
             fit_alpha(make_table(r, np.zeros(10), np.zeros(10), np.full(10, -1.0)))
 
+    @pytest.mark.parametrize("c, message", [
+        (1e-300, "c must square to a normal float"),
+        (1e155, "c must square to a normal float"),
+        (-1.0, "c must be positive"),
+        (float("inf"), "c must be finite"),
+    ])
+    def test_c_checked_as_group_parameter_checks_it(self, c, message):
+        # with c = 1e-300, (c*sigma_frac)**2 underflowed to the unit-weight fallback
+        table = simulate(pioneer_like_cfg(0, n_obs=100))
+        with pytest.raises(ValueError, match=f"^{message}"):
+            fit_alpha(table, c=c)
+
 
 class TestBootstrap:
     def test_noiseless_data_gives_zero_spread(self):
@@ -244,6 +256,19 @@ class TestBootstrap:
         with pytest.raises(ValueError):
             bootstrap_alpha(table, 99, seed=0)
 
+    def test_seed_range_is_the_philox_key_range(self):
+        table = simulate(pioneer_like_cfg(0, n_obs=100))
+        assert bootstrap_alpha(table, 100, seed=2**128 - 1) > 0.0
+        for seed in (-1, 2**128):
+            with pytest.raises(ValueError, match=f"bootstrap seed must be in \\[0, 2\\*\\*128\\), got {seed}"):
+                bootstrap_alpha(table, 100, seed=seed)
+
+    @pytest.mark.parametrize("c", [1e-300, -1.0])
+    def test_bad_c_rejected(self, c):
+        table = simulate(pioneer_like_cfg(0, n_obs=100))
+        with pytest.raises(ValueError, match="^c must"):
+            bootstrap_alpha(table, 100, seed=0, c=c)
+
 
 class TestDecideMetric:
     def test_zero_z(self):
@@ -265,6 +290,16 @@ class TestDecideMetric:
         )
         assert decide_metric(fit, z_threshold=5.0) is MetricDecision.MINKOWSKI_CONSISTENT
         assert decide_metric(fit, z_threshold=4.999) is MetricDecision.CONFORMAL_DETECTED
+
+    def test_zero_threshold_accepted(self):
+        fit = fit_alpha(simulate(exact_recovery_cfg(0.0)))
+        assert decide_metric(fit, z_threshold=0.0) is MetricDecision.MINKOWSKI_CONSISTENT
+
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -1.0, -0.5e-300])
+    def test_bad_threshold_rejected(self, threshold):
+        fit = fit_alpha(simulate(exact_recovery_cfg(0.0)))
+        with pytest.raises(ValueError, match="z_threshold must be finite and >= 0"):
+            decide_metric(fit, z_threshold=threshold)
 
 
 def test_fit_result_json_keys():
