@@ -26,6 +26,7 @@ import numpy as np
 from .conformal import (
     Event,
     GroupParameter,
+    _require_finite,
     conformal_factor_array,
     differential_map_array,
     flow_oracle,
@@ -35,6 +36,7 @@ from .conformal import (
     transform_finite,
     transform_finite_array,
 )
+from .errors import ConfdopError
 
 SUITES = ("group", "oracle", "hill", "metric")
 
@@ -79,6 +81,12 @@ def _uniform(u, low: float, high: float):
     return low + (high - low) * u
 
 
+def _rng(seed: int) -> np.random.Generator:
+    if seed < 0:
+        raise ConfdopError(f"seed must be >= 0, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def _draws(rng, cases: int, per_case: int) -> np.ndarray:
     """The next cases*per_case draws, one row per draw slot of a case."""
     return rng.random(per_case * max(cases, 0)).reshape(-1, per_case).T
@@ -116,7 +124,7 @@ def _result(name, cases, metric_name, err, tol, describe) -> SuiteResult:
 
 def run_group_suite(cases: int, tol: float, seed: int) -> SuiteResult:
     """Composition law: applying beta2 then beta1 equals applying beta1+beta2."""
-    u_r, u_x4, u_b1, u_b2 = _draws(np.random.default_rng(seed), cases, 4)
+    u_r, u_x4, u_b1, u_b2 = _draws(_rng(seed), cases, 4)
     r, x4 = _sample_events(u_r, u_x4)
     b1 = _scaled_beta(u_b1, r, x4, 0.15)
     b2 = _scaled_beta(u_b2, r, x4, 0.15)
@@ -137,7 +145,7 @@ def run_oracle_suite(cases: int, tol: float, seed: int) -> SuiteResult:
     two paths give the same bits, so the summary line does not depend on
     which one ran.
     """
-    u_r, u_x4, u_b = _draws(np.random.default_rng(seed), cases, 3)
+    u_r, u_x4, u_b = _draws(_rng(seed), cases, 3)
     r, x4 = _sample_events(u_r, u_x4)
     b = _scaled_beta(u_b, r, x4, 0.3)
     if cases >= _ORACLE_ARRAY_MIN_CASES:
@@ -175,7 +183,7 @@ def hill_grid() -> list[tuple[float, float]]:
     return [(r, t) for r in radii for t in times]
 
 
-def run_hill_suite(min_order: float = 1.9) -> SuiteResult:
+def run_hill_suite(min_order: float) -> SuiteResult:
     """Empirical convergence order of the first-order map under alpha halving."""
     grid = hill_grid()
     devs = [hill_deviation(GroupParameter.from_alpha(HILL_ALPHA0 / 2**k), grid) for k in range(4)]
@@ -197,7 +205,7 @@ def run_metric_suite(cases: int, tol: float, seed: int) -> SuiteResult:
     i = np.arange(n)
     null = i % 10 == 0
     first = 5 * i - (i + 9) // 10  # index of each case's first draw
-    u = np.random.default_rng(seed).random(5 * n - (n + 9) // 10)
+    u = _rng(seed).random(5 * n - (n + 9) // 10)
     r, x4 = _sample_events(u[first], u[first + 1])
     b = _scaled_beta(u[first + 2], r, x4, 0.3)
     dr = _uniform(u[first + 3], -1.0, 1.0)
@@ -218,8 +226,10 @@ def run_metric_suite(cases: int, tol: float, seed: int) -> SuiteResult:
 
 def run_suite(name: str, tol: float | None, seed: int, cases: int | None) -> SuiteResult:
     if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
+        raise ConfdopError(f"unknown suite {name!r}; choose from {SUITES}")
     tol = DEFAULT_TOLERANCES[name] if tol is None else tol
+    # a NaN tol FAILs every run and an infinite one PASSes every run
+    _require_finite("tol", tol)
     cases = DEFAULT_CASES[name] if cases is None else cases
     if name == "group":
         return run_group_suite(cases, tol, seed)

@@ -1,8 +1,10 @@
 """Batch command-line front end.
 
 Commands: transform, check, simulate, fit, report.  Exit codes: 0 on
-success, 1 on domain or validation errors, 2 on usage errors.  The seed
-for `simulate` resolves as flag > CONFDOP_SEED env var > config value.
+success, 1 when a ConfdopError or an OSError refuses the input (reported
+on one `error:` line), 2 on usage errors.  Any other exception is a bug
+and ends in a traceback.  The seed for `simulate` resolves as flag >
+CONFDOP_SEED env var > config value.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .checks import SUITES, run_suite
 from .conformal import (
     Event,
     GroupParameter,
+    _require_finite,
     conformal_factor,
     hill_transform,
     interval_squared,
@@ -28,7 +31,7 @@ from .conformal import (
 )
 from .constants import HUBBLE_RATE, PIONEER_ANOMALY_RATE, SPEED_OF_LIGHT
 from .errors import ConfdopError
-from .estimator import bootstrap_alpha, decide_metric, fit_alpha
+from .estimator import MetricDecision, bootstrap_alpha, decide_metric, fit_alpha
 from .manifest import build_manifest, write_manifest
 from .tracking import (
     RNG_ALGORITHM,
@@ -99,13 +102,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_json(path) -> dict:
+    """The JSON object in a file; refuses text that is not UTF-8 JSON, or
+    a document that is not an object, naming the file."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ConfdopError(f"{path}: not valid UTF-8 JSON ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise ConfdopError(f"{path}: must hold a JSON object, got {json.dumps(doc):.40}")
+    return doc
+
+
 def _require_finite_fields(doc: dict, prefix: str) -> None:
     """Refuse a float field strict JSON cannot hold, naming it."""
     for key, value in doc.items():
         if isinstance(value, dict):
             _require_finite_fields(value, f"{prefix}{key}.")
         elif isinstance(value, float) and not math.isfinite(value):
-            raise ValueError(f"{prefix}{key} is not finite ({value}); strict JSON cannot hold it")
+            raise ConfdopError(f"{prefix}{key} is not finite ({value}); strict JSON cannot hold it")
 
 
 def cmd_transform(args) -> int:
@@ -150,14 +165,15 @@ def _resolve_seed(args_seed) -> int | None:
         return args_seed
     env = os.environ.get(ENV_SEED)
     if env is not None:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise ConfdopError(f"{ENV_SEED} must be an integer, got {env!r}") from None
     return None  # fall through to the config value (or its default)
 
 
 def cmd_simulate(args) -> int:
-    raw = json.loads(Path(args.config).read_text())
-    if not isinstance(raw, dict):
-        raise ConfdopError("config must be a JSON object")
+    raw = _read_json(args.config)
     seed = _resolve_seed(args.seed)
     if seed is not None:
         raw = dict(raw, seed=seed)
@@ -188,6 +204,7 @@ def cmd_fit(args) -> int:
     doc["decision"] = decision.value
     if args.bootstrap is not None:
         doc["alpha_stderr_boot"] = bootstrap_alpha(table, args.bootstrap, args.seed, c=args.c)
+    _require_finite_fields(doc, "")
     Path(args.out).write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n")
     print(
         f"alpha_hat={fit.alpha_hat:.6e} 1/s  stderr={fit.alpha_stderr:.6e}  "
@@ -196,8 +213,35 @@ def cmd_fit(args) -> int:
     return 0
 
 
+# the decisions report accepts: those fit writes, or "n/a" for none given
+_DECISIONS = tuple(d.value for d in MetricDecision) + ("n/a",)
+
+
+def _read_fit(path) -> tuple[float, str]:
+    """alpha_hat and decision from a fit.json, refusing what fit never
+    writes: a missing or non-finite alpha_hat, or an unknown decision."""
+    doc = _read_json(path)
+    if "alpha_hat" not in doc:
+        raise ConfdopError(f"{path}: alpha_hat is missing")
+    alpha_hat = doc["alpha_hat"]
+    # bool is an int subclass; an int past the float range is not finite
+    if type(alpha_hat) not in (int, float) or not abs(alpha_hat) <= sys.float_info.max:
+        raise ConfdopError(
+            f"{path}: alpha_hat must be a finite number, got {json.dumps(alpha_hat):.40}"
+        )
+    decision = doc.get("decision", "n/a")
+    if decision not in _DECISIONS:
+        raise ConfdopError(
+            f"{path}: decision must be one of {_DECISIONS}, got {json.dumps(decision):.40}"
+        )
+    return float(alpha_hat), decision
+
+
 def cmd_report(args) -> int:
+    _require_finite("anomaly", args.anomaly)
+    _require_finite("hubble", args.hubble)
     comp = sign_comparison_report(args.anomaly, args.hubble)
+    _require_finite("magnitude_ratio", comp.magnitude_ratio)
     lines = [
         f"anomaly_rate_per_s: {args.anomaly!r}",
         f"hubble_rate_per_s: {args.hubble!r}",
@@ -206,13 +250,13 @@ def cmd_report(args) -> int:
         f"caveat: {comp.caveat}",
     ]
     if args.fit is not None:
-        fit_doc = json.loads(Path(args.fit).read_text())
-        alpha_hat = float(fit_doc["alpha_hat"])
+        alpha_hat, decision = _read_fit(args.fit)
         corrected = hubble_alpha_correction(args.hubble, alpha_hat)
+        _require_finite("corrected_hubble_rate_per_s", corrected)
         lines += [
             f"alpha_hat_per_s: {alpha_hat!r}",
             f"corrected_hubble_rate_per_s: {corrected!r}",
-            f"decision: {fit_doc.get('decision', 'n/a')}",
+            f"decision: {decision}",
         ]
     print("\n".join(lines))
     return 0
@@ -232,7 +276,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except (ConfdopError, ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (ConfdopError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

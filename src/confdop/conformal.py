@@ -38,6 +38,7 @@ import numpy as np
 
 from .constants import SPEED_OF_LIGHT
 from .errors import (
+    ConfdopError,
     DomainCrossing,
     SingularTransform,
     SlopeSingular,
@@ -60,7 +61,7 @@ _C2_MIN = sys.float_info.min
 
 def _require_finite(name: str, value: float) -> None:
     if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value}")
+        raise ConfdopError(f"{name} must be finite, got {value}")
 
 
 def _require_c(c: float) -> None:
@@ -68,8 +69,8 @@ def _require_c(c: float) -> None:
     if not (c > 0.0 and _C2_MIN <= c * c < _INF):
         _require_finite("c", c)
         if not c > 0.0:
-            raise ValueError(f"c must be positive, got {c}")
-        raise ValueError(f"c must square to a normal float, got {c} (c*c = {c * c})")
+            raise ConfdopError(f"c must be positive, got {c}")
+        raise ConfdopError(f"c must square to a normal float, got {c} (c*c = {c * c})")
 
 
 @dataclass(frozen=True)
@@ -88,7 +89,7 @@ class Event:
         if not (0.0 <= self.r < _INF and -_INF < self.x4 < _INF):
             _require_finite("r", self.r)
             _require_finite("x4", self.x4)
-            raise ValueError(f"r must be >= 0, got {self.r}")
+            raise ConfdopError(f"r must be >= 0, got {self.r}")
 
 
 @dataclass(frozen=True)
@@ -177,9 +178,9 @@ def _finite_arrays(**fields) -> list[np.ndarray]:
     for name, value in fields.items():
         a = np.asarray(value, dtype=float)
         if not np.isfinite(a).all():
-            raise ValueError(f"{name} must be finite, got {a[~np.isfinite(a)].flat[0]}")
+            raise ConfdopError(f"{name} must be finite, got {a[~np.isfinite(a)].flat[0]}")
         if name == "r" and (a < 0.0).any():
-            raise ValueError(f"r must be >= 0, got {a.min()}")
+            raise ConfdopError(f"r must be >= 0, got {a.min()}")
         arrays.append(a)
     return arrays
 
@@ -214,7 +215,7 @@ def conformal_factor_array(beta4, r, x4) -> np.ndarray:
     """conformal_factor over broadcastable arrays of beta4, r and x4.
 
     Raises as the scalar call would for the first element outside the
-    domain, and ValueError for non-finite inputs or r < 0.
+    domain, and ConfdopError for non-finite inputs or r < 0.
     """
     return _finite_map(*_finite_arrays(beta4=beta4, r=r, x4=x4), _refuse_any)[0]
 
@@ -228,7 +229,7 @@ def transform_finite(p: GroupParameter, e: Event) -> Event:
 def transform_finite_array(beta4, r, x4) -> tuple[np.ndarray, np.ndarray]:
     """transform_finite over broadcastable arrays; returns (r', x4').
 
-    Raises as conformal_factor_array does, and ValueError where an image
+    Raises as conformal_factor_array does, and ConfdopError where an image
     coordinate overflows, as the Event that transform_finite builds would.
     """
     arrays = _finite_arrays(beta4=beta4, r=r, x4=x4)
@@ -361,7 +362,7 @@ def _rk4_step(r, x, h, half_h):
 
 def _require_steps(steps: int) -> None:
     if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
+        raise ConfdopError(f"steps must be >= 1, got {steps}")
 
 
 def _divergence(r: float, x: float) -> StepDivergence:
@@ -404,7 +405,7 @@ def flow_oracle_array(beta4, r, x4, steps: int) -> tuple[np.ndarray, np.ndarray]
     Each element takes its own step h = beta4/steps and is bit-identical
     to the scalar call on the same floats; beta4 = 0 returns the input.
     After each step, the lowest-index element past FLOW_DIVERGENCE_BOUND
-    raises the StepDivergence the scalar call would.  Raises ValueError
+    raises the StepDivergence the scalar call would.  Raises ConfdopError
     for non-finite inputs or r < 0.
     """
     _require_steps(steps)

@@ -1,8 +1,11 @@
 """Exception types shared across the toolkit."""
 
 
-class ConfdopError(Exception):
-    """Base class for domain errors raised by this package."""
+class ConfdopError(ValueError):
+    """Base class for the errors this package raises for refused input.
+
+    A ValueError, so callers that catch ValueError keep working.
+    """
 
 
 class SingularTransform(ConfdopError):

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .conformal import _require_c
 from .constants import SPEED_OF_LIGHT
-from .errors import DegenerateDesign, ZeroSigma
+from .errors import ConfdopError, DegenerateDesign, ZeroSigma
 from .tracking import TrackingTable, _residual_velocity
 
 
@@ -33,14 +33,7 @@ class FitResult:
     n_used: int
 
     def to_dict(self) -> dict:
-        return {
-            "alpha_hat": self.alpha_hat,
-            "alpha_stderr": self.alpha_stderr,
-            "chi2": self.chi2,
-            "dof": self.dof,
-            "z_score_alpha_zero": self.z_score_alpha_zero,
-            "n_used": self.n_used,
-        }
+        return asdict(self)
 
 
 class MetricDecision(enum.Enum):
@@ -69,7 +62,7 @@ def _wls_terms(table: TrackingTable, c: float):
     """Per-record terms of the fit: ranges r, residual velocities
     y = c*frac - rate, weights w, and the summands w*r*y and w*r^2.
 
-    Raises ValueError for a c that GroupParameter refuses, and
+    Raises ConfdopError for a c that GroupParameter refuses, and
     DegenerateDesign for n < 2 or all-equal ranges.
     """
     _require_c(c)
@@ -100,6 +93,9 @@ def _alpha_hat(wry: np.ndarray, wr2: np.ndarray) -> tuple[float, float]:
     return float(np.sum(wry)) / swr2, swr2
 
 
+# A sum that overflows (or inf - inf) is refused by _alpha_hat, or shows as
+# a non-finite field that the CLI refuses; numpy need not warn about it too.
+@np.errstate(over="ignore", invalid="ignore")
 def fit_alpha(table: TrackingTable, c: float = SPEED_OF_LIGHT) -> FitResult:
     """Closed-form weighted least squares for y = alpha * r.
 
@@ -109,7 +105,7 @@ def fit_alpha(table: TrackingTable, c: float = SPEED_OF_LIGHT) -> FitResult:
         alpha_hat = sum(w r y) / sum(w r^2),  stderr = sum(w r^2)^(-1/2),
         z = alpha_hat / stderr.
 
-    Raises ValueError for a c that GroupParameter refuses (c must be
+    Raises ConfdopError for a c that GroupParameter refuses (c must be
     positive with c*c a normal float), and DegenerateDesign for n < 2,
     all-equal ranges, or a sum(w r^2) that overflows to inf or underflows
     to 0, where the standard error is undefined.
@@ -129,6 +125,7 @@ def fit_alpha(table: TrackingTable, c: float = SPEED_OF_LIGHT) -> FitResult:
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def bootstrap_alpha(
     table: TrackingTable,
     n_resamples: int,
@@ -146,9 +143,9 @@ def bootstrap_alpha(
     fit_alpha checks it.
     """
     if n_resamples < 100:
-        raise ValueError(f"n_resamples must be >= 100, got {n_resamples}")
+        raise ConfdopError(f"n_resamples must be >= 100, got {n_resamples}")
     if not 0 <= seed < 2**128:
-        raise ValueError(f"bootstrap seed must be in [0, 2**128), got {seed}")
+        raise ConfdopError(f"bootstrap seed must be in [0, 2**128), got {seed}")
     r, _, _, wry, wr2 = _wls_terms(table, c)
     n = r.size
     estimates = np.empty(n_resamples)
@@ -166,7 +163,7 @@ def decide_metric(fit: FitResult, z_threshold: float = 5.0) -> MetricDecision:
     """Conformal metric detected iff |z| strictly exceeds the threshold,
     which must be finite and >= 0: no |z| exceeds NaN or inf."""
     if not 0.0 <= z_threshold < math.inf:
-        raise ValueError(f"z_threshold must be finite and >= 0, got {z_threshold}")
+        raise ConfdopError(f"z_threshold must be finite and >= 0, got {z_threshold}")
     if abs(fit.z_score_alpha_zero) > z_threshold:
         return MetricDecision.CONFORMAL_DETECTED
     return MetricDecision.MINKOWSKI_CONSISTENT

@@ -17,7 +17,7 @@ import numpy as np
 
 from .conformal import GroupParameter
 from .constants import SPEED_OF_LIGHT
-from .errors import ConfigInvalid, MalformedCsv, ZeroRange
+from .errors import ConfdopError, ConfigInvalid, MalformedCsv, ZeroRange
 from .wave import doppler_model_conformal
 
 CSV_HEADER = "epoch_s,range_m,range_rate_mps,range_meas_m,doppler_frac,sigma_frac"
@@ -86,6 +86,8 @@ class SimConfig:
         for key, value in d.items():
             if key not in known:
                 raise ConfigInvalid(f"{key}: unknown config key")
+            if isinstance(value, bool):  # an int to Python, but not a JSON number
+                raise ConfigInvalid(f"{key}: must be a number, got {value!r}")
             if key in ("n_obs", "seed"):
                 if isinstance(value, float) and value.is_integer():
                     value = int(value)
@@ -94,7 +96,10 @@ class SimConfig:
             else:
                 if not isinstance(value, (int, float)):
                     raise ConfigInvalid(f"{key}: must be a number, got {value!r}")
-                value = float(value)
+                try:
+                    value = float(value)
+                except OverflowError:  # an integer past the float range
+                    value = math.inf if value > 0 else -math.inf
             kwargs[key] = value
         for key in _REQUIRED_KEYS:
             if key not in kwargs:
@@ -126,11 +131,11 @@ class TrackingTable:
         for f in fields(self):
             col = np.asarray(getattr(self, f.name), dtype=np.float64).view()
             if col.ndim != 1:
-                raise ValueError(f"{f.name}: must be a 1-D column, got shape {col.shape}")
+                raise ConfdopError(f"{f.name}: must be a 1-D column, got shape {col.shape}")
             if n is None:
                 n = col.size
             elif col.size != n:
-                raise ValueError(f"{f.name}: has {col.size} rows, epoch has {n}")
+                raise ConfdopError(f"{f.name}: has {col.size} rows, epoch has {n}")
             col.flags.writeable = False
             object.__setattr__(self, f.name, col)
 
@@ -179,24 +184,30 @@ def simulate(cfg: SimConfig) -> TrackingTable:
     doppler_frac_meas is the conformal model prediction over c plus
     Gaussian noise of width sigma_frac; range_meas is the true range plus
     Gaussian noise of width sigma_range.  Two runs with the same config
-    are bit-identical.
+    are bit-identical.  A config whose rates or sigmas are so large that a
+    column overflows raises ConfigInvalid naming the column.
     """
     p = GroupParameter.from_alpha(cfg.alpha_true, cfg.c)
     epochs = np.linspace(cfg.t_start, cfg.t_end, cfg.n_obs)
     ranges = _coast_range(cfg, epochs)
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
     draws = rng.standard_normal((cfg.n_obs, 2))
-    return TrackingTable(
-        epoch=epochs,
-        range_true=ranges,
-        range_rate_true=np.full(cfg.n_obs, cfg.v_radial),
-        range_meas=ranges + cfg.sigma_range * draws[:, 1],
-        doppler_frac_meas=(
-            doppler_model_conformal(p, ranges, cfg.v_radial) / cfg.c
-            + cfg.sigma_frac * draws[:, 0]
-        ),
-        sigma_frac=np.full(cfg.n_obs, cfg.sigma_frac),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
+        table = TrackingTable(
+            epoch=epochs,
+            range_true=ranges,
+            range_rate_true=np.full(cfg.n_obs, cfg.v_radial),
+            range_meas=ranges + cfg.sigma_range * draws[:, 1],
+            doppler_frac_meas=(
+                doppler_model_conformal(p, ranges, cfg.v_radial) / cfg.c
+                + cfg.sigma_frac * draws[:, 0]
+            ),
+            sigma_frac=np.full(cfg.n_obs, cfg.sigma_frac),
+        )
+    for name in _COLUMNS:
+        if not np.isfinite(getattr(table, name)).all():
+            raise ConfigInvalid(f"{name}: simulated column is not finite for this config")
+    return table
 
 
 def _residual_velocity(table: TrackingTable, c: float) -> np.ndarray:
@@ -253,9 +264,17 @@ def read_records_csv(path) -> TrackingTable:
     """Parse a tracking CSV, validating the header and every line.
 
     Blank lines are skipped.  A line without six numeric fields, or with a
-    non-finite value, raises MalformedCsv naming its line number.
+    non-finite value, raises MalformedCsv naming its line number; text
+    that is not UTF-8 raises MalformedCsv naming the file.
     """
-    with open(path, "r", newline="") as f:
+    try:
+        return TrackingTable(*_read_rows(path).T)
+    except UnicodeDecodeError as exc:
+        raise MalformedCsv(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
+def _read_rows(path) -> np.ndarray:
+    with open(path, "r", encoding="utf-8", newline="") as f:
         header = f.readline().rstrip("\r\n")
         if header != CSV_HEADER:
             raise MalformedCsv(f"line 1: header must be {CSV_HEADER!r}, got {header!r}")
@@ -267,8 +286,8 @@ def read_records_csv(path) -> TrackingTable:
         except ValueError:
             pass
     if rows is None or rows.shape[1] != len(_COLUMNS) or not np.isfinite(rows).all():
-        rows = _scan_rows(path)
-    return TrackingTable(*rows.T)
+        return _scan_rows(path)
+    return rows
 
 
 def _scan_rows(path) -> np.ndarray:
@@ -280,7 +299,7 @@ def _scan_rows(path) -> np.ndarray:
     """
     names = CSV_HEADER.split(",")
     rows = []
-    with open(path, "r", newline="") as f:
+    with open(path, "r", encoding="utf-8", newline="") as f:
         f.readline()
         for lineno, line in enumerate(f, start=2):
             line = line.strip()

@@ -11,7 +11,7 @@ velocity or as velocity plus an alpha*r kinematic term.
 from __future__ import annotations
 
 from .conformal import GroupParameter
-from .errors import NotPastCone
+from .errors import ConfdopError, NotPastCone
 
 
 def inbound_ray_coords(p: GroupParameter, r_prime: float, t_prime: float) -> tuple[float, float]:
@@ -28,7 +28,7 @@ def inbound_ray_coords(p: GroupParameter, r_prime: float, t_prime: float) -> tup
     if t_prime >= 0.0:
         raise NotPastCone(f"inbound ray needs t' < 0, got {t_prime}")
     if r_prime < 0.0:
-        raise ValueError(f"r_prime must be >= 0, got {r_prime}")
+        raise ConfdopError(f"r_prime must be >= 0, got {r_prime}")
     a = p.alpha
     c2 = p.c * p.c
     r = r_prime

@@ -173,6 +173,17 @@ class TestCheck:
         assert "FAIL" in out
         assert "worst case" in out
 
+    @pytest.mark.parametrize("suite", ["group", "hill"])
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tolerance_is_refused(self, capsys, suite, tol):
+        # a NaN tol used to FAIL every run and an infinite one PASS every run
+        code, out, err = run(capsys, "check", "--suite", suite, "--tol", tol, "--cases", "3")
+        assert (code, out, err) == (1, "", f"error: tol must be finite, got {float(tol)}\n")
+
+    def test_negative_seed_is_named(self, capsys):
+        code, out, err = run(capsys, "check", "--suite", "group", "--seed", "-1", "--cases", "3")
+        assert (code, out, err) == (1, "", "error: seed must be >= 0, got -1\n")
+
 
 class TestSimulate:
     def test_deterministic_and_manifest_verifies(self, capsys, tmp_path):
@@ -217,6 +228,58 @@ class TestSimulate:
         assert code == 1
         assert key in err
         assert not out.exists()
+
+    def test_non_integer_env_seed_is_named(self, capsys, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "x.csv"
+        monkeypatch.setenv("CONFDOP_SEED", "abc")
+        code, stdout, err = run(capsys, "simulate", "--config", str(cfg), "--out", str(out))
+        assert (code, stdout, err) == (1, "", "error: CONFDOP_SEED must be an integer, got 'abc'\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, cause", [
+        (b'{"r0": 1', "not valid UTF-8 JSON (Expecting ',' delimiter"),
+        (b'{"r0": \xff}', "not valid UTF-8 JSON ('utf-8' codec can't decode byte 0xff"),
+        (b"[1]", "must hold a JSON object, got [1]"),
+        (b"null", "must hold a JSON object, got null"),
+    ])
+    def test_unreadable_config_names_file(self, capsys, tmp_path, text, cause):
+        cfg = tmp_path / "config.json"
+        cfg.write_bytes(text)
+        out = tmp_path / "x.csv"
+        code, stdout, err = run(capsys, "simulate", "--config", str(cfg), "--out", str(out))
+        assert (code, stdout) == (1, "")
+        assert err.startswith(f"error: {cfg}: {cause}")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value, column", [
+        ("alpha_true", 1e300, "doppler_frac_meas"),
+        ("sigma_range", 1e308, "range_meas"),
+    ])
+    def test_overflowing_column_is_refused(self, capsys, tmp_path, key, value, column):
+        # the CSV used to be written with inf in the column, and a RuntimeWarning
+        cfg = write_config(tmp_path, **{key: value})
+        out = tmp_path / "x.csv"
+        code, _, err = run(capsys, "simulate", "--config", str(cfg), "--out", str(out))
+        assert code == 1
+        assert err == f"error: {column}: simulated column is not finite for this config\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["seed", "sigma_frac"])
+    def test_json_boolean_is_not_a_number(self, capsys, tmp_path, key):
+        # true used to run as seed 1 or sigma_frac 1.0
+        cfg = write_config(tmp_path, **{key: True})
+        out = tmp_path / "x.csv"
+        code, _, err = run(capsys, "simulate", "--config", str(cfg), "--out", str(out))
+        assert (code, err) == (1, f"error: {key}: must be a number, got True\n")
+        assert not out.exists()
+
+    def test_integer_past_float_range_is_refused(self, capsys, tmp_path):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(write_config(tmp_path).read_text().replace("4500000000000.0", "9" * 400))
+        code, _, err = run(capsys, "simulate", "--config", str(cfg), "--out", str(tmp_path / "x.csv"))
+        assert (code, err) == (1, "error: r0: must be finite, got inf\n")
 
     def test_manifest_refuses_non_finite_config(self, tmp_path):
         manifest = confdop.RunManifest(
@@ -348,6 +411,28 @@ class TestFit:
         assert "Traceback" not in err
         assert not fit_path.exists()
 
+    def test_csv_that_is_not_utf8_names_file(self, capsys, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(
+            b"epoch_s,range_m,range_rate_mps,range_meas_m,doppler_frac,sigma_frac\n"
+            b"1,2,3,4,5,6\n"
+            b"\xff,2,3,4,5,6\n"
+        )
+        fit_path = tmp_path / "f.json"
+        code, out, err = run(capsys, "fit", "--input", str(bad), "--out", str(fit_path))
+        assert (code, out, err) == (1, "", f"error: {bad}: not UTF-8 text (invalid start byte)\n")
+        assert not fit_path.exists()
+
+    def test_bug_is_not_reported_as_a_refusal(self, capsys, tmp_path, monkeypatch):
+        # only a ConfdopError or an OSError is an exit 1; anything else is a bug
+        def broken(table, c):
+            raise KeyError("alpha_hat")
+
+        csv_path = self.noisy_csv(capsys, tmp_path)
+        monkeypatch.setattr(confdop.cli, "fit_alpha", broken)
+        with pytest.raises(KeyError):
+            main(["fit", "--input", str(csv_path), "--out", str(tmp_path / "f.json")])
+
     def test_missing_input_exits_one(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "fit", "--input", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "f.json")
@@ -429,6 +514,35 @@ class TestReport:
     def test_missing_fit_file_exits_one(self, capsys, tmp_path):
         code, _, err = run(capsys, "report", "--fit", str(tmp_path / "nope.json"))
         assert code == 1
+
+    @pytest.mark.parametrize("text, message", [
+        # NaN used to print "alpha_hat_per_s: nan" and exit 0
+        ('{"alpha_hat": NaN}', "alpha_hat must be a finite number, got NaN"),
+        # null and [1] used to end in a TypeError traceback
+        ('{"alpha_hat": null}', "alpha_hat must be a finite number, got null"),
+        ('{"alpha_hat": "1e-18"}', 'alpha_hat must be a finite number, got "1e-18"'),
+        ('{"alpha_hat": true}', "alpha_hat must be a finite number, got true"),
+        ("[1]", "must hold a JSON object, got [1]"),
+        ("{}", "alpha_hat is missing"),
+        # a NaN decision used to print "decision: nan" and exit 0
+        ('{"alpha_hat": 0, "decision": NaN}', "decision must be one of "
+         "('MinkowskiConsistent', 'ConformalDetected', 'n/a'), got NaN"),
+    ])
+    def test_bad_fit_document_names_file_and_field(self, capsys, tmp_path, text, message):
+        fit_path = tmp_path / "fit.json"
+        fit_path.write_text(text)
+        code, out, err = run(capsys, "report", "--fit", str(fit_path))
+        assert (code, out, err) == (1, "", f"error: {fit_path}: {message}\n")
+
+    @pytest.mark.parametrize("flag, value", [("--hubble", "nan"), ("--anomaly", "inf")])
+    def test_non_finite_rate_is_named(self, capsys, flag, value):
+        # --hubble nan used to print "magnitude_ratio: nan" and exit 0
+        code, out, err = run(capsys, "report", flag, value)
+        assert (code, out, err) == (1, "", f"error: {flag[2:]} must be finite, got {float(value)}\n")
+
+    def test_zero_hubble_rate_is_refused(self, capsys):
+        code, out, err = run(capsys, "report", "--hubble", "0")
+        assert (code, out, err) == (1, "", "error: magnitude_ratio must be finite, got inf\n")
 
 
 def test_module_entry_point_runs_a_suite():
