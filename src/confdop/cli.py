@@ -10,6 +10,7 @@ CONFDOP_SEED env var > config value.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -56,6 +57,8 @@ class _Parser(argparse.ArgumentParser):
         )
 
 
+# Built once per process: parse_args keeps no state between calls.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="confdop", description=__doc__)
     parser.add_argument("--version", action="version", version=f"confdop {__version__}")

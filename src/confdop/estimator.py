@@ -125,6 +125,25 @@ def fit_alpha(table: TrackingTable, c: float = SPEED_OF_LIGHT) -> FitResult:
     )
 
 
+def _resample_indices(n: int, n_resamples: int, seed: int):
+    """Yield the record indices of each bootstrap resample: draw i is n
+    integers in [0, n) from Generator(Philox(key=seed, counter=i << 64)).
+
+    One generator serves every draw.  Before draw i its state is set to
+    that fresh generator's: counter [0, i, 0, 0], an empty buffer, and no
+    spare 32-bit half left over from the draw before.
+    """
+    bitgen = np.random.Philox(key=seed)
+    rng = np.random.Generator(bitgen)
+    state = bitgen.state
+    state.update(buffer_pos=4, has_uint32=0, uinteger=0)
+    counter = state["state"]["counter"]
+    for i in range(n_resamples):
+        counter[:] = (0, i, 0, 0)
+        bitgen.state = state
+        yield rng.integers(0, n, size=n)
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def bootstrap_alpha(
     table: TrackingTable,
@@ -147,11 +166,8 @@ def bootstrap_alpha(
     if not 0 <= seed < 2**128:
         raise ConfdopError(f"bootstrap seed must be in [0, 2**128), got {seed}")
     r, _, _, wry, wr2 = _wls_terms(table, c)
-    n = r.size
     estimates = np.empty(n_resamples)
-    for i in range(n_resamples):
-        rng = np.random.Generator(np.random.Philox(key=seed, counter=i << 64))
-        idx = rng.integers(0, n, size=n)
+    for i, idx in enumerate(_resample_indices(r.size, n_resamples, seed)):
         r_i = r.take(idx)
         if r_i.min() == r_i.max():
             raise DegenerateDesign("all ranges are equal; alpha is not identifiable")

@@ -21,7 +21,6 @@ from .errors import ConfdopError, ConfigInvalid, MalformedCsv, ZeroRange
 from .wave import doppler_model_conformal
 
 CSV_HEADER = "epoch_s,range_m,range_rate_mps,range_meas_m,doppler_frac,sigma_frac"
-_CSV_ROW = ",".join(["%.17e"] * 6) + "\n"
 # Rows formatted per write call: bounds the formatting buffers of large tables.
 _CSV_CHUNK_ROWS = 4096
 
@@ -51,6 +50,8 @@ class SimConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
+            if isinstance(value, bool):  # an int to Python, but not a number here
+                raise ConfigInvalid(f"{f.name}: must be a number, got {value!r}")
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigInvalid(f"{f.name}: must be finite, got {value}")
         if not self.r0 > 0.0:
@@ -86,16 +87,14 @@ class SimConfig:
         for key, value in d.items():
             if key not in known:
                 raise ConfigInvalid(f"{key}: unknown config key")
-            if isinstance(value, bool):  # an int to Python, but not a JSON number
-                raise ConfigInvalid(f"{key}: must be a number, got {value!r}")
             if key in ("n_obs", "seed"):
                 if isinstance(value, float) and value.is_integer():
                     value = int(value)
                 if not isinstance(value, int):
                     raise ConfigInvalid(f"{key}: must be an integer, got {value!r}")
-            else:
-                if not isinstance(value, (int, float)):
-                    raise ConfigInvalid(f"{key}: must be a number, got {value!r}")
+            elif not isinstance(value, (int, float)):
+                raise ConfigInvalid(f"{key}: must be a number, got {value!r}")
+            elif type(value) is int:  # a bool stays one, for __post_init__ to refuse
                 try:
                     value = float(value)
                 except OverflowError:  # an integer past the float range
@@ -251,13 +250,29 @@ def sign_comparison_report(anomaly_rate: float, hubble_rate: float) -> SignCompa
 
 
 def write_records_csv(table: TrackingTable, path) -> None:
-    """Write the table with the fixed header; floats carry 18 significant digits."""
-    rows = np.column_stack([getattr(table, name) for name in _COLUMNS])
+    """Write the table with the fixed header; floats carry 18 significant digits.
+
+    A column whose values are all bit-for-bit equal is formatted once and
+    baked into the row template; only the other columns are formatted per
+    row.  The bytes are those of formatting every value with %.17e.
+    """
+    cells = []
+    varying = []
+    for name in _COLUMNS:
+        col = getattr(table, name)
+        bits = col.view(np.int64)
+        if col.size and (bits == bits[0]).all():  # int64 view: -0.0 and 0.0 differ
+            cells.append("%.17e" % col[0])
+        else:
+            cells.append("%.17e")
+            varying.append(col)
+    row = ",".join(cells) + "\n"
+    rows = np.column_stack(varying) if varying else np.empty((len(table), 0))
     with open(path, "w", newline="") as f:
         f.write(CSV_HEADER + "\n")
         for start in range(0, len(rows), _CSV_CHUNK_ROWS):
             chunk = rows[start : start + _CSV_CHUNK_ROWS]
-            f.write((_CSV_ROW * len(chunk)) % tuple(chunk.ravel().tolist()))
+            f.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
 def read_records_csv(path) -> TrackingTable:

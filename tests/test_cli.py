@@ -10,7 +10,16 @@ from pathlib import Path
 import pytest
 
 import confdop
-from confdop import Event, GroupParameter, flow_oracle, verify_manifest
+from confdop import (
+    Event,
+    GroupParameter,
+    bootstrap_alpha,
+    cli,
+    flow_oracle,
+    read_records_csv,
+    verify_manifest,
+)
+from confdop.checks import SUITES
 from confdop.cli import main
 from confdop.constants import SPEED_OF_LIGHT
 from confdop.errors import ManifestMismatch
@@ -545,15 +554,59 @@ class TestReport:
         assert (code, out, err) == (1, "", "error: magnitude_ratio must be finite, got inf\n")
 
 
-def test_module_entry_point_runs_a_suite():
+class TestParserReuse:
+    """One parser serves every main() call in a process; no call leaves
+    anything behind for the next."""
+
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_fit_seed_does_not_carry_over(self, capsys, tmp_path):
+        cfg = write_config(tmp_path, sigma_frac=1e-12, n_obs=300)
+        csv_path = tmp_path / "run.csv"
+        run(capsys, "simulate", "--config", str(cfg), "--out", str(csv_path))
+        fit = ["fit", "--input", str(csv_path), "--bootstrap", "120", "--out"]
+        assert run(capsys, *fit, str(tmp_path / "seeded.json"), "--seed", "5")[0] == 0
+        assert run(capsys, *fit, str(tmp_path / "plain.json"))[0] == 0
+        seeded = json.loads((tmp_path / "seeded.json").read_text())["alpha_stderr_boot"]
+        plain = json.loads((tmp_path / "plain.json").read_text())["alpha_stderr_boot"]
+        table = read_records_csv(csv_path)
+        assert plain == bootstrap_alpha(table, 120, seed=0)
+        assert seeded == bootstrap_alpha(table, 120, seed=5) != plain
+
+    def test_transform_after_usage_error_prints_what_a_fresh_process_prints(self, capsys):
+        argv = ["transform", "--alpha", "1e-5", "--r", "1e8", "--t", "3", "--hill"]
+        with pytest.raises(SystemExit) as exc:
+            main(["transform"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        code, out, err = run(capsys, *argv)
+        proc = run_fresh_process(*argv)
+        assert (code, out, err) == (proc.returncode, proc.stdout, proc.stderr)
+        assert code == 0 and json.loads(out)["hill"]
+
+    def test_check_suite_still_lists_its_choices(self, capsys):
+        assert run(capsys, "check", "--suite", "group", "--cases", "3")[0] == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--suite", "nope"])
+        assert exc.value.code == 2
+        choices = capsys.readouterr().err.split("choose from", 1)[1]
+        assert all(name in choices for name in SUITES)
+
+
+def run_fresh_process(*argv):
     src = str(Path(confdop.__file__).resolve().parents[1])
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "confdop.cli", "check", "--suite", "hill"],
+    return subprocess.run(
+        [sys.executable, "-m", "confdop.cli", *argv],
         capture_output=True,
         text=True,
         timeout=120,
         env={**os.environ, "PYTHONPATH": pythonpath},
     )
+
+
+def test_module_entry_point_runs_a_suite():
+    proc = run_fresh_process("check", "--suite", "hill")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("suite=hill ") and " PASS " in proc.stdout

@@ -22,6 +22,7 @@ from confdop import (
     simulate,
 )
 from confdop.constants import ASTRONOMICAL_UNIT, SPEED_OF_LIGHT
+from confdop.estimator import _resample_indices
 
 C = SPEED_OF_LIGHT
 
@@ -211,6 +212,19 @@ class TestFitAlpha:
             fit_alpha(table, c=c)
 
 
+def refit_each_resample(table, n_resamples, seed):
+    """The resample-and-refit loop of the row-based version, as the
+    reference: a fresh generator per resample, and fit_alpha on each."""
+    estimates = []
+    for i in range(n_resamples):
+        rng = np.random.Generator(np.random.Philox(key=seed, counter=i << 64))
+        idx = rng.integers(0, len(table), size=len(table))
+        fields = dataclasses.fields(table)
+        resample = TrackingTable(*(getattr(table, f.name)[idx] for f in fields))
+        estimates.append(fit_alpha(resample).alpha_hat)
+    return float(np.std(estimates, ddof=1))
+
+
 class TestBootstrap:
     def test_noiseless_data_gives_zero_spread(self):
         table = simulate(exact_recovery_cfg(2.19e-18))
@@ -227,16 +241,22 @@ class TestBootstrap:
         assert bootstrap_alpha(table, 150, seed=11) == bootstrap_alpha(table, 150, seed=11)
 
     def test_equals_refit_of_each_resample(self):
-        # the resample-and-refit loop of the row-based version, as the reference
         table = simulate(pioneer_like_cfg(6, n_obs=300))
-        estimates = []
-        for i in range(120):
-            rng = np.random.Generator(np.random.Philox(key=11, counter=i << 64))
-            idx = rng.integers(0, len(table), size=len(table))
-            fields = dataclasses.fields(table)
-            resample = TrackingTable(*(getattr(table, f.name)[idx] for f in fields))
-            estimates.append(fit_alpha(resample).alpha_hat)
-        assert bootstrap_alpha(table, 120, seed=11) == float(np.std(estimates, ddof=1))
+        assert bootstrap_alpha(table, 120, seed=11) == refit_each_resample(table, 120, seed=11)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 + 5, 2**128 - 1])
+    def test_equals_refit_of_each_resample_at_wide_seeds(self, seed):
+        # an odd record count: each resample draws an odd number of 32-bit halves
+        table = simulate(pioneer_like_cfg(6, n_obs=301))
+        assert bootstrap_alpha(table, 100, seed=seed) == refit_each_resample(table, 100, seed)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 + 5, 2**128 - 1])
+    @pytest.mark.parametrize("n", [7, 300, 301])
+    def test_reused_generator_draws_the_fresh_generators_indices(self, seed, n):
+        # a spare 32-bit half or buffered word carried into the next draw would show at odd n
+        for i, idx in enumerate(_resample_indices(n, 40, seed)):
+            fresh = np.random.Generator(np.random.Philox(key=seed, counter=i << 64))
+            assert np.array_equal(idx, fresh.integers(0, n, size=n)), i
 
     def test_resample_of_one_repeated_range_rejected(self):
         # with 2 records, some of the first 100 resamples repeat one row

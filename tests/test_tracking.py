@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from confdop import (
     ConfigInvalid,
@@ -23,7 +25,7 @@ from confdop import (
     write_records_csv,
 )
 from confdop.constants import SPEED_OF_LIGHT
-from confdop.tracking import CSV_HEADER
+from confdop.tracking import _CSV_CHUNK_ROWS, CSV_HEADER
 
 C = SPEED_OF_LIGHT
 
@@ -103,6 +105,13 @@ class TestConfig:
     def test_inbound_coast_that_stays_positive_accepted(self):
         cfg = noiseless_cfg(r0=1e6, v_radial=-1e4, t_end=99.0)
         assert np.all(simulate(cfg).range_true > 0.0)
+
+    @pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(SimConfig)])
+    @pytest.mark.parametrize("value", [True, False])
+    def test_bool_is_refused_naming_the_field(self, key, value):
+        # SimConfig(seed=True) used to run as seed 1 and record "seed": true
+        with pytest.raises(ConfigInvalid, match=f"^{key}: must be a number, got {value}$"):
+            noiseless_cfg(**{key: value})
 
     def test_integral_float_n_obs_accepted(self):
         d = noiseless_cfg().to_dict()
@@ -278,6 +287,28 @@ class TestSignComparison:
         assert sign_comparison_report(1e-18, 0.0).magnitude_ratio == math.inf
 
 
+EDGE_VALUES = (0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -1.7976931348623157e308, 1e22)
+
+
+@st.composite
+def csv_column(draw, n, rng):
+    """A float64 column of n rows: constant (at an edge value such as nan,
+    or at any float), a mix of -0.0 and 0.0, constant but for one row, or
+    all distinct."""
+    kind = draw(st.sampled_from(["edge", "constant", "signed_zeros", "one_differs", "distinct"]))
+    if kind == "edge":
+        return np.full(n, draw(st.sampled_from(EDGE_VALUES)))
+    if kind == "constant":
+        return np.full(n, draw(st.floats()))
+    if kind == "signed_zeros":
+        return np.where(rng.random(n) < 0.5, -0.0, 0.0)
+    if kind == "one_differs" and n:
+        col = np.full(n, draw(st.floats()))
+        col[draw(st.integers(0, n - 1))] = draw(st.floats())
+        return col
+    return rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, size=n)
+
+
 class TestCsv:
     def test_round_trip_is_exact(self, tmp_path):
         table = simulate(noiseless_cfg(sigma_frac=1e-12, sigma_range=3.0, seed=9))
@@ -300,6 +331,21 @@ class TestCsv:
         cols = [getattr(table, f.name).tolist() for f in dataclasses.fields(TrackingTable)]
         lines = [CSV_HEADER] + [",".join(f"{v:.17e}" for v in row) for row in zip(*cols)]
         assert path.read_text() == "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize(
+        "n", [0, 1, 2, _CSV_CHUNK_ROWS - 1, _CSV_CHUNK_ROWS, _CSV_CHUNK_ROWS + 1]
+    )
+    @settings(derandomize=True, database=None, deadline=None, max_examples=8)
+    @given(data=st.data())
+    def test_bytes_equal_formatting_every_value(self, tmp_path_factory, n, data):
+        # the writer before constant columns were baked into the row template
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        cols = [data.draw(csv_column(n, rng)) for _ in dataclasses.fields(TrackingTable)]
+        path = tmp_path_factory.mktemp("csv") / "run.csv"
+        write_records_csv(TrackingTable(*cols), path)
+        rows = np.column_stack(cols).ravel().tolist()
+        expected = CSV_HEADER + "\n" + (("%.17e," * 5 + "%.17e\n") * n) % tuple(rows)
+        assert path.read_bytes() == expected.encode()
 
     def test_header_written(self, tmp_path):
         path = tmp_path / "run.csv"
