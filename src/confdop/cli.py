@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import re
 import sys
@@ -33,7 +32,7 @@ from .conformal import (
 from .constants import HUBBLE_RATE, PIONEER_ANOMALY_RATE, SPEED_OF_LIGHT
 from .errors import ConfdopError
 from .estimator import MetricDecision, bootstrap_alpha, decide_metric, fit_alpha
-from .manifest import build_manifest, write_manifest
+from .manifest import _read_json, _strict_json, build_manifest, write_manifest
 from .tracking import (
     RNG_ALGORITHM,
     SimConfig,
@@ -105,27 +104,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_json(path) -> dict:
-    """The JSON object in a file; refuses text that is not UTF-8 JSON, or
-    a document that is not an object, naming the file."""
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError
-        raise ConfdopError(f"{path}: not valid UTF-8 JSON ({exc})") from exc
-    if not isinstance(doc, dict):
-        raise ConfdopError(f"{path}: must hold a JSON object, got {json.dumps(doc):.40}")
-    return doc
-
-
-def _require_finite_fields(doc: dict, prefix: str) -> None:
-    """Refuse a float field strict JSON cannot hold, naming it."""
-    for key, value in doc.items():
-        if isinstance(value, dict):
-            _require_finite_fields(value, f"{prefix}{key}.")
-        elif isinstance(value, float) and not math.isfinite(value):
-            raise ConfdopError(f"{prefix}{key} is not finite ({value}); strict JSON cannot hold it")
-
-
 def cmd_transform(args) -> int:
     c = args.c
     if args.beta4 is not None:
@@ -152,8 +130,7 @@ def cmd_transform(args) -> int:
     if args.hill:
         hr, ht = hill_transform(p, e.r, e.x4 / c)
         doc["hill"] = {"r_prime": hr, "t_prime": ht, "x4_prime": c * ht}
-    _require_finite_fields(doc, "")
-    print(json.dumps(doc, indent=2, allow_nan=False))
+    print(_strict_json(doc))
     return 0
 
 
@@ -207,8 +184,7 @@ def cmd_fit(args) -> int:
     doc["decision"] = decision.value
     if args.bootstrap is not None:
         doc["alpha_stderr_boot"] = bootstrap_alpha(table, args.bootstrap, args.seed, c=args.c)
-    _require_finite_fields(doc, "")
-    Path(args.out).write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n")
+    Path(args.out).write_text(_strict_json(doc) + "\n")
     print(
         f"alpha_hat={fit.alpha_hat:.6e} 1/s  stderr={fit.alpha_stderr:.6e}  "
         f"z={fit.z_score_alpha_zero:.3f}  decision={decision.value}"

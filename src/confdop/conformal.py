@@ -297,6 +297,11 @@ def interval_scale(p: GroupParameter, e: Event) -> float:
     return g * g
 
 
+def _hill_time_shift(a: float, r: float, t: float, c2: float) -> float:
+    """First-order time shift alpha*(r^2/c^2 + t^2)/2 of the Hill and inbound-ray maps."""
+    return a * (r * r / c2 + t * t) / 2.0
+
+
 def hill_transform(p: GroupParameter, r: float, t: float) -> tuple[float, float]:
     """First-order map in alpha:
 
@@ -305,10 +310,7 @@ def hill_transform(p: GroupParameter, r: float, t: float) -> tuple[float, float]
     Intended for |alpha*t| << 1; accepts all inputs.
     """
     a = p.alpha
-    return (
-        (1.0 + a * t) * r,
-        t + a * (r * r / (p.c * p.c) + t * t) / 2.0,
-    )
+    return (1.0 + a * t) * r, t + _hill_time_shift(a, r, t, p.c * p.c)
 
 
 def hill_differentials(

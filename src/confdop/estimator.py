@@ -62,10 +62,16 @@ def _wls_terms(table: TrackingTable, c: float):
     """Per-record terms of the fit: ranges r, residual velocities
     y = c*frac - rate, weights w, and the summands w*r*y and w*r^2.
 
-    Raises ConfdopError for a c that GroupParameter refuses, and
+    Raises ConfdopError for a c that GroupParameter refuses or a column
+    the fit reads that is not finite (naming it and its first bad row), and
     DegenerateDesign for n < 2 or all-equal ranges.
     """
     _require_c(c)
+    for name in ("range_true", "range_rate_true", "doppler_frac_meas", "sigma_frac"):
+        finite = np.isfinite(getattr(table, name))
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise ConfdopError(f"{name}: row {i} is not finite ({getattr(table, name)[i]})")
     r = table.range_true
     n = r.size
     if n < 2:
@@ -170,7 +176,10 @@ def bootstrap_alpha(
     for i, idx in enumerate(_resample_indices(r.size, n_resamples, seed)):
         r_i = r.take(idx)
         if r_i.min() == r_i.max():
-            raise DegenerateDesign("all ranges are equal; alpha is not identifiable")
+            raise DegenerateDesign(
+                f"resample {i} of {r.size} records has all ranges equal; "
+                "alpha is not identifiable"
+            )
         estimates[i] = _alpha_hat(wry.take(idx), wr2.take(idx))[0]
     return float(np.std(estimates, ddof=1))
 

@@ -1,13 +1,15 @@
-"""Run manifests: what a command wrote, from which config, verifiably."""
+"""Run manifests: what a command wrote, from which config, verifiably;
+and the strict JSON reader and writer that every JSON document goes through."""
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass
+import math
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
-from .errors import ManifestMismatch
+from .errors import ConfdopError, ManifestMismatch
 
 
 @dataclass(frozen=True)
@@ -19,6 +21,36 @@ class RunManifest:
     config: dict
     config_digest: str
     outputs: list  # [{"path": str, "sha256": str, "size_bytes": int}, ...]
+
+
+_MANIFEST_KEYS = frozenset(f.name for f in fields(RunManifest))
+
+
+def _read_json(path) -> dict:
+    """The JSON object in a file; refuses text that is not UTF-8 JSON, or
+    a document that is not an object, naming the file."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ConfdopError(f"{path}: not valid UTF-8 JSON ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise ConfdopError(f"{path}: must hold a JSON object, got {json.dumps(doc):.40}")
+    return doc
+
+
+def _require_finite_fields(doc: dict, prefix: str) -> None:
+    """Refuse a float field strict JSON cannot hold, naming it."""
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            _require_finite_fields(value, f"{prefix}{key}.")
+        elif isinstance(value, float) and not math.isfinite(value):
+            raise ConfdopError(f"{prefix}{key} is not finite ({value}); strict JSON cannot hold it")
+
+
+def _strict_json(doc: dict, sort_keys: bool = False) -> str:
+    """doc as indented strict JSON text; refuses a non-finite float field, naming it."""
+    _require_finite_fields(doc, "")
+    return json.dumps(doc, indent=2, sort_keys=sort_keys, allow_nan=False)
 
 
 def config_digest(config: dict) -> str:
@@ -61,17 +93,24 @@ def build_manifest(
 
 
 def write_manifest(manifest: RunManifest, path) -> None:
-    text = json.dumps(asdict(manifest), indent=2, sort_keys=True, allow_nan=False)
-    Path(path).write_text(text + "\n")
+    Path(path).write_text(_strict_json(asdict(manifest), sort_keys=True) + "\n")
 
 
 def load_manifest(path) -> RunManifest:
-    d = json.loads(Path(path).read_text())
-    return RunManifest(**d)
+    """Read a manifest; a document without exactly RunManifest's keys is a mismatch."""
+    doc = _read_json(path)
+    if doc.keys() != _MANIFEST_KEYS:
+        raise ManifestMismatch(
+            f"{path}: not a run manifest (missing keys {sorted(_MANIFEST_KEYS - doc.keys())}, "
+            f"unknown keys {sorted(doc.keys() - _MANIFEST_KEYS)})"
+        )
+    return RunManifest(**doc)
 
 
 def verify_manifest(path) -> RunManifest:
-    """Recompute the config digest and every output digest; raise on mismatch."""
+    """Recompute the config digest and every output digest; raise
+    ManifestMismatch on a mismatch or a missing or unknown key, and
+    ConfdopError for a file that is not a UTF-8 JSON object."""
     path = Path(path)
     m = load_manifest(path)
     recomputed = config_digest(m.config)

@@ -11,11 +11,11 @@ generator keyed by the seed, so reruns are byte-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
-from .conformal import GroupParameter
+from .conformal import GroupParameter, _require_c
 from .constants import SPEED_OF_LIGHT
 from .errors import ConfdopError, ConfigInvalid, MalformedCsv, ZeroRange
 from .wave import doppler_model_conformal
@@ -28,9 +28,6 @@ _CSV_CHUNK_ROWS = 4096
 # keyed by the config seed, two standard normals per record in epoch order
 # (doppler first, then range).
 RNG_ALGORITHM = "numpy.random.Philox(key=seed); Generator.standard_normal (n_obs, 2)"
-
-_REQUIRED_KEYS = ("r0", "v_radial", "t_start", "t_end", "n_obs")
-
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -52,8 +49,21 @@ class SimConfig:
             value = getattr(self, f.name)
             if isinstance(value, bool):  # an int to Python, but not a number here
                 raise ConfigInvalid(f"{f.name}: must be a number, got {value!r}")
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ConfigInvalid(f"{f.name}: must be finite, got {value}")
+            if f.name in ("n_obs", "seed"):
+                if isinstance(value, float) and value.is_integer():
+                    value = int(value)
+                if not isinstance(value, int):
+                    raise ConfigInvalid(f"{f.name}: must be an integer, got {value!r}")
+            elif not isinstance(value, (int, float)):
+                raise ConfigInvalid(f"{f.name}: must be a number, got {value!r}")
+            else:
+                try:
+                    value = float(value)
+                except OverflowError:  # an integer past the float range
+                    value = math.inf if value > 0 else -math.inf
+                if not math.isfinite(value):
+                    raise ConfigInvalid(f"{f.name}: must be finite, got {value}")
+            object.__setattr__(self, f.name, value)
         if not self.r0 > 0.0:
             raise ConfigInvalid(f"r0: must be > 0, got {self.r0}")
         if not self.t_end > self.t_start:
@@ -62,16 +72,18 @@ class SimConfig:
             raise ConfigInvalid(
                 f"t_end: t_end - t_start must be finite, got {self.t_end - self.t_start}"
             )
-        if not isinstance(self.n_obs, int) or self.n_obs < 2:
+        if self.n_obs < 2:
             raise ConfigInvalid(f"n_obs: must be an integer >= 2, got {self.n_obs!r}")
         if self.sigma_frac < 0.0:
             raise ConfigInvalid(f"sigma_frac: must be >= 0, got {self.sigma_frac}")
         if self.sigma_range < 0.0:
             raise ConfigInvalid(f"sigma_range: must be >= 0, got {self.sigma_range}")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
+        if not 0 <= self.seed < 2**64:
             raise ConfigInvalid(f"seed: must be a 64-bit unsigned integer, got {self.seed!r}")
-        if not self.c > 0.0:
-            raise ConfigInvalid(f"c: must be > 0, got {self.c}")
+        try:
+            _require_c(self.c)
+        except ConfdopError as exc:
+            raise ConfigInvalid(f"c: {exc}") from None
         # the coast is linear, so a range > 0 at both ends is > 0 throughout
         r_end = _coast_range(self, self.t_end)
         if not (r_end > 0.0 and math.isfinite(r_end)):
@@ -82,28 +94,16 @@ class SimConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SimConfig":
-        known = {f.name: f for f in fields(cls)}
-        kwargs = {}
-        for key, value in d.items():
+        """Build from a dict such as a parsed JSON config, refusing unknown
+        and missing keys; the values are checked by the constructor."""
+        known = {f.name for f in fields(cls)}
+        for key in d:
             if key not in known:
                 raise ConfigInvalid(f"{key}: unknown config key")
-            if key in ("n_obs", "seed"):
-                if isinstance(value, float) and value.is_integer():
-                    value = int(value)
-                if not isinstance(value, int):
-                    raise ConfigInvalid(f"{key}: must be an integer, got {value!r}")
-            elif not isinstance(value, (int, float)):
-                raise ConfigInvalid(f"{key}: must be a number, got {value!r}")
-            elif type(value) is int:  # a bool stays one, for __post_init__ to refuse
-                try:
-                    value = float(value)
-                except OverflowError:  # an integer past the float range
-                    value = math.inf if value > 0 else -math.inf
-            kwargs[key] = value
-        for key in _REQUIRED_KEYS:
-            if key not in kwargs:
-                raise ConfigInvalid(f"{key}: missing required config key")
-        return cls(**kwargs)
+        for f in fields(cls):
+            if f.default is MISSING and f.name not in d:
+                raise ConfigInvalid(f"{f.name}: missing required config key")
+        return cls(**d)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -219,8 +219,9 @@ def anomaly_residuals(table: TrackingTable, c: float = SPEED_OF_LIGHT) -> Anomal
     """Residuals of measured Doppler against an alpha = 0 expectation.
 
     With zero noise the residual rate equals the simulated alpha at every
-    epoch.
+    epoch.  c is checked as GroupParameter checks it.
     """
+    _require_c(c)
     zero = np.flatnonzero(table.range_true == 0.0)
     if zero.size:
         raise ZeroRange(f"record at epoch {table.epoch[zero[0]]} has zero range")

@@ -10,7 +10,7 @@ velocity or as velocity plus an alpha*r kinematic term.
 
 from __future__ import annotations
 
-from .conformal import GroupParameter
+from .conformal import GroupParameter, _hill_time_shift
 from .errors import ConfdopError, NotPastCone
 
 
@@ -34,7 +34,7 @@ def inbound_ray_coords(p: GroupParameter, r_prime: float, t_prime: float) -> tup
     r = r_prime
     t = t_prime
     for _ in range(2):
-        abs_t = -t_prime + a * (r * r / c2 + t * t) / 2.0
+        abs_t = -t_prime + _hill_time_shift(a, r, t, c2)
         t = -abs_t
         r = (1.0 + a * abs_t) * r_prime
     return r, t
@@ -54,7 +54,7 @@ def inbound_ray_differentials(
     """
     a = p.alpha
     c2 = p.c * p.c
-    t = t_prime - a * (r_prime * r_prime / c2 + t_prime * t_prime) / 2.0
+    t = t_prime - _hill_time_shift(a, r_prime, t_prime, c2)
     dr = dr_prime * (1.0 - a * t_prime) - a * r_prime * dt_prime
     dt = dt_prime * (1.0 - a * t) - a * r_prime * dr_prime / c2
     return dr, dt

@@ -6,11 +6,13 @@ simulator before these tests were written.
 """
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
 from confdop import (
+    ConfdopError,
     DegenerateDesign,
     MetricDecision,
     SimConfig,
@@ -288,6 +290,52 @@ class TestBootstrap:
         table = simulate(pioneer_like_cfg(0, n_obs=100))
         with pytest.raises(ValueError, match="^c must"):
             bootstrap_alpha(table, 100, seed=0, c=c)
+
+
+class TestNonFiniteColumns:
+    @pytest.mark.parametrize(
+        "column", ["range_true", "range_rate_true", "doppler_frac_meas", "sigma_frac"]
+    )
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_fit_and_bootstrap_name_column_and_row(self, column, value):
+        # one nan Doppler value used to give alpha_hat = nan, and a nan range
+        # the misleading "sum(w*r^2) overflows (nan)"
+        r = np.linspace(1e12, 2e12, 5)
+        cols = dict(range_true=r, range_rate_true=np.zeros(5),
+                    doppler_frac_meas=1e-18 * r / C, sigma_frac=np.full(5, 1e-12))
+        cols[column] = cols[column].copy()
+        cols[column][3] = value
+        table = make_table(*cols.values())
+        message = "^" + re.escape(f"{column}: row 3 is not finite ({value})")
+        with pytest.raises(ConfdopError, match=message):
+            fit_alpha(table)
+        with pytest.raises(ConfdopError, match=message):
+            bootstrap_alpha(table, 100, seed=0)
+
+    def test_columns_the_fit_does_not_read_may_be_non_finite(self):
+        # TrackingTable accepts any float; only the fit's own columns are checked
+        table = simulate(pioneer_like_cfg(1, n_obs=100))
+        cols = {f.name: getattr(table, f.name) for f in dataclasses.fields(table)}
+        cols["epoch"] = np.full(100, np.nan)
+        cols["range_meas"] = np.full(100, np.inf)
+        assert fit_alpha(TrackingTable(**cols)) == fit_alpha(table)
+
+
+class TestEqualRangeResample:
+    """Policy: a resample whose ranges are all equal ends the bootstrap with
+    DegenerateDesign naming it; it is not redrawn, and there is no knob."""
+
+    def test_first_degenerate_resample_is_named(self):
+        r = np.array([1e12, 2e12, 3e12])
+        table = make_table(r, np.zeros(3), 1e-18 * r / C, np.full(3, 1e-12))
+        draws = _resample_indices(3, 100, seed=1)
+        first = next(i for i, idx in enumerate(draws) if idx.min() == idx.max())
+        assert first == 29  # resamples 0-28 can be fitted; 29 is refused, not redrawn
+        with pytest.raises(
+            DegenerateDesign,
+            match="^resample 29 of 3 records has all ranges equal; alpha is not identifiable$",
+        ):
+            bootstrap_alpha(table, 100, seed=1)
 
 
 class TestDecideMetric:

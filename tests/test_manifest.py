@@ -1,0 +1,68 @@
+"""Tests for reading and writing run manifests as strict JSON."""
+
+import json
+import math
+
+import pytest
+
+import confdop
+from confdop import ConfdopError, ManifestMismatch, verify_manifest
+from confdop.cli import main
+
+MISSION = {"r0": 4.5e12, "v_radial": 12200.0, "t_start": 0.0, "t_end": 1e8, "n_obs": 20}
+
+
+@pytest.fixture
+def manifest_path(tmp_path):
+    """A verified manifest of a small simulate run."""
+    config = tmp_path / "mission.json"
+    config.write_text(json.dumps(MISSION))
+    out = tmp_path / "run.csv"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+    path = tmp_path / "run.csv.manifest.json"
+    verify_manifest(path)
+    return path
+
+
+@pytest.mark.parametrize("data, error, cause", [
+    # {} and [1] used to end in a TypeError, the other two in a JSONDecodeError
+    (b"{}", ManifestMismatch, "not a run manifest (missing keys ['command', 'config', "
+     "'config_digest', 'outputs', 'rng_algorithm', 'seed', 'tool_version'], unknown keys [])"),
+    (b"[1]", ConfdopError, "must hold a JSON object, got [1]"),
+    (b"{x", ConfdopError, "not valid UTF-8 JSON (Expecting property name"),
+    (b"\xff{}", ConfdopError, "not valid UTF-8 JSON ('utf-8' codec can't decode byte 0xff"),
+])
+def test_unreadable_manifest_names_the_file(tmp_path, data, error, cause):
+    path = tmp_path / "m.json"
+    path.write_bytes(data)
+    with pytest.raises(error) as excinfo:
+        verify_manifest(path)
+    assert str(excinfo.value).startswith(f"{path}: {cause}")
+
+
+@pytest.mark.parametrize("drop, add, cause", [
+    ("outputs", {}, "missing keys ['outputs'], unknown keys []"),
+    (None, {"extra": 1}, "missing keys [], unknown keys ['extra']"),
+])
+def test_manifest_with_other_keys_is_a_mismatch(manifest_path, drop, add, cause):
+    doc = json.loads(manifest_path.read_text())
+    doc.pop(drop, None)
+    manifest_path.write_text(json.dumps({**doc, **add}))
+    with pytest.raises(ManifestMismatch) as excinfo:
+        verify_manifest(manifest_path)
+    assert str(excinfo.value) == f"{manifest_path}: not a run manifest ({cause})"
+
+
+def test_write_manifest_names_the_non_finite_config_field(manifest_path):
+    manifest = confdop.load_manifest(manifest_path)
+    bad = confdop.RunManifest(**{**vars(manifest), "config": {**manifest.config, "r0": math.nan}})
+    path = manifest_path.with_name("bad.json")
+    with pytest.raises(ConfdopError, match=r"^config\.r0 is not finite \(nan\); strict JSON"):
+        confdop.write_manifest(bad, path)
+    assert not path.exists()
+
+
+def test_manifest_round_trips_byte_for_byte(manifest_path, tmp_path):
+    copy = tmp_path / "copy.json"
+    confdop.write_manifest(confdop.load_manifest(manifest_path), copy)
+    assert copy.read_bytes() == manifest_path.read_bytes()

@@ -2,7 +2,9 @@
 
 import dataclasses
 import hashlib
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from confdop import (
+    ConfdopError,
     ConfigInvalid,
     DegenerateDesign,
     MalformedCsv,
@@ -117,6 +120,42 @@ class TestConfig:
         d = noiseless_cfg().to_dict()
         d["n_obs"] = 50.0
         assert SimConfig.from_dict(d).n_obs == 50
+
+
+class TestConfigBuiltDirectly:
+    """SimConfig applies every field rule itself, so a config built in code
+    is refused as one read from JSON is."""
+
+    @pytest.mark.parametrize("key, value, message", [
+        # r0="1e12" and v_radial=None used to end in a TypeError traceback
+        ("r0", "1e12", "must be a number, got '1e12'"),
+        ("v_radial", None, "must be a number, got None"),
+        # and r0=10**400 in an OverflowError traceback
+        ("r0", 10**400, "must be finite, got inf"),
+        ("t_start", -(10**400), "must be finite, got -inf"),
+        ("n_obs", "50", "must be an integer, got '50'"),
+        ("seed", 1.5, "must be an integer, got 1.5"),
+        # c = 1e-300 used to pass c > 0, for simulate to refuse later
+        ("c", 1e-300, "c must square to a normal float, got 1e-300"),
+        ("c", 1e155, "c must square to a normal float, got 1e+155"),
+        ("c", -1.0, "c must be positive, got -1.0"),
+    ], ids=["r0-str", "v_radial-None", "r0-huge-int", "t_start-huge-int", "n_obs-str",
+            "seed-fraction", "c-1e-300", "c-1e155", "c-negative"])
+    def test_bad_value_names_the_key(self, key, value, message):
+        with pytest.raises(ConfigInvalid, match=f"^{key}: {re.escape(message)}"):
+            noiseless_cfg(**{key: value})
+
+    def test_integral_float_n_obs_accepted_as_int(self):
+        cfg = noiseless_cfg(n_obs=50.0)
+        assert cfg.n_obs == 50 and type(cfg.n_obs) is int
+
+    def test_int_fields_become_floats_as_from_dict_makes_them(self):
+        # the manifest records the config, so both paths must give the same JSON
+        ints = dict(r0=4_500_000_000_000, t_start=0, t_end=100_000_000, sigma_frac=0)
+        direct = noiseless_cfg(**ints)
+        via_dict = SimConfig.from_dict({**noiseless_cfg().to_dict(), **ints})
+        assert type(direct.r0) is float
+        assert json.dumps(direct.to_dict()) == json.dumps(via_dict.to_dict())
 
 
 class TestSimulate:
@@ -264,6 +303,14 @@ class TestAnomalyResiduals:
             assert res.epoch[i] == table.epoch[i]
             assert res.residual_velocity[i] == resid_v
             assert res.residual_rate[i] == resid_v / float(table.range_true[i])
+
+
+@pytest.mark.parametrize("c", [math.nan, 0.0, -1.0, 1e-300])
+def test_anomaly_residuals_checks_c_as_fit_does(c):
+    # c = nan used to give residuals that were all nan
+    table = simulate(noiseless_cfg())
+    with pytest.raises(ConfdopError, match="^c must"):
+        anomaly_residuals(table, c=c)
 
 
 class TestSignComparison:
