@@ -78,8 +78,9 @@ def _build_parser() -> argparse.ArgumentParser:
     ck.add_argument("--suite", required=True, choices=SUITES)
     ck.add_argument("--tol", type=float, default=None,
                     help="error tolerance (for hill: minimum convergence order)")
-    ck.add_argument("--seed", type=int, default=0)
-    ck.add_argument("--cases", type=int, default=None, help="number of random cases")
+    ck.add_argument("--seed", type=int, default=0, help="random seed (hill ignores it)")
+    ck.add_argument("--cases", type=int, default=None,
+                    help="number of random cases (hill ignores it: its grid is fixed)")
 
     sim = sub.add_parser("simulate", help="simulate a tracking mission to CSV + manifest")
     sim.add_argument("--config", required=True, help="JSON config path")

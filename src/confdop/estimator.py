@@ -18,7 +18,7 @@ import numpy as np
 from .conformal import _require_c
 from .constants import SPEED_OF_LIGHT
 from .errors import ConfdopError, DegenerateDesign, ZeroSigma
-from .tracking import TrackingTable, _residual_velocity
+from .tracking import TrackingTable, _require_finite_columns, _residual_velocity
 
 
 @dataclass(frozen=True)
@@ -67,11 +67,9 @@ def _wls_terms(table: TrackingTable, c: float):
     DegenerateDesign for n < 2 or all-equal ranges.
     """
     _require_c(c)
-    for name in ("range_true", "range_rate_true", "doppler_frac_meas", "sigma_frac"):
-        finite = np.isfinite(getattr(table, name))
-        if not finite.all():
-            i = int(np.argmin(finite))
-            raise ConfdopError(f"{name}: row {i} is not finite ({getattr(table, name)[i]})")
+    _require_finite_columns(
+        table, ("range_true", "range_rate_true", "doppler_frac_meas", "sigma_frac")
+    )
     r = table.range_true
     n = r.size
     if n < 2:

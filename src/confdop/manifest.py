@@ -3,27 +3,36 @@ and the strict JSON reader and writer that every JSON document goes through."""
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+import typing
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .errors import ConfdopError, ManifestMismatch
 
 
+class OutputEntry(typing.TypedDict):
+    """One file a command wrote; path is absolute or relative to the manifest's directory."""
+
+    path: str
+    sha256: str
+    size_bytes: int
+
+
 @dataclass(frozen=True)
 class RunManifest:
+    """A run manifest; these annotations are the JSON shape load_manifest checks."""
+
     command: str
     tool_version: str
     rng_algorithm: str
     seed: int | None
     config: dict
     config_digest: str
-    outputs: list  # [{"path": str, "sha256": str, "size_bytes": int}, ...]
-
-
-_MANIFEST_KEYS = frozenset(f.name for f in fields(RunManifest))
+    outputs: list[OutputEntry]
 
 
 def _read_json(path) -> dict:
@@ -96,21 +105,55 @@ def write_manifest(manifest: RunManifest, path) -> None:
     Path(path).write_text(_strict_json(asdict(manifest), sort_keys=True) + "\n")
 
 
-def load_manifest(path) -> RunManifest:
-    """Read a manifest; a document without exactly RunManifest's keys is a mismatch."""
-    doc = _read_json(path)
-    if doc.keys() != _MANIFEST_KEYS:
-        raise ManifestMismatch(
-            f"{path}: not a run manifest (missing keys {sorted(_MANIFEST_KEYS - doc.keys())}, "
-            f"unknown keys {sorted(doc.keys() - _MANIFEST_KEYS)})"
+# Each record's annotations, evaluated once per process rather than per load.
+_type_hints = functools.cache(typing.get_type_hints)
+
+
+def _shape_error(doc, record, where: str = "") -> str | None:
+    """Why doc is not a JSON object of record's shape, naming the field, or
+    None when it is.  The shape is record's annotations: exactly those keys,
+    each holding a value of its annotated type, where list[T] holds T
+    records.  No field is a bool, so JSON true is refused where an int is due.
+    """
+    at = f"{where}: " if where else ""
+    if not isinstance(doc, dict):
+        return f"{at}must be an object, got {json.dumps(doc):.40}"
+    hints = _type_hints(record)
+    if doc.keys() != hints.keys():
+        return (
+            f"{at}missing keys {sorted(hints.keys() - doc.keys())}, "
+            f"unknown keys {sorted(doc.keys() - hints.keys())}"
         )
+    for key, hint in hints.items():
+        field, value = f"{where}.{key}" if where else key, doc[key]
+        is_list = typing.get_origin(hint) is list
+        allowed = list if is_list else typing.get_args(hint) or hint  # int | None: (int, NoneType)
+        if isinstance(value, bool) or not isinstance(value, allowed):
+            name = "list" if is_list else getattr(hint, "__name__", hint)
+            return f"{field}: must be {name}, got {json.dumps(value):.40}"
+        if is_list:
+            (item,) = typing.get_args(hint)
+            for i, entry in enumerate(value):
+                reason = _shape_error(entry, item, f"{field}[{i}]")
+                if reason:
+                    return reason
+    return None
+
+
+def load_manifest(path) -> RunManifest:
+    """Read a manifest; a document not of RunManifest's shape is a
+    ManifestMismatch naming the file and the first bad field."""
+    doc = _read_json(path)
+    reason = _shape_error(doc, RunManifest)
+    if reason:
+        raise ManifestMismatch(f"{path}: not a run manifest ({reason})")
     return RunManifest(**doc)
 
 
 def verify_manifest(path) -> RunManifest:
     """Recompute the config digest and every output digest; raise
-    ManifestMismatch on a mismatch or a missing or unknown key, and
-    ConfdopError for a file that is not a UTF-8 JSON object."""
+    ManifestMismatch on a mismatch or a document not of a manifest's shape,
+    and ConfdopError for a file that is not a UTF-8 JSON object."""
     path = Path(path)
     m = load_manifest(path)
     recomputed = config_digest(m.config)
@@ -119,9 +162,7 @@ def verify_manifest(path) -> RunManifest:
             f"config digest mismatch: manifest says {m.config_digest}, recomputed {recomputed}"
         )
     for entry in m.outputs:
-        p = Path(entry["path"])
-        if not p.is_absolute():
-            p = path.parent / p
+        p = path.parent / entry["path"]  # an absolute entry path stays as it is
         if not p.exists():
             raise ManifestMismatch(f"output file missing: {entry['path']}")
         digest, size = _file_digest(p)

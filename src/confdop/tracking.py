@@ -28,6 +28,9 @@ _CSV_CHUNK_ROWS = 4096
 # keyed by the config seed, two standard normals per record in epoch order
 # (doppler first, then range).
 RNG_ALGORITHM = "numpy.random.Philox(key=seed); Generator.standard_normal (n_obs, 2)"
+# Largest n_obs whose (n_obs, 2) float64 draws numpy can size: at most
+# np.iinfo(np.intp).max bytes.  A smaller n_obs may still not fit in memory.
+_MAX_N_OBS = np.iinfo(np.intp).max // (2 * np.dtype(np.float64).itemsize)
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -74,6 +77,11 @@ class SimConfig:
             )
         if self.n_obs < 2:
             raise ConfigInvalid(f"n_obs: must be an integer >= 2, got {self.n_obs!r}")
+        if self.n_obs > _MAX_N_OBS:
+            raise ConfigInvalid(
+                f"n_obs: must be <= {_MAX_N_OBS}, so that numpy can size the "
+                f"(n_obs, 2) float64 noise draws, got {self.n_obs:.6g}"
+            )
         if self.sigma_frac < 0.0:
             raise ConfigInvalid(f"sigma_frac: must be >= 0, got {self.sigma_frac}")
         if self.sigma_range < 0.0:
@@ -209,6 +217,17 @@ def simulate(cfg: SimConfig) -> TrackingTable:
     return table
 
 
+def _require_finite_columns(table: TrackingTable, names) -> None:
+    """Refuse a non-finite value in any of the named columns, naming the
+    column and its first bad row (from 0)."""
+    for name in names:
+        col = getattr(table, name)
+        finite = np.isfinite(col)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise ConfdopError(f"{name}: row {i} is not finite ({col[i]})")
+
+
 def _residual_velocity(table: TrackingTable, c: float) -> np.ndarray:
     """Measured Doppler velocity minus the alpha = 0 (Minkowski) prediction,
     the range rate itself: y = c*doppler_frac_meas - range_rate_true."""
@@ -219,9 +238,10 @@ def anomaly_residuals(table: TrackingTable, c: float = SPEED_OF_LIGHT) -> Anomal
     """Residuals of measured Doppler against an alpha = 0 expectation.
 
     With zero noise the residual rate equals the simulated alpha at every
-    epoch.  c is checked as GroupParameter checks it.
+    epoch.  c and the columns read are checked as fit_alpha checks them.
     """
     _require_c(c)
+    _require_finite_columns(table, ("range_true", "range_rate_true", "doppler_frac_meas"))
     zero = np.flatnonzero(table.range_true == 0.0)
     if zero.size:
         raise ZeroRange(f"record at epoch {table.epoch[zero[0]]} has zero range")

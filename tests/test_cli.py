@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import confdop
@@ -168,6 +169,12 @@ class TestCheck:
         assert "PASS" in out
         assert "orders per halving" in out
 
+    def test_hill_suite_ignores_seed_and_cases(self, capsys):
+        # its grid is fixed; the help text and README say so
+        default = run(capsys, "check", "--suite", "hill")
+        assert run(capsys, "check", "--suite", "hill", "--cases", "-5", "--seed", "9") == default
+        assert "cases=16 " in default[1]
+
     def test_group_suite_full_defaults(self, capsys):
         # 1e4 cases at tol 1e-12
         code, out, _ = run(capsys, "check", "--suite", "group", "--seed", "0")
@@ -282,6 +289,20 @@ class TestSimulate:
         out = tmp_path / "x.csv"
         code, _, err = run(capsys, "simulate", "--config", str(cfg), "--out", str(out))
         assert (code, err) == (1, f"error: {key}: must be a number, got True\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n_obs", [1e300, 2**63, np.iinfo(np.intp).max // 16 + 1],
+                             ids=["1e300", "2**63", "first-unsizable"])
+    def test_n_obs_numpy_cannot_size_is_refused(self, capsys, tmp_path, n_obs):
+        # 1e300 used to end in a ValueError traceback, and 2**63 in an IndexError
+        cfg = write_config(tmp_path, n_obs=n_obs)
+        out = tmp_path / "x.csv"
+        code, stdout, err = run(capsys, "simulate", "--config", str(cfg), "--out", str(out))
+        assert (code, stdout) == (1, "")
+        assert err == (
+            f"error: n_obs: must be <= {np.iinfo(np.intp).max // 16}, so that numpy can "
+            f"size the (n_obs, 2) float64 noise draws, got {n_obs:.6g}\n"
+        )
         assert not out.exists()
 
     def test_integer_past_float_range_is_refused(self, capsys, tmp_path):

@@ -43,6 +43,18 @@ def test_unreadable_manifest_names_the_file(tmp_path, data, error, cause):
 @pytest.mark.parametrize("drop, add, cause", [
     ("outputs", {}, "missing keys ['outputs'], unknown keys []"),
     (None, {"extra": 1}, "missing keys [], unknown keys ['extra']"),
+    # the values below used to end in a TypeError or KeyError traceback
+    (None, {"outputs": 5}, "outputs: must be list, got 5"),
+    (None, {"outputs": [{"sha256": "x"}]},
+     "outputs[0]: missing keys ['path', 'size_bytes'], unknown keys []"),
+    (None, {"outputs": ["x"]}, 'outputs[0]: must be an object, got "x"'),
+    (None, {"outputs": [{"path": 5, "sha256": "x", "size_bytes": 1}]},
+     "outputs[0].path: must be str, got 5"),
+    (None, {"outputs": [{"path": "run.csv", "sha256": "x", "size_bytes": True}]},
+     "outputs[0].size_bytes: must be int, got true"),
+    (None, {"seed": True}, "seed: must be int | None, got true"),
+    (None, {"seed": 1.5}, "seed: must be int | None, got 1.5"),
+    (None, {"config": []}, "config: must be dict, got []"),
 ])
 def test_manifest_with_other_keys_is_a_mismatch(manifest_path, drop, add, cause):
     doc = json.loads(manifest_path.read_text())
@@ -66,3 +78,11 @@ def test_manifest_round_trips_byte_for_byte(manifest_path, tmp_path):
     copy = tmp_path / "copy.json"
     confdop.write_manifest(confdop.load_manifest(manifest_path), copy)
     assert copy.read_bytes() == manifest_path.read_bytes()
+
+
+def test_absolute_output_path_and_null_seed_verify(manifest_path):
+    doc = json.loads(manifest_path.read_text())
+    doc["outputs"][0]["path"] = str(manifest_path.with_name("run.csv"))
+    manifest_path.write_text(json.dumps({**doc, "seed": None}))
+    manifest = verify_manifest(manifest_path)
+    assert manifest.seed is None and manifest.outputs == doc["outputs"]

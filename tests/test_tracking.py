@@ -35,6 +35,8 @@ C = SPEED_OF_LIGHT
 # v_radial chosen as a dyadic multiple of c so that the frac -> velocity
 # round trip (v/c)*c is exact in binary floating point.
 DYADIC_RATE = C * 2**-13
+# Largest n_obs whose (n_obs, 2) float64 noise draws numpy can size.
+MAX_N_OBS = np.iinfo(np.intp).max // 16
 
 
 def noiseless_cfg(**overrides):
@@ -139,11 +141,21 @@ class TestConfigBuiltDirectly:
         ("c", 1e-300, "c must square to a normal float, got 1e-300"),
         ("c", 1e155, "c must square to a normal float, got 1e+155"),
         ("c", -1.0, "c must be positive, got -1.0"),
+        # numpy cannot size the (n_obs, 2) float64 draws: 1e300 used to end in a
+        # ValueError traceback in simulate, and 2**63 in an IndexError
+        ("n_obs", 1e300, f"must be <= {MAX_N_OBS}, so that numpy can size the "),
+        ("n_obs", 2**63, f"must be <= {MAX_N_OBS}, so that numpy can size the "),
+        ("n_obs", MAX_N_OBS + 1, f"must be <= {MAX_N_OBS}, so that numpy can size the "),
     ], ids=["r0-str", "v_radial-None", "r0-huge-int", "t_start-huge-int", "n_obs-str",
-            "seed-fraction", "c-1e-300", "c-1e155", "c-negative"])
+            "seed-fraction", "c-1e-300", "c-1e155", "c-negative", "n_obs-1e300",
+            "n_obs-2**63", "n_obs-first-unsizable"])
     def test_bad_value_names_the_key(self, key, value, message):
         with pytest.raises(ConfigInvalid, match=f"^{key}: {re.escape(message)}"):
             noiseless_cfg(**{key: value})
+
+    def test_largest_sizable_n_obs_accepted(self):
+        # only the config is built: nothing of that size is allocated
+        assert noiseless_cfg(n_obs=MAX_N_OBS).n_obs == MAX_N_OBS
 
     def test_integral_float_n_obs_accepted_as_int(self):
         cfg = noiseless_cfg(n_obs=50.0)
@@ -311,6 +323,30 @@ def test_anomaly_residuals_checks_c_as_fit_does(c):
     table = simulate(noiseless_cfg())
     with pytest.raises(ConfdopError, match="^c must"):
         anomaly_residuals(table, c=c)
+
+
+@pytest.mark.parametrize("column", ["range_true", "range_rate_true", "doppler_frac_meas"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_anomaly_residuals_checks_columns_as_fit_does(column, value):
+    # a nan Doppler value used to give a nan residual rate
+    table = simulate(noiseless_cfg(n_obs=5))
+    cols = {f.name: getattr(table, f.name).copy() for f in dataclasses.fields(table)}
+    cols[column][3] = value
+    table = TrackingTable(**cols)
+    with pytest.raises(ConfdopError) as fit_error:
+        fit_alpha(table)
+    with pytest.raises(ConfdopError) as excinfo:
+        anomaly_residuals(table)
+    assert str(excinfo.value) == str(fit_error.value) == f"{column}: row 3 is not finite ({value})"
+
+
+def test_anomaly_residuals_ignores_columns_it_does_not_read():
+    table = simulate(noiseless_cfg(n_obs=5))
+    cols = {f.name: getattr(table, f.name) for f in dataclasses.fields(table)}
+    cols["range_meas"] = np.full(5, np.inf)
+    cols["sigma_frac"] = np.full(5, np.nan)
+    res = anomaly_residuals(TrackingTable(**cols))
+    assert np.array_equal(res.residual_rate, anomaly_residuals(table).residual_rate)
 
 
 class TestSignComparison:
