@@ -89,7 +89,7 @@ def _rng(seed: int) -> np.random.Generator:
 
 def _draws(rng, cases: int, per_case: int) -> np.ndarray:
     """The next cases*per_case draws, one row per draw slot of a case."""
-    return rng.random(per_case * max(cases, 0)).reshape(-1, per_case).T
+    return rng.random(per_case * cases).reshape(-1, per_case).T
 
 
 def _sample_events(u_r, u_x4):
@@ -107,18 +107,15 @@ def _rel_err(a_r, a_x4, b_r, b_x4):
 
 
 def _result(name, cases, metric_name, err, tol, describe) -> SuiteResult:
-    """Suite outcome from the per-case errors.
+    """Suite outcome from the per-case errors, of at least one case.
 
     The worst case is the first largest error (np.argmax), the one a
     strict `>` scan from 0 keeps; no case is named when every error is 0.
     A NaN error is reported as the worst and fails the suite.
     """
-    worst, worst_case = 0.0, ""
-    if err.size:
-        i = int(np.argmax(err))
-        worst = float(err[i])
-        if worst != 0.0:
-            worst_case = describe(i)
+    i = int(np.argmax(err))
+    worst = float(err[i])
+    worst_case = describe(i) if worst != 0.0 else ""
     return SuiteResult(name, cases, metric_name, worst, tol, worst <= tol, worst_case)
 
 
@@ -201,11 +198,10 @@ def run_metric_suite(cases: int, tol: float, seed: int) -> SuiteResult:
     10th case takes the exact null displacement dx4 = -dr and so draws
     four numbers instead of five.
     """
-    n = max(cases, 0)
-    i = np.arange(n)
+    i = np.arange(cases)
     null = i % 10 == 0
     first = 5 * i - (i + 9) // 10  # index of each case's first draw
-    u = _rng(seed).random(5 * n - (n + 9) // 10)
+    u = _rng(seed).random(5 * cases - (cases + 9) // 10)
     r, x4 = _sample_events(u[first], u[first + 1])
     b = _scaled_beta(u[first + 2], r, x4, 0.3)
     dr = _uniform(u[first + 3], -1.0, 1.0)
@@ -233,6 +229,8 @@ def run_suite(name: str, tol: float | None, seed: int, cases: int | None) -> Sui
     if name == "hill":  # a fixed grid: seed and cases are not used
         return run_hill_suite(min_order=tol)
     cases = DEFAULT_CASES[name] if cases is None else cases
+    if cases < 1:  # a check of no cases would pass without checking anything
+        raise ConfdopError(f"cases must be >= 1, got {cases}")
     if name == "group":
         return run_group_suite(cases, tol, seed)
     if name == "oracle":

@@ -5,12 +5,15 @@ success, 1 when a ConfdopError or an OSError refuses the input (reported
 on one `error:` line), 2 on usage errors.  Any other exception is a bug
 and ends in a traceback.  The seed for `simulate` resolves as flag >
 CONFDOP_SEED env var > config value.
+
+A command's arguments are parsed once, by that command's own parser.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import re
@@ -58,8 +61,10 @@ class _Parser(argparse.ArgumentParser):
 
 # Built once per process: parse_args keeps no state between calls.
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="confdop", description=__doc__)
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, and each command's parser by command name."""
+    # --help shows the docstring but for its last paragraph, a note on parsing
+    parser = _Parser(prog="confdop", description=__doc__.rsplit("\n\n", 1)[0])
     parser.add_argument("--version", action="version", version=f"confdop {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
@@ -102,7 +107,32 @@ def _build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--hubble", type=float, default=HUBBLE_RATE, help="Hubble rate in 1/s")
     rep.add_argument("--anomaly", type=float, default=PIONEER_ANOMALY_RATE,
                      help="anomaly rate in 1/s")
-    return parser
+    return parser, sub.choices
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """What the top-level parse_args(argv) returns, prints and exits with,
+    at the cost of one parse.
+
+    The top-level parser hands every token after a command name to that
+    command's parser, so it is called directly, and what it leaves over
+    is refused as the top-level parser refuses it.  Any other argv (none,
+    -h, --version, an unknown command) goes to the top-level parser, and
+    so does one with a `--=...` token before any `--`: the top-level
+    parser refuses that token as an ambiguous --help or --version before
+    the command's parser sees it.
+    """
+    parser, commands = _build_parser()
+    command = commands.get(argv[0]) if argv else None
+    if command is None or any(
+        a.startswith("--=") for a in itertools.takewhile("--".__ne__, argv)
+    ):
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
 
 
 def cmd_transform(args) -> int:
@@ -252,8 +282,7 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         return _HANDLERS[args.command](args)
     except (ConfdopError, OSError) as exc:

@@ -170,6 +170,8 @@ def bootstrap_alpha(
     if not 0 <= seed < 2**128:
         raise ConfdopError(f"bootstrap seed must be in [0, 2**128), got {seed}")
     r, _, _, wry, wr2 = _wls_terms(table, c)
+    # a CSV-read column is a strided view, which every take would first copy
+    r = np.ascontiguousarray(r)
     estimates = np.empty(n_resamples)
     for i, idx in enumerate(_resample_indices(r.size, n_resamples, seed)):
         r_i = r.take(idx)

@@ -163,8 +163,8 @@ def verify_manifest(path) -> RunManifest:
         )
     for entry in m.outputs:
         p = path.parent / entry["path"]  # an absolute entry path stays as it is
-        if not p.exists():
-            raise ManifestMismatch(f"output file missing: {entry['path']}")
+        if not p.is_file():  # "" and a directory name are not files either
+            raise ManifestMismatch(f"output file missing or not a file: {entry['path']!r}")
         digest, size = _file_digest(p)
         if digest != entry["sha256"] or size != entry["size_bytes"]:
             raise ManifestMismatch(

@@ -12,6 +12,7 @@ import pytest
 
 import confdop.checks
 from confdop.checks import run_suite
+from confdop.errors import ConfdopError
 
 PINNED = {
     ("group", 0, 1):
@@ -85,8 +86,8 @@ def test_small_oracle_lines_match_on_the_array_path(monkeypatch, seed, cases):
 
 @pytest.mark.parametrize("suite", ["group", "oracle", "metric"])
 @pytest.mark.parametrize("cases", [0, -3])
-def test_no_cases_passes_with_no_worst_case(suite, cases):
-    result = run_suite(suite, None, 0, cases)
-    assert (result.cases, result.observed, result.worst_case) == (cases, 0.0, "")
-    assert result.passed
+def test_no_cases_is_refused(suite, cases):
+    # a check of no cases would pass without checking anything
+    with pytest.raises(ConfdopError, match=rf"^cases must be >= 1, got {cases}$"):
+        run_suite(suite, None, 0, cases)
 

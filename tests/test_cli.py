@@ -175,6 +175,12 @@ class TestCheck:
         assert run(capsys, "check", "--suite", "hill", "--cases", "-5", "--seed", "9") == default
         assert "cases=16 " in default[1]
 
+    @pytest.mark.parametrize("suite", ["group", "oracle", "metric"])
+    @pytest.mark.parametrize("cases", ["0", "-5"])
+    def test_no_cases_is_refused(self, capsys, suite, cases):
+        code, out, err = run(capsys, "check", "--suite", suite, "--cases", cases)
+        assert (code, out, err) == (1, "", f"error: cases must be >= 1, got {cases}\n")
+
     def test_group_suite_full_defaults(self, capsys):
         # 1e4 cases at tol 1e-12
         code, out, _ = run(capsys, "check", "--suite", "group", "--seed", "0")
@@ -613,6 +619,61 @@ class TestParserReuse:
         assert exc.value.code == 2
         choices = capsys.readouterr().err.split("choose from", 1)[1]
         assert all(name in choices for name in SUITES)
+
+
+# usage: confdop [-h] [--version] {transform,check,simulate,fit,report} ...
+TOP_LEVEL_USAGE = cli._build_parser()[0].format_usage()
+
+
+class TestDispatch:
+    """A command's arguments go straight to its own parser; what that
+    parser leaves over, and every argv that names no command, get the
+    top-level parser's usage line and error."""
+
+    def test_unrecognized_argument_gets_top_level_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["transform", "--alpha", "0", "--r", "1", "--t", "0", "--bogus"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert captured.err == (
+            TOP_LEVEL_USAGE + "confdop: error: unrecognized arguments: --bogus\n"
+        )
+
+    def test_ambiguous_top_level_option_gets_top_level_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["transform", "--alpha", "0", "--=x"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == (
+            TOP_LEVEL_USAGE
+            + "confdop: error: ambiguous option: --=x could match --help, --version\n"
+        )
+
+    def test_command_help(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["transform", "-h"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 0 and captured.err == ""
+        assert captured.out.startswith("usage: confdop transform [-h]")
+        assert "--hill" in captured.out
+
+    def test_top_level_help_leaves_out_the_parsing_note(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["-h"])
+        out = capsys.readouterr().out
+        assert exc.value.code == 0 and out.startswith(TOP_LEVEL_USAGE)
+        assert "value.\n\npositional arguments:" in out and "parsed once" not in out
+
+    def test_version(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr() == (f"confdop {confdop.__version__}\n", "")
+
+    def test_no_argv_gets_top_level_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith(TOP_LEVEL_USAGE + "confdop: error: ")
 
 
 def run_fresh_process(*argv):

@@ -8,6 +8,10 @@ line on stderr, nothing on stdout, no traceback and no new file.  `check`
 may also exit 1 with its FAIL summary line.  Any other exception escapes
 `main` and fails the test, and so does any RuntimeWarning (see the
 pytest filterwarnings setting), since the CLI would print it to stderr.
+
+One more property pins the one-pass parse of `cli.main`: over argv of
+command names, options and junk, it gives what the top-level parser's
+parse_args gives, or exits with the same code and output.
 """
 
 import contextlib
@@ -23,6 +27,7 @@ from unittest import mock
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from confdop import cli
 from confdop.cli import ENV_SEED, main
 from confdop.constants import SPEED_OF_LIGHT
 
@@ -215,3 +220,41 @@ def test_report(fit_text, hubble, anomaly):
             fit_path.write_text(fit_text)
             argv += ["--fit", str(fit_path)]
         assert_clean_outcome(*run_main(argv, workdir))
+
+
+# every option of every command, abbreviations and --opt=value forms, junk
+# options (--=x is an ambiguous --help/--version to the top-level parser),
+# negative numbers, plain values, --, -h and --version
+ARGV_TOKENS = st.sampled_from([
+    "--beta4", "--alpha", "--r", "--x4", "--t", "--c", "--hill", "--suite", "--tol",
+    "--seed", "--cases", "--config", "--out", "--input", "--bootstrap", "--z-threshold",
+    "--fit", "--hubble", "--anomaly", "--al", "--s", "--h", "--ver", "--alpha=-1e-5",
+    "--suite=group", "--cases=0", "--bogus", "--bogus=1", "-x", "-hx", "--=x", "--=", "-",
+    "---", "-1", "-2.80e-18", "-.5", "-1e3", "1", "0", "1e8", "group", "hill", "nan", "x y",
+    "", "--", "-h", "--help", "--version",
+])
+
+
+def parse_outcome(parse, argv):
+    """The Namespace parse returns, as sorted key/repr pairs (NaN != NaN), or
+    the exit code and output of the SystemExit it raises."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            args = parse(argv)
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+    return sorted((k, repr(v)) for k, v in vars(args).items()), out.getvalue(), err.getvalue()
+
+
+@examples(400)
+@given(
+    first=st.sampled_from(list(cli._build_parser()[1])) | st.sampled_from(
+        ["nope", "Transform", "transfor", "", "-x", "--", "-h", "--version", "--=x", "-1"]
+    ),
+    rest=st.lists(ARGV_TOKENS, max_size=8),
+)
+def test_command_parse_matches_top_level_parse(first, rest):
+    argv = [first, *rest]
+    parser, _ = cli._build_parser()
+    assert parse_outcome(cli._parse_args, argv) == parse_outcome(parser.parse_args, argv)

@@ -86,3 +86,14 @@ def test_absolute_output_path_and_null_seed_verify(manifest_path):
     manifest_path.write_text(json.dumps({**doc, "seed": None}))
     manifest = verify_manifest(manifest_path)
     assert manifest.seed is None and manifest.outputs == doc["outputs"]
+
+
+@pytest.mark.parametrize("entry", ["", ".", "missing.csv"])
+def test_output_that_is_not_a_file_is_a_mismatch(manifest_path, entry):
+    # "" and "." name the manifest's directory; both used to raise IsADirectoryError
+    doc = json.loads(manifest_path.read_text())
+    doc["outputs"][0]["path"] = entry
+    manifest_path.write_text(json.dumps(doc))
+    with pytest.raises(ManifestMismatch) as excinfo:
+        verify_manifest(manifest_path)
+    assert str(excinfo.value) == f"output file missing or not a file: {entry!r}"
