@@ -174,8 +174,9 @@ def bootstrap_alpha(
     r = np.ascontiguousarray(r)
     estimates = np.empty(n_resamples)
     for i, idx in enumerate(_resample_indices(r.size, n_resamples, seed)):
-        r_i = r.take(idx)
-        if r_i.min() == r_i.max():
+        # a resample whose first two ranges differ holds two different
+        # ranges, so only one whose first two are equal is gathered and tested
+        if r[idx[0]] == r[idx[1]] and (r_i := r.take(idx)).min() == r_i.max():
             raise DegenerateDesign(
                 f"resample {i} of {r.size} records has all ranges equal; "
                 "alpha is not identifiable"

@@ -9,6 +9,7 @@ import json
 import math
 import typing
 from dataclasses import asdict, dataclass
+from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 
 from .errors import ConfdopError, ManifestMismatch
@@ -47,19 +48,59 @@ def _read_json(path) -> dict:
     return doc
 
 
-def _require_finite_fields(doc: dict, prefix: str) -> None:
-    """Refuse a float field strict JSON cannot hold, naming it."""
-    for key, value in doc.items():
-        if isinstance(value, dict):
-            _require_finite_fields(value, f"{prefix}{key}.")
-        elif isinstance(value, float) and not math.isfinite(value):
-            raise ConfdopError(f"{prefix}{key} is not finite ({value}); strict JSON cannot hold it")
-
-
 def _strict_json(doc: dict, sort_keys: bool = False) -> str:
-    """doc as indented strict JSON text; refuses a non-finite float field, naming it."""
-    _require_finite_fields(doc, "")
-    return json.dumps(doc, indent=2, sort_keys=sort_keys, allow_nan=False)
+    """The text of json.dumps(doc, indent=2, sort_keys=sort_keys,
+    allow_nan=False), built in one walk.
+
+    The walk refuses a non-finite float when it reaches it, with a
+    ConfdopError naming its field (hill.r_prime, outputs[0].x): with
+    sort_keys, the first in written order.  A value json.dumps refuses, or
+    a key that is not a str, raises TypeError.  Nothing is returned for a
+    refused document, so the caller prints or writes nothing.
+    """
+    parts: list[str] = []
+    _append_json(doc, "", "\n", sort_keys, parts)
+    return "".join(parts)
+
+
+def _append_json(value, field: str, newline: str, sort_keys: bool, parts: list[str]) -> None:
+    """Append value's JSON text to parts; newline is a line break plus the
+    indent of value's own line.  Types are tested in json.encoder's order,
+    so a float subclass (np.float64) is written as a float."""
+    if isinstance(value, str):
+        parts.append(_encode_str(value))
+    elif value is None:
+        parts.append("null")
+    elif value is True:
+        parts.append("true")
+    elif value is False:
+        parts.append("false")
+    elif isinstance(value, int):
+        parts.append(int.__repr__(value))
+    elif isinstance(value, float):
+        if not math.isfinite(value):
+            raise ConfdopError(f"{field} is not finite ({value}); strict JSON cannot hold it")
+        parts.append(float.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        inner = newline + "  "
+        sep = "[" + inner
+        for i, item in enumerate(value):
+            parts.append(sep)
+            _append_json(item, f"{field}[{i}]", inner, sort_keys, parts)
+            sep = "," + inner
+        parts.append(newline + "]" if value else "[]")
+    elif isinstance(value, dict):
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in sorted(value.items()) if sort_keys else value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            parts.append(f"{sep}{_encode_str(key)}: ")
+            _append_json(item, f"{field}.{key}" if field else key, inner, sort_keys, parts)
+            sep = "," + inner
+        parts.append(newline + "}" if value else "{}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def config_digest(config: dict) -> str:

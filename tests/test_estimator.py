@@ -337,6 +337,35 @@ class TestEqualRangeResample:
         ):
             bootstrap_alpha(table, 100, seed=1)
 
+    @staticmethod
+    def repeated_ranges_table():
+        """Ten records at two ranges, five each, with noisy Doppler data."""
+        r = np.repeat([1e12, 2e12], 5)
+        noise = np.random.default_rng(0).normal(0.0, 1e-12, 10)
+        return make_table(r, np.zeros(10), 1e-18 * r / C + noise, np.full(10, 1e-12))
+
+    def test_resample_with_equal_first_ranges_is_refitted(self):
+        # about half of these resamples start with two equal ranges from two
+        # different rows, and none of the first 100 has all ranges equal
+        table = self.repeated_ranges_table()
+        r = table.range_true
+        draws = list(_resample_indices(10, 100, seed=0))
+        assert sum(r[idx[0]] == r[idx[1]] and idx[0] != idx[1] for idx in draws) > 20
+        assert all(np.ptp(r[idx]) > 0.0 for idx in draws)
+        assert bootstrap_alpha(table, 100, seed=0) == refit_each_resample(table, 100, 0)
+
+    def test_degenerate_resample_of_repeated_ranges_is_named(self):
+        table = self.repeated_ranges_table()
+        r = table.range_true
+        draws = _resample_indices(10, 100, seed=3)
+        first, idx = next((i, idx) for i, idx in enumerate(draws) if np.ptp(r[idx]) == 0.0)
+        assert first == 96 and idx[0] != idx[1]  # equal ranges, not one repeated row
+        with pytest.raises(
+            DegenerateDesign,
+            match="^resample 96 of 10 records has all ranges equal; alpha is not identifiable$",
+        ):
+            bootstrap_alpha(table, 100, seed=3)
+
 
 class TestDecideMetric:
     def test_zero_z(self):

@@ -2,12 +2,17 @@
 
 import json
 import math
+import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import confdop
 from confdop import ConfdopError, ManifestMismatch, verify_manifest
 from confdop.cli import main
+from confdop.manifest import _strict_json
 
 MISSION = {"r0": 4.5e12, "v_radial": 12200.0, "t_start": 0.0, "t_end": 1e8, "n_obs": 20}
 
@@ -97,3 +102,66 @@ def test_output_that_is_not_a_file_is_a_mismatch(manifest_path, entry):
     with pytest.raises(ManifestMismatch) as excinfo:
         verify_manifest(manifest_path)
     assert str(excinfo.value) == f"output file missing or not a file: {entry!r}"
+
+
+FLOAT_EDGES = [-0.0, 5e-324, -5e-324, sys.float_info.min, sys.float_info.max, -sys.float_info.max]
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(2**1024, 2**1100),  # past the float range
+    st.integers(-(2**1100), -(2**1024)),
+    finite_floats,
+    finite_floats.map(np.float64),  # a float subclass
+    st.sampled_from(FLOAT_EDGES),
+    st.text(),  # non-ASCII, and characters that need escaping
+    st.sampled_from(['"', "\\", "\n\t\x00\x1f\x7f", "é☃𝄞", "\u2028"]),
+)
+json_values = st.recursive(
+    scalars,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(st.dictionaries(st.text(), json_values, max_size=5), st.booleans())
+def test_strict_json_writes_json_dumps_bytes(doc, sort_keys):
+    assert _strict_json(doc, sort_keys) == json.dumps(
+        doc, indent=2, sort_keys=sort_keys, allow_nan=False
+    )
+
+
+@pytest.mark.parametrize("doc, field, shown", [
+    ({"r0": math.inf}, "r0", "inf"),
+    ({"r0": np.float64(-math.inf)}, "r0", "-inf"),
+    ({"hill": {"r_prime": math.nan}}, "hill.r_prime", "nan"),
+    ({"config": {"a": 1.0, "deep": {"x": math.inf}}}, "config.deep.x", "inf"),
+    # json.dumps raised a bare ValueError for these, which a dict-only scan never reached
+    ({"outputs": [{"x": math.nan}]}, "outputs[0].x", "nan"),
+    ({"a": [1.0, [2.0, -math.inf]]}, "a[1][1]", "-inf"),
+])
+@pytest.mark.parametrize("sort_keys", [False, True])
+def test_non_finite_float_is_named_at_any_depth(doc, field, shown, sort_keys):
+    with pytest.raises(ConfdopError) as excinfo:
+        _strict_json(doc, sort_keys)
+    assert str(excinfo.value) == f"{field} is not finite ({shown}); strict JSON cannot hold it"
+
+
+def test_first_non_finite_field_in_written_order_is_named():
+    doc = {"b": math.nan, "a": math.inf}
+    with pytest.raises(ConfdopError, match=r"^b is not finite \(nan\)"):
+        _strict_json(doc)
+    with pytest.raises(ConfdopError, match=r"^a is not finite \(inf\)"):
+        _strict_json(doc, sort_keys=True)
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"x": np.int64(1)}, "Object of type int64 is not JSON serializable"),
+    ({"x": {1.5}}, "Object of type set is not JSON serializable"),
+    ({"x": {1: 2}}, "keys must be str, not int"),  # json.dumps would write the key as "1"
+])
+def test_unwritable_value_or_non_str_key_raises_type_error(doc, message):
+    with pytest.raises(TypeError, match=f"^{message}$"):
+        _strict_json(doc)
