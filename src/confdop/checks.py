@@ -12,8 +12,9 @@ in the order a per-case loop of `rng.uniform` calls would consume it;
 summary line equals that of the per-case loop.  The oracle suite
 integrates the RK4 flow of all its cases at once with `flow_oracle_array`
 from a measured case count on, and below it case by case with the scalar
-`flow_oracle`, where one array pass costs more than the loop; both run the
-same step body and give the same bits.
+`flow_oracle`, where one array pass costs more than the loop.  The two
+paths have their own step code but apply the same operations in the same
+order to each case, so they give the same bits; a property test pins this.
 """
 
 from __future__ import annotations
@@ -51,10 +52,10 @@ DEFAULT_CASES = {"group": 10_000, "oracle": 100, "metric": 10_000}
 
 ORACLE_STEPS = 5000  # RK4 steps per oracle case
 # Case count from which run_oracle_suite integrates all cases at once.
-# The array loop costs about 0.22 s at any count up to 100, the scalar
-# one about 5 ms per case; they break even at 40-45 cases (medians of 5
-# runs per count, 2-core Xeon, Python 3.11.7, numpy 2.4.6).
-_ORACLE_ARRAY_MIN_CASES = 45
+# The array loop costs about 0.09-0.14 s at any count up to 100, the
+# scalar one about 4-5 ms per case; they break even at 24-28 cases
+# (medians of 5 runs per count, 2-core Xeon, Python 3.11.7, numpy 2.4.6).
+_ORACLE_ARRAY_MIN_CASES = 25
 HILL_ALPHA0 = 1e-4  # largest alpha of the hill suite's halving sequence, 1/s
 
 

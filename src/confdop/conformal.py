@@ -21,8 +21,10 @@ They share their formula body with the scalar functions, so each element
 is bit-identical to the scalar call on the same floats.  The admissible
 domain is 1 - beta4*(x4 + r) > 0 and 1 - beta4*(x4 - r) > 0: the two
 null-coordinate factors whose product is 1/gamma.  The RK4 oracle
-likewise comes as flow_oracle_array, over one step body it shares with
-flow_oracle.
+likewise comes as flow_oracle_array.  It steps all elements through
+preallocated buffers rather than through flow_oracle's _rk4_step, but
+applies the same IEEE operations in the same order to each element, so
+it too gives the scalar call's bits; a property test pins this.
 
 Everything here is a pure function of immutable values; all operations
 are safe to share between threads.
@@ -339,8 +341,9 @@ def hill_velocity(p: GroupParameter, r: float, v: float) -> float:
 def _rk4_step(r, x, h, half_h):
     """One classical RK4 step of dr/dtau = 2*x4*r, dx4/dtau = r^2 + x4^2.
 
-    Elementwise on floats or numpy arrays, shared by flow_oracle and
-    flow_oracle_array; half_h is 0.5*h, the grouping 0.5*h*k already has.
+    The step of flow_oracle, elementwise on floats or numpy arrays;
+    flow_oracle_array applies the same operations in the same order.
+    half_h is 0.5*h, the grouping 0.5*h*k already has.
     """
     k1r = 2.0 * x * r
     k1x = r * r + x * x
@@ -379,9 +382,8 @@ def flow_oracle(p: GroupParameter, e: Event, steps: int = 100_000) -> Event:
         dr/dtau = 2*x4*r,  dx4/dtau = r^2 + x4^2
 
     from tau = 0 to tau = beta4 with classical fixed-step RK4, one Python
-    float loop over the step body that flow_oracle_array shares.  Serves
-    as the independent cross-check for transform_finite (the closed form
-    is the exponential of this generator).
+    float loop over _rk4_step.  Serves as the independent cross-check for
+    transform_finite (the closed form is the exponential of this generator).
 
     Raises StepDivergence if |r| + |x4| exceeds FLOW_DIVERGENCE_BOUND,
     which signals an approach to the singular surface.
@@ -404,26 +406,60 @@ def flow_oracle_array(beta4, r, x4, steps: int) -> tuple[np.ndarray, np.ndarray]
     """flow_oracle for every element of broadcastable arrays at once;
     returns (r', x4').
 
-    Each element takes its own step h = beta4/steps and is bit-identical
-    to the scalar call on the same floats; beta4 = 0 returns the input.
-    After each step, the lowest-index element past FLOW_DIVERGENCE_BOUND
-    raises the StepDivergence the scalar call would.  Raises ConfdopError
-    for non-finite inputs or r < 0.
+    Each element takes its own step h = beta4/steps.  The state is one
+    (2, n) array of rows (r, x4), and a step is 33 numpy calls into
+    buffers made once per call, where _rk4_step on the rows and the bound
+    test take 51.  Each element still sees _rk4_step's operations in the
+    same order, so it is bit-identical to the scalar call on the same
+    floats; beta4 = 0 returns the input, and when no element moves no
+    step is taken.  After each step, the lowest-index element past
+    FLOW_DIVERGENCE_BOUND raises the StepDivergence the scalar call would.
+    Raises ConfdopError for non-finite inputs or r < 0.  The caller's
+    arrays are never written.
     """
     _require_steps(steps)
     b, r_in, x_in = np.broadcast_arrays(*_finite_arrays(beta4=beta4, r=r, x4=x4))
     moving = b != 0.0
-    h = b[moving] / steps
+    r_out, x_out = r_in.copy(), x_in.copy()
+    if not moving.any():
+        return r_out, x_out
+    # y and every buffer hold rows (r, x4); each call writes through out=
+    # to a buffer made here.  x+x is exactly _rk4_step's 2.0*x, and t+t
+    # its 2.0*(k2 + k3).
+    y = np.stack((r_in[moving], x_in[moving]))
+    h = np.stack((b[moving] / steps,) * 2)
     half_h = 0.5 * h
-    r, x = r_in[moving], x_in[moving]
+    six = np.full_like(y, 6.0)
+    bound = np.full_like(y[0], FLOW_DIVERGENCE_BOUND)
+    k1, k2, k3, k4, z, sq, t = np.empty((7,) + y.shape)
+    w, norm = np.empty((2,) + y[0].shape)
+    over = np.empty(y[0].shape, dtype=bool)
+    # stage j takes its slope k at state s, then sets z = y + c*k, the next stage's state
+    stages = [(s, k, c, (*s, *k)) for s, k, c in
+              ((y, k1, half_h), (z, k2, half_h), (z, k3, h), (z, k4, None))]
+    sq_r, sq_x = sq
+    t_r, t_x = t
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(steps):
-            r, x = _rk4_step(r, x, h, half_h)
-            over = abs(r) + abs(x) > FLOW_DIVERGENCE_BOUND
-            if over.any():
+            for s, k, c, (s_r, s_x, k_r, k_x) in stages:
+                np.add(s_x, s_x, out=w)
+                np.multiply(w, s_r, out=k_r)
+                np.multiply(s, s, out=sq)
+                np.add(sq_r, sq_x, out=k_x)
+                if c is not None:
+                    np.multiply(c, k, out=t)
+                    np.add(y, t, out=z)
+            np.add(k2, k3, out=t)
+            np.add(t, t, out=t)
+            np.add(k1, t, out=t)
+            np.add(t, k4, out=t)
+            np.multiply(h, t, out=t)
+            np.divide(t, six, out=t)
+            np.add(y, t, out=y)
+            np.abs(y, out=t)
+            np.add(t_r, t_x, out=norm)
+            if np.count_nonzero(np.greater(norm, bound, out=over)):
                 i = int(np.argmax(over))
-                raise _divergence(float(r[i]), float(x[i]))
-    r_out, x_out = r_in.copy(), x_in.copy()
-    r_out[moving] = r
-    x_out[moving] = x
+                raise _divergence(float(y[0, i]), float(y[1, i]))
+    r_out[moving], x_out[moving] = y
     return r_out, x_out

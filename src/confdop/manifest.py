@@ -182,10 +182,16 @@ def _shape_error(doc, record, where: str = "") -> str | None:
 
 
 def load_manifest(path) -> RunManifest:
-    """Read a manifest; a document not of RunManifest's shape is a
-    ManifestMismatch naming the file and the first bad field."""
+    """Read a manifest; a document not of RunManifest's shape, or one that
+    strict JSON cannot hold (a NaN or Infinity token), is a ManifestMismatch
+    naming the file and the first bad field."""
     doc = _read_json(path)
     reason = _shape_error(doc, RunManifest)
+    if reason is None:
+        try:  # the writer's rule, so whatever loads can be written back
+            _strict_json(doc, sort_keys=True)
+        except ConfdopError as exc:
+            reason = str(exc)
     if reason:
         raise ManifestMismatch(f"{path}: not a run manifest ({reason})")
     return RunManifest(**doc)

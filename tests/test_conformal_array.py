@@ -91,6 +91,37 @@ def test_flow_oracle_array_equals_scalar_calls_bit_for_bit(batch, steps):
     assert same_bits(np.ravel(flow_oracle_array(b, r, x4, steps)), expected)
 
 
+def test_flow_oracle_array_equals_scalar_calls_at_the_suites_step_count():
+    # five cases drawn as the oracle suite draws them, over all ORACLE_STEPS
+    rng = confdop.checks._rng(3)
+    u_r, u_x4, u_b = confdop.checks._draws(rng, 5, 3)
+    r, x4 = confdop.checks._sample_events(u_r, u_x4)
+    b = confdop.checks._scaled_beta(u_b, r, x4, 0.3)
+    steps = confdop.checks.ORACLE_STEPS
+    flows = [flow_oracle(GroupParameter(bi), Event(r=ri, x4=xi), steps=steps)
+             for bi, ri, xi in zip(b.tolist(), r.tolist(), x4.tolist())]
+    expected = [e.r for e in flows] + [e.x4 for e in flows]
+    assert same_bits(np.ravel(flow_oracle_array(b, r, x4, steps)), expected)
+
+
+def test_flow_oracle_array_with_no_moving_element_returns_the_input_bits():
+    r, x4 = np.array([0.0, 1.5, 2.0]), np.array([-0.0, 0.0, -3.0])
+    out = flow_oracle_array([0.0, -0.0, 0.0], r, x4, 5000)
+    assert same_bits(np.ravel(out), np.concatenate((r, x4)))
+    assert same_bits(np.ravel(flow_oracle_array(0.0, 0.0, -0.0, 1)), [0.0, -0.0])
+
+
+@pytest.mark.parametrize("beta4", [[0.1, -0.2, 0.05], [0.0, 0.0, -0.0], [0.1, 0.0, -0.2]])
+def test_flow_oracle_array_never_writes_the_callers_arrays(beta4):
+    arrays = [np.array(beta4), np.array([0.5, 1.0, 0.0]), np.array([0.3, -0.7, 1.1])]
+    before = [a.copy() for a in arrays]
+    for a in arrays:
+        a.flags.writeable = False  # a write through out= would raise
+    out = flow_oracle_array(*arrays, 50)
+    assert all(same_bits(a, a0) for a, a0 in zip(arrays, before))
+    assert not any(np.shares_memory(o, a) for o in out for a in arrays)
+
+
 def test_flow_oracle_array_divergence_raises_without_warning():
     # the trajectory from (1, 2) hits the singular surface near tau = 1/3 of 0.4
     steps = 2000

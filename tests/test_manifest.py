@@ -79,6 +79,23 @@ def test_write_manifest_names_the_non_finite_config_field(manifest_path):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("r0, token", [(math.nan, "NaN"), (math.inf, "Infinity"),
+                                       (-math.inf, "-Infinity")])
+def test_manifest_strict_json_cannot_hold_is_a_mismatch(manifest_path, r0, token):
+    # with a matching config digest, a NaN r0 used to verify and return r0 = nan
+    doc = json.loads(manifest_path.read_text())
+    config = {**doc["config"], "r0": r0}
+    manifest_path.write_text(json.dumps(
+        {**doc, "config": config, "config_digest": confdop.manifest.config_digest(config)}))
+    assert token in manifest_path.read_text()
+    with pytest.raises(ManifestMismatch) as excinfo:
+        verify_manifest(manifest_path)
+    assert str(excinfo.value) == (
+        f"{manifest_path}: not a run manifest (config.r0 is not finite "
+        f"({r0}); strict JSON cannot hold it)"
+    )
+
+
 def test_manifest_round_trips_byte_for_byte(manifest_path, tmp_path):
     copy = tmp_path / "copy.json"
     confdop.write_manifest(confdop.load_manifest(manifest_path), copy)
