@@ -38,6 +38,7 @@ from .conformal import (
     transform_finite_array,
 )
 from .errors import ConfdopError
+from .tracking import _max_rows
 
 SUITES = ("group", "oracle", "hill", "metric")
 
@@ -56,6 +57,9 @@ ORACLE_STEPS = 5000  # RK4 steps per oracle case
 # scalar one about 4-5 ms per case; they break even at 24-28 cases
 # (medians of 5 runs per count, 2-core Xeon, Python 3.11.7, numpy 2.4.6).
 _ORACLE_ARRAY_MIN_CASES = 25
+# Largest case count every suite's arrays can be sized for; the widest is
+# the oracle's (7, 2, cases) RK4 buffers, 14 float64 values per case.
+_MAX_CASES = _max_rows(14)
 HILL_ALPHA0 = 1e-4  # largest alpha of the hill suite's halving sequence, 1/s
 
 
@@ -232,6 +236,11 @@ def run_suite(name: str, tol: float | None, seed: int, cases: int | None) -> Sui
     cases = DEFAULT_CASES[name] if cases is None else cases
     if cases < 1:  # a check of no cases would pass without checking anything
         raise ConfdopError(f"cases must be >= 1, got {cases}")
+    if cases > _MAX_CASES:
+        raise ConfdopError(
+            f"cases must be <= {_MAX_CASES}, so that numpy can size the "
+            f"suite's float64 arrays, got {cases}"
+        )
     if name == "group":
         return run_group_suite(cases, tol, seed)
     if name == "oracle":

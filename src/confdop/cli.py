@@ -5,8 +5,6 @@ success, 1 when a ConfdopError or an OSError refuses the input (reported
 on one `error:` line), 2 on usage errors.  Any other exception is a bug
 and ends in a traceback.  The seed for `simulate` resolves as flag >
 CONFDOP_SEED env var > config value.
-
-A command's arguments are parsed once, by that command's own parser.
 """
 
 from __future__ import annotations
@@ -63,8 +61,7 @@ class _Parser(argparse.ArgumentParser):
 @functools.cache
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The top-level parser, and each command's parser by command name."""
-    # --help shows the docstring but for its last paragraph, a note on parsing
-    parser = _Parser(prog="confdop", description=__doc__.rsplit("\n\n", 1)[0])
+    parser = _Parser(prog="confdop", description=__doc__)
     parser.add_argument("--version", action="version", version=f"confdop {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
@@ -112,7 +109,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
     """What the top-level parse_args(argv) returns, prints and exits with,
-    at the cost of one parse.
+    at the cost of one parse: a command's arguments are parsed once, by
+    that command's own parser.
 
     The top-level parser hands every token after a command name to that
     command's parser, so it is called directly, and what it leaves over

@@ -21,10 +21,8 @@ They share their formula body with the scalar functions, so each element
 is bit-identical to the scalar call on the same floats.  The admissible
 domain is 1 - beta4*(x4 + r) > 0 and 1 - beta4*(x4 - r) > 0: the two
 null-coordinate factors whose product is 1/gamma.  The RK4 oracle
-likewise comes as flow_oracle_array.  It steps all elements through
-preallocated buffers rather than through flow_oracle's _rk4_step, but
-applies the same IEEE operations in the same order to each element, so
-it too gives the scalar call's bits; a property test pins this.
+likewise comes as flow_oracle_array, which gives flow_oracle's bits on
+each element; flow_oracle's docstring states that contract.
 
 Everything here is a pure function of immutable values; all operations
 are safe to share between threads.
@@ -338,33 +336,6 @@ def hill_velocity(p: GroupParameter, r: float, v: float) -> float:
     return v + p.alpha * r * (1.0 - v * v / (p.c * p.c))
 
 
-def _rk4_step(r, x, h, half_h):
-    """One classical RK4 step of dr/dtau = 2*x4*r, dx4/dtau = r^2 + x4^2.
-
-    The step of flow_oracle, elementwise on floats or numpy arrays;
-    flow_oracle_array applies the same operations in the same order.
-    half_h is 0.5*h, the grouping 0.5*h*k already has.
-    """
-    k1r = 2.0 * x * r
-    k1x = r * r + x * x
-    r2 = r + half_h * k1r
-    x2 = x + half_h * k1x
-    k2r = 2.0 * x2 * r2
-    k2x = r2 * r2 + x2 * x2
-    r3 = r + half_h * k2r
-    x3 = x + half_h * k2x
-    k3r = 2.0 * x3 * r3
-    k3x = r3 * r3 + x3 * x3
-    r4 = r + h * k3r
-    x4 = x + h * k3x
-    k4r = 2.0 * x4 * r4
-    k4x = r4 * r4 + x4 * x4
-    return (
-        r + h * (k1r + 2.0 * (k2r + k3r) + k4r) / 6.0,
-        x + h * (k1x + 2.0 * (k2x + k3x) + k4x) / 6.0,
-    )
-
-
 def _require_steps(steps: int) -> None:
     if steps < 1:
         raise ConfdopError(f"steps must be >= 1, got {steps}")
@@ -382,8 +353,12 @@ def flow_oracle(p: GroupParameter, e: Event, steps: int = 100_000) -> Event:
         dr/dtau = 2*x4*r,  dx4/dtau = r^2 + x4^2
 
     from tau = 0 to tau = beta4 with classical fixed-step RK4, one Python
-    float loop over _rk4_step.  Serves as the independent cross-check for
+    float loop.  Serves as the independent cross-check for
     transform_finite (the closed form is the exponential of this generator).
+
+    This loop is the oracle contract: flow_oracle_array applies the same
+    IEEE operations in the same order to each element, so both give the
+    same bits.  half_h is 0.5*h, the grouping 0.5*h*k already has.
 
     Raises StepDivergence if |r| + |x4| exceeds FLOW_DIVERGENCE_BOUND,
     which signals an approach to the singular surface.
@@ -396,7 +371,22 @@ def flow_oracle(p: GroupParameter, e: Event, steps: int = 100_000) -> Event:
     r = e.r
     x = e.x4
     for _ in range(steps):
-        r, x = _rk4_step(r, x, h, half_h)
+        k1r = 2.0 * x * r
+        k1x = r * r + x * x
+        r2 = r + half_h * k1r
+        x2 = x + half_h * k1x
+        k2r = 2.0 * x2 * r2
+        k2x = r2 * r2 + x2 * x2
+        r3 = r + half_h * k2r
+        x3 = x + half_h * k2x
+        k3r = 2.0 * x3 * r3
+        k3x = r3 * r3 + x3 * x3
+        r4 = r + h * k3r
+        x4 = x + h * k3x
+        k4r = 2.0 * x4 * r4
+        k4x = r4 * r4 + x4 * x4
+        r = r + h * (k1r + 2.0 * (k2r + k3r) + k4r) / 6.0
+        x = x + h * (k1x + 2.0 * (k2x + k3x) + k4x) / 6.0
         if abs(r) + abs(x) > FLOW_DIVERGENCE_BOUND:
             raise _divergence(r, x)
     return Event(r=r, x4=x)
@@ -408,12 +398,12 @@ def flow_oracle_array(beta4, r, x4, steps: int) -> tuple[np.ndarray, np.ndarray]
 
     Each element takes its own step h = beta4/steps.  The state is one
     (2, n) array of rows (r, x4), and a step is 33 numpy calls into
-    buffers made once per call, where _rk4_step on the rows and the bound
-    test take 51.  Each element still sees _rk4_step's operations in the
-    same order, so it is bit-identical to the scalar call on the same
-    floats; beta4 = 0 returns the input, and when no element moves no
-    step is taken.  After each step, the lowest-index element past
-    FLOW_DIVERGENCE_BOUND raises the StepDivergence the scalar call would.
+    buffers made once per call.  Each element sees flow_oracle's
+    operations in the same order, so it is bit-identical to the scalar
+    call on the same floats (a property test pins this); beta4 = 0
+    returns the input, and when no element moves no step is taken.
+    After each step, the lowest-index element past FLOW_DIVERGENCE_BOUND
+    raises the StepDivergence the scalar call would.
     Raises ConfdopError for non-finite inputs or r < 0.  The caller's
     arrays are never written.
     """
@@ -424,7 +414,7 @@ def flow_oracle_array(beta4, r, x4, steps: int) -> tuple[np.ndarray, np.ndarray]
     if not moving.any():
         return r_out, x_out
     # y and every buffer hold rows (r, x4); each call writes through out=
-    # to a buffer made here.  x+x is exactly _rk4_step's 2.0*x, and t+t
+    # to a buffer made here.  x+x is exactly flow_oracle's 2.0*x, and t+t
     # its 2.0*(k2 + k3).
     y = np.stack((r_in[moving], x_in[moving]))
     h = np.stack((b[moving] / steps,) * 2)

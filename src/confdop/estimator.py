@@ -18,7 +18,7 @@ import numpy as np
 from .conformal import _require_c
 from .constants import SPEED_OF_LIGHT
 from .errors import ConfdopError, DegenerateDesign, ZeroSigma
-from .tracking import TrackingTable, _require_finite_columns, _residual_velocity
+from .tracking import TrackingTable, _max_rows, _require_finite_columns, _residual_velocity
 
 
 @dataclass(frozen=True)
@@ -129,6 +129,10 @@ def fit_alpha(table: TrackingTable, c: float = SPEED_OF_LIGHT) -> FitResult:
     )
 
 
+# Most resamples whose float64 estimates numpy can size.
+_MAX_RESAMPLES = _max_rows(1)
+
+
 def _resample_indices(n: int, n_resamples: int, seed: int):
     """Yield the record indices of each bootstrap resample: draw i is n
     integers in [0, n) from Generator(Philox(key=seed, counter=i << 64)).
@@ -161,17 +165,21 @@ def bootstrap_alpha(
     stream for draw i comes from a counter-based generator keyed by
     (seed, i), so the result is reproducible and independent of
     evaluation order.  A resample whose ranges are all equal, or whose
-    sum(w r^2) overflows or underflows, raises DegenerateDesign.  The
-    seed is a Philox key, so it must lie in [0, 2**128); c is checked as
-    fit_alpha checks it.
+    sum(w r^2) overflows or underflows, raises DegenerateDesign.
+    n_resamples must lie in [100, _MAX_RESAMPLES], the seed, a Philox
+    key, in [0, 2**128); c is checked as fit_alpha checks it.  These are
+    checked before any term of the fit is computed.
     """
     if n_resamples < 100:
         raise ConfdopError(f"n_resamples must be >= 100, got {n_resamples}")
+    if n_resamples > _MAX_RESAMPLES:
+        raise ConfdopError(
+            f"n_resamples must be <= {_MAX_RESAMPLES}, so that numpy can size "
+            f"the float64 estimates, got {n_resamples}"
+        )
     if not 0 <= seed < 2**128:
         raise ConfdopError(f"bootstrap seed must be in [0, 2**128), got {seed}")
     r, _, _, wry, wr2 = _wls_terms(table, c)
-    # a CSV-read column is a strided view, which every take would first copy
-    r = np.ascontiguousarray(r)
     estimates = np.empty(n_resamples)
     for i, idx in enumerate(_resample_indices(r.size, n_resamples, seed)):
         # a resample whose first two ranges differ holds two different

@@ -28,9 +28,18 @@ _CSV_CHUNK_ROWS = 4096
 # keyed by the config seed, two standard normals per record in epoch order
 # (doppler first, then range).
 RNG_ALGORITHM = "numpy.random.Philox(key=seed); Generator.standard_normal (n_obs, 2)"
-# Largest n_obs whose (n_obs, 2) float64 draws numpy can size: at most
-# np.iinfo(np.intp).max bytes.  A smaller n_obs may still not fit in memory.
-_MAX_N_OBS = np.iinfo(np.intp).max // (2 * np.dtype(np.float64).itemsize)
+
+
+def _max_rows(width: int) -> int:
+    """Largest row count whose (rows, width) float64 array numpy can size:
+    at most np.iinfo(np.intp).max bytes.  Fewer rows may still not fit in
+    memory."""
+    return np.iinfo(np.intp).max // (width * np.dtype(np.float64).itemsize)
+
+
+# Largest n_obs whose (n_obs, 2) float64 noise draws numpy can size.
+_MAX_N_OBS = _max_rows(2)
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -301,10 +310,11 @@ def read_records_csv(path) -> TrackingTable:
 
     Blank lines are skipped.  A line without six numeric fields, or with a
     non-finite value, raises MalformedCsv naming its line number; text
-    that is not UTF-8 raises MalformedCsv naming the file.
+    that is not UTF-8 raises MalformedCsv naming the file.  Each column
+    is contiguous, not a strided view of the rows.
     """
     try:
-        return TrackingTable(*_read_rows(path).T)
+        return TrackingTable(*np.ascontiguousarray(_read_rows(path).T))
     except UnicodeDecodeError as exc:
         raise MalformedCsv(f"{path}: not UTF-8 text ({exc.reason})") from exc
 

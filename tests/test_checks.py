@@ -8,10 +8,13 @@ worst-case pick changes them.  The hill suite takes neither a seed nor a
 case count, so it is pinned once.
 """
 
+import re
+
+import numpy as np
 import pytest
 
 import confdop.checks
-from confdop.checks import run_suite
+from confdop.checks import DEFAULT_TOLERANCES, run_suite
 from confdop.errors import ConfdopError
 
 PINNED = {
@@ -84,10 +87,28 @@ def test_small_oracle_lines_match_on_the_array_path(monkeypatch, seed, cases):
     assert run_suite("oracle", None, seed, cases).summary() == PINNED["oracle", seed, cases]
 
 
+# Largest case count whose widest suite array, the oracle's (7, 2, cases)
+# RK4 buffers, numpy can size.
+MAX_CASES = np.iinfo(np.intp).max // (14 * 8)
+
+
 @pytest.mark.parametrize("suite", ["group", "oracle", "metric"])
-@pytest.mark.parametrize("cases", [0, -3])
+@pytest.mark.parametrize("cases", [0, -3, 2**62, MAX_CASES + 1])
 def test_no_cases_is_refused(suite, cases):
-    # a check of no cases would pass without checking anything
-    with pytest.raises(ConfdopError, match=rf"^cases must be >= 1, got {cases}$"):
+    # a check of no cases would pass without checking anything; 2**62 used
+    # to end in a ValueError traceback from numpy
+    if cases < 1:
+        message = f"cases must be >= 1, got {cases}"
+    else:
+        message = (f"cases must be <= {MAX_CASES}, so that numpy can size the "
+                   f"suite's float64 arrays, got {cases}")
+    with pytest.raises(ConfdopError, match=f"^{re.escape(message)}$"):
         run_suite(suite, None, 0, cases)
+
+
+@pytest.mark.parametrize("suite", ["group", "oracle", "metric"])
+def test_largest_sizable_cases_reach_the_suite(monkeypatch, suite):
+    # the suite is stubbed: nothing of that size is allocated
+    monkeypatch.setattr(confdop.checks, f"run_{suite}_suite", lambda *args: args)
+    assert run_suite(suite, None, 0, MAX_CASES) == (MAX_CASES, DEFAULT_TOLERANCES[suite], 0)
 

@@ -176,10 +176,17 @@ class TestCheck:
         assert "cases=16 " in default[1]
 
     @pytest.mark.parametrize("suite", ["group", "oracle", "metric"])
-    @pytest.mark.parametrize("cases", ["0", "-5"])
+    @pytest.mark.parametrize("cases", ["0", "-5", str(2**62)])
     def test_no_cases_is_refused(self, capsys, suite, cases):
+        # 2**62 cases used to end in a ValueError traceback from numpy
         code, out, err = run(capsys, "check", "--suite", suite, "--cases", cases)
-        assert (code, out, err) == (1, "", f"error: cases must be >= 1, got {cases}\n")
+        if int(cases) < 1:
+            message = f"cases must be >= 1, got {cases}"
+        else:
+            limit = np.iinfo(np.intp).max // (14 * 8)
+            message = (f"cases must be <= {limit}, so that numpy can size the "
+                       f"suite's float64 arrays, got {cases}")
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
     def test_group_suite_full_defaults(self, capsys):
         # 1e4 cases at tol 1e-12
@@ -519,6 +526,20 @@ class TestFit:
         )
         assert code == 1
         assert err == f"error: bootstrap seed must be in [0, 2**128), got {seed}\n"
+        assert not fit_path.exists()
+
+    def test_bootstrap_numpy_cannot_size_is_refused(self, capsys, tmp_path):
+        # used to end in a ValueError traceback from np.empty
+        csv_path = self.noisy_csv(capsys, tmp_path)
+        fit_path = tmp_path / "fit.json"
+        code, _, err = run(
+            capsys, "fit", "--input", str(csv_path), "--out", str(fit_path),
+            "--bootstrap", str(2**62),
+        )
+        limit = np.iinfo(np.intp).max // 8
+        assert code == 1
+        assert err == (f"error: n_resamples must be <= {limit}, so that numpy can size "
+                       f"the float64 estimates, got {2**62}\n")
         assert not fit_path.exists()
 
 

@@ -278,6 +278,14 @@ class TestBootstrap:
         with pytest.raises(ValueError):
             bootstrap_alpha(table, 99, seed=0)
 
+    def test_rejects_resamples_numpy_cannot_size(self):
+        limit = np.iinfo(np.intp).max // 8
+        # a one-record table: the count is refused before the fit's own checks
+        table = make_table(np.ones(1), np.zeros(1), np.zeros(1), np.ones(1))
+        for n in (limit + 1, 2**62):
+            with pytest.raises(ConfdopError, match=f"^n_resamples must be <= {limit}, .* got {n}$"):
+                bootstrap_alpha(table, n, seed=0)
+
     def test_seed_range_is_the_philox_key_range(self):
         table = simulate(pioneer_like_cfg(0, n_obs=100))
         assert bootstrap_alpha(table, 100, seed=2**128 - 1) > 0.0

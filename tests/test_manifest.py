@@ -108,6 +108,30 @@ def test_absolute_output_path_and_null_seed_verify(manifest_path):
     manifest_path.write_text(json.dumps({**doc, "seed": None}))
     manifest = verify_manifest(manifest_path)
     assert manifest.seed is None and manifest.outputs == doc["outputs"]
+    # an output outside base_dir is stored by its absolute path
+    out = manifest_path.with_name("run.csv")
+    base_dir = manifest_path.parent / "elsewhere"
+    base_dir.mkdir()
+    built = confdop.build_manifest(
+        command="simulate", tool_version=manifest.tool_version,
+        rng_algorithm=manifest.rng_algorithm, seed=None, config=manifest.config,
+        output_paths=[out], base_dir=base_dir,
+    )
+    assert built.outputs == [{**doc["outputs"][0], "path": str(out.resolve())}]
+    path = base_dir / "run.csv.manifest.json"
+    confdop.write_manifest(built, path)
+    assert verify_manifest(path) == built
+
+
+def test_changed_config_value_is_a_digest_mismatch(manifest_path):
+    doc = json.loads(manifest_path.read_text())
+    manifest_path.write_text(json.dumps({**doc, "config": {**doc["config"], "n_obs": 21}}))
+    recomputed = confdop.manifest.config_digest({**doc["config"], "n_obs": 21})
+    with pytest.raises(ManifestMismatch) as excinfo:
+        verify_manifest(manifest_path)
+    assert str(excinfo.value) == (
+        f"config digest mismatch: manifest says {doc['config_digest']}, recomputed {recomputed}"
+    )
 
 
 @pytest.mark.parametrize("entry", ["", ".", "missing.csv"])

@@ -249,6 +249,9 @@ class TestTable:
     def test_two_dimensional_column_rejected(self):
         with pytest.raises(ValueError, match="epoch"):
             TrackingTable(np.zeros((3, 1)), *([np.zeros(3)] * 5))
+        # nor 0-D: np.ascontiguousarray would make 0.0 a (1,) column like the others
+        with pytest.raises(ValueError, match=r"^epoch: must be a 1-D column, got shape \(\)$"):
+            TrackingTable(0.0, *([np.zeros(1)] * 5))
 
 
 class TestAnomalyResiduals:
@@ -398,6 +401,17 @@ class TestCsv:
         path = tmp_path / "run.csv"
         write_records_csv(table, path)
         assert_tables_bitwise_equal(read_records_csv(path), table)
+
+    def test_read_columns_are_contiguous(self, tmp_path):
+        # the reader's layout: the bootstrap gathers from these columns
+        path = tmp_path / "run.csv"
+        write_records_csv(simulate(noiseless_cfg()), path)
+        with_blank = tmp_path / "blank.csv"
+        with_blank.write_text(path.read_text() + " \n")  # read by the float() scan
+        for p in (path, with_blank):
+            table = read_records_csv(p)
+            assert all(getattr(table, f.name).flags.c_contiguous
+                       for f in dataclasses.fields(TrackingTable))
 
     def test_round_trip_of_signed_extreme_values(self, tmp_path):
         values = np.array([-0.0, 5e-324, -1.7976931348623157e308, 0.1, -2.80e-18, 1e22])
