@@ -53,12 +53,13 @@ DEFAULT_CASES = {"group": 10_000, "oracle": 100, "metric": 10_000}
 
 ORACLE_STEPS = 5000  # RK4 steps per oracle case
 # Case count from which run_oracle_suite integrates all cases at once.
-# The array loop costs about 0.09-0.14 s at any count up to 100, the
-# scalar one about 4-5 ms per case; they break even at 24-28 cases
-# (medians of 5 runs per count, 2-core Xeon, Python 3.11.7, numpy 2.4.6).
-_ORACLE_ARRAY_MIN_CASES = 25
+# Both paths timed through run_oracle_suite: the array loop costs about
+# 0.09-0.12 s at any count up to 28, the scalar one about 4-5.5 ms per
+# case; they break even at 20-24 cases (medians of 5-9 runs per count,
+# 2-core Xeon, Python 3.11.7, numpy 2.4.6).
+_ORACLE_ARRAY_MIN_CASES = 22
 # Largest case count every suite's arrays can be sized for; the widest is
-# the oracle's (7, 2, cases) RK4 buffers, 14 float64 values per case.
+# the oracle's (14, cases) RK4 row buffer, 14 float64 values per case.
 _MAX_CASES = _max_rows(14)
 HILL_ALPHA0 = 1e-4  # largest alpha of the hill suite's halving sequence, 1/s
 

@@ -2,9 +2,10 @@
 
 Commands: transform, check, simulate, fit, report.  Exit codes: 0 on
 success, 1 when a ConfdopError or an OSError refuses the input (reported
-on one `error:` line), 2 on usage errors.  Any other exception is a bug
-and ends in a traceback.  The seed for `simulate` resolves as flag >
-CONFDOP_SEED env var > config value.
+on one `error:` line), 2 on usage errors.  Any other exception is a bug:
+the console script prints its traceback and exits 70 (EX_SOFTWARE).
+The seed for `simulate` resolves as flag > CONFDOP_SEED env var > config
+value.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import json
 import os
 import re
 import sys
+import traceback
 from pathlib import Path
 
 from . import __version__
@@ -45,6 +47,7 @@ from .tracking import (
 from .wave import hubble_alpha_correction
 
 ENV_SEED = "CONFDOP_SEED"
+EX_SOFTWARE = 70  # sysexits.h: internal software error
 
 
 class _Parser(argparse.ArgumentParser):
@@ -289,7 +292,14 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
-    raise SystemExit(main())
+    """Exit with main's code, or print the traceback of an exception
+    main lets through, a bug, and exit EX_SOFTWARE."""
+    try:
+        code = main()
+    except Exception:
+        traceback.print_exc()
+        code = EX_SOFTWARE
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -87,8 +87,8 @@ def test_small_oracle_lines_match_on_the_array_path(monkeypatch, seed, cases):
     assert run_suite("oracle", None, seed, cases).summary() == PINNED["oracle", seed, cases]
 
 
-# Largest case count whose widest suite array, the oracle's (7, 2, cases)
-# RK4 buffers, numpy can size.
+# Largest case count whose widest suite array, the oracle's (14, cases)
+# RK4 row buffer, numpy can size.
 MAX_CASES = np.iinfo(np.intp).max // (14 * 8)
 
 

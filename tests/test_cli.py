@@ -713,3 +713,29 @@ def test_module_entry_point_runs_a_suite():
     proc = run_fresh_process("check", "--suite", "hill")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("suite=hill ") and " PASS " in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["report"], 0), (["report", "--hubble", "nan"], 1), (["report", "--bogus"], 2)],
+)
+def test_entrypoint_exits_with_mains_code(monkeypatch, capsys, argv, code):
+    monkeypatch.setattr(sys, "argv", ["confdop", *argv])
+    with pytest.raises(SystemExit) as exc:
+        cli.entrypoint()
+    assert exc.value.code == code
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_entrypoint_exits_70_after_the_traceback_of_a_crash(monkeypatch, capsys):
+    def crash(args):
+        raise RuntimeError("handler bug")
+
+    monkeypatch.setitem(cli._HANDLERS, "report", crash)
+    monkeypatch.setattr(sys, "argv", ["confdop", "report"])
+    with pytest.raises(SystemExit) as exc:
+        cli.entrypoint()
+    err = capsys.readouterr().err
+    assert exc.value.code == cli.EX_SOFTWARE == 70
+    assert err.startswith("Traceback (most recent call last):\n")
+    assert err.endswith("RuntimeError: handler bug\n")

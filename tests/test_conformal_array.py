@@ -14,6 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import confdop.checks
+import confdop.conformal
 from confdop import (
     Event,
     GroupParameter,
@@ -149,6 +150,51 @@ def test_flow_oracle_array_raises_for_the_earliest_step_then_lowest_index():
     with pytest.raises(StepDivergence) as array:
         flow_oracle_array(0.4, 1.0, [2.000001, 2.0], steps)
     assert str(array.value) == str(scalar.value)
+
+
+@pytest.mark.parametrize(
+    "beta4, r, x4, steps",
+    [(1e-30, 1.0, 2e12, 10), (2e-12, 1.0, 4e11, 1)],
+    ids=["starts_past_the_bound", "crosses_only_at_the_last_step"],
+)
+def test_flow_oracle_array_raises_at_the_first_and_at_the_last_step(beta4, r, x4, steps):
+    # the first case raises at step 1; the second starts under half the
+    # bound, so only the test of the final state sees it cross
+    with pytest.raises(StepDivergence) as scalar:
+        flow_oracle(GroupParameter(beta4), Event(r=r, x4=x4), steps=steps)
+    with pytest.raises(StepDivergence) as array:
+        flow_oracle_array([0.1, beta4], [0.5, r], [0.3, x4], steps)
+    assert str(array.value) == str(scalar.value)
+
+
+@pytest.fixture
+def step_passes(monkeypatch):
+    """The `checked` flag of every pass flow_oracle_array makes, in order."""
+    passes = []
+    run = confdop.conformal._rk4_array_steps
+
+    def spy(y0, h, steps, checked):
+        passes.append(checked)
+        return run(y0, h, steps, checked)
+
+    monkeypatch.setattr(confdop.conformal, "_rk4_array_steps", spy)
+    return passes
+
+
+def test_flow_oracle_array_past_half_the_bound_reruns_checked_with_the_scalar_bits(step_passes):
+    # from x4 = 4e11 the flow passes half of FLOW_DIVERGENCE_BOUND, ending
+    # near 6.7e11, and never crosses it
+    b, r, x4 = [0.1, 1e-12], [0.5, 1.0], [0.3, 4e11]
+    flows = [flow_oracle(GroupParameter(bi), Event(r=ri, x4=xi), steps=100)
+             for bi, ri, xi in zip(b, r, x4)]
+    expected = [e.r for e in flows] + [e.x4 for e in flows]
+    assert same_bits(np.ravel(flow_oracle_array(b, r, x4, 100)), expected)
+    assert step_passes == [False, True]
+
+
+def test_default_oracle_suite_makes_one_unchecked_pass(step_passes):
+    assert run_oracle_suite(confdop.checks.DEFAULT_CASES["oracle"], 1e-9, 0).passed
+    assert step_passes == [False]
 
 
 def test_flow_oracle_array_refuses_bad_inputs():
