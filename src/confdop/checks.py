@@ -14,7 +14,9 @@ integrates the RK4 flow of all its cases at once with `flow_oracle_array`
 from a measured case count on, and below it case by case with the scalar
 `flow_oracle`, where one array pass costs more than the loop.  The two
 paths have their own step code but apply the same operations in the same
-order to each case, so they give the same bits; a property test pins this.
+order to each case, and the array path leaves every refusal to
+`flow_oracle`, so they give the same bits and the same refusals; a
+property test pins this.
 """
 
 from __future__ import annotations
@@ -145,8 +147,8 @@ def run_oracle_suite(cases: int, tol: float, seed: int) -> SuiteResult:
 
     From _ORACLE_ARRAY_MIN_CASES cases on, every case is integrated at
     once by flow_oracle_array; below, case by case with flow_oracle.  The
-    two paths give the same bits, so the summary line does not depend on
-    which one ran.
+    two paths give the same bits and the same refusals, so the outcome
+    does not depend on which one ran.
     """
     u_r, u_x4, u_b = _draws(_rng(seed), cases, 3)
     r, x4 = _sample_events(u_r, u_x4)

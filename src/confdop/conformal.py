@@ -21,12 +21,12 @@ They share their formula body with the scalar functions, so each element
 is bit-identical to the scalar call on the same floats.  The admissible
 domain is 1 - beta4*(x4 + r) > 0 and 1 - beta4*(x4 - r) > 0: the two
 null-coordinate factors whose product is 1/gamma.  The RK4 oracle
-likewise comes as flow_oracle_array, which gives flow_oracle's bits on
-each element; flow_oracle's docstring states that contract.  Its step is
-28 numpy calls on contiguous row blocks, and in place of a divergence
-test after every step it keeps a running max of the squared state; only
-a pass whose max nears the bound runs again with the per-step test.  A
-pass over 100 elements and 5,000 steps takes about 0.1 s.
+likewise comes as flow_oracle_array, which returns the bits, or raises
+the error, that a loop of flow_oracle calls would.  Its step is 28 numpy
+calls on contiguous row blocks and tests no bound; flow_oracle alone
+decides divergence, for the few elements whose running max nears the
+bound or whose final state is not plainly fine.  A pass over 100
+elements and 5,000 steps takes about 0.1 s.
 
 Everything here is a pure function of immutable values; all operations
 are safe to share between threads.
@@ -340,17 +340,6 @@ def hill_velocity(p: GroupParameter, r: float, v: float) -> float:
     return v + p.alpha * r * (1.0 - v * v / (p.c * p.c))
 
 
-def _require_steps(steps: int) -> None:
-    if steps < 1:
-        raise ConfdopError(f"steps must be >= 1, got {steps}")
-
-
-def _divergence(r: float, x: float) -> StepDivergence:
-    return StepDivergence(
-        f"flow state exceeded bound {FLOW_DIVERGENCE_BOUND:g} (r={r:g}, x4={x:g})"
-    )
-
-
 def flow_oracle(p: GroupParameter, e: Event, steps: int = 100_000) -> Event:
     """Integrate the generating vector field
 
@@ -362,12 +351,15 @@ def flow_oracle(p: GroupParameter, e: Event, steps: int = 100_000) -> Event:
 
     This loop is the oracle contract: flow_oracle_array applies the same
     IEEE operations in the same order to each element, so both give the
-    same bits.  half_h is 0.5*h, the grouping 0.5*h*k already has.
+    same bits, and it leaves every refusal to this function.  half_h is
+    0.5*h, the grouping 0.5*h*k already has.
 
-    Raises StepDivergence if |r| + |x4| exceeds FLOW_DIVERGENCE_BOUND,
-    which signals an approach to the singular surface.
+    Raises StepDivergence once |r| + |x4| exceeds FLOW_DIVERGENCE_BOUND,
+    which signals an approach to the singular surface, or is NaN, as it
+    is after an overflow.
     """
-    _require_steps(steps)
+    if steps < 1:
+        raise ConfdopError(f"steps must be >= 1, got {steps}")
     if p.beta4 == 0.0:
         return Event(r=e.r, x4=e.x4)
     h = p.beta4 / steps
@@ -391,16 +383,18 @@ def flow_oracle(p: GroupParameter, e: Event, steps: int = 100_000) -> Event:
         k4x = r4 * r4 + x4 * x4
         r = r + h * (k1r + 2.0 * (k2r + k3r) + k4r) / 6.0
         x = x + h * (k1x + 2.0 * (k2x + k3x) + k4x) / 6.0
-        if abs(r) + abs(x) > FLOW_DIVERGENCE_BOUND:
-            raise _divergence(r, x)
+        if not abs(r) + abs(x) <= FLOW_DIVERGENCE_BOUND:
+            raise StepDivergence(
+                f"flow state exceeded bound {FLOW_DIVERGENCE_BOUND:g} (r={r:g}, x4={x:g})"
+            )
     return Event(r=r, x4=x)
 
 
-def _rk4_array_steps(y0, h, steps: int, checked: bool):
+def _rk4_array_steps(y0, h, steps: int):
     """Take `steps` RK4 steps of flow_oracle from the (2, n) state y0 of
     rows (r, x4), element i with step h[:, i]; returns the final state and
     the elementwise running max of (r^2, x4^2) over the states that the
-    steps start from, final state excluded.
+    steps start from, final state excluded.  Nothing here tests a bound.
 
     A step is 28 numpy calls, each writing through out= to a buffer made
     here.  x+x is exactly flow_oracle's 2.0*x, and s+s its
@@ -409,14 +403,12 @@ def _rk4_array_steps(y0, h, steps: int, checked: bool):
     are C-contiguous row blocks of one buffer, because a numpy call on a
     strided view of the same rows costs 2-3 times as much.  No buffer
     holds more than 14 values per element, the width that the oracle
-    suite's case limit is sized for.  With `checked`, after each
-    step the lowest-index element past FLOW_DIVERGENCE_BOUND raises the
-    StepDivergence that flow_oracle would.
+    suite's case limit is sized for.
     """
     n = y0.shape[1]
     # row pairs y, k2 | t, k3 | z, s = k2 + k3 | k1
     rows = np.empty((14, n))
-    y_r, y_x, k2_r, k2_x, t_r, t_x, k3_r, k3_x, z_r, z_x, _, _, k1_r, k1_x = rows
+    y_r, y_x, k2_r, k2_x, _, _, k3_r, k3_x, z_r, z_x, _, _, k1_r, k1_x = rows
     y, k2, t, k3, z, k1 = (rows[i:i + 2] for i in (0, 2, 4, 6, 8, 12))
     y_k2, t_k3, z_s, zx_s = rows[0:4], rows[4:8], rows[8:12], rows[9:12]
     w_d = np.empty((3, n))  # rows w = x+x of a slope and d = s+s
@@ -426,9 +418,6 @@ def _rk4_array_steps(y0, h, steps: int, checked: bool):
     peak = np.zeros((2, n))
     half_h = 0.5 * h
     six = np.full_like(h, 6.0)
-    bound = np.full(n, FLOW_DIVERGENCE_BOUND)
-    norm = np.empty(n)
-    over = np.empty(n, dtype=bool)
     y[...] = y0
     # local names spare each call a global and an attribute lookup
     add, multiply, maximum, divide = np.add, np.multiply, np.maximum, np.divide
@@ -466,12 +455,6 @@ def _rk4_array_steps(y0, h, steps: int, checked: bool):
         multiply(h, t, out=t)
         divide(t, six, out=t)
         add(y, t, out=y)
-        if checked:
-            np.abs(y, out=t)
-            add(t_r, t_x, out=norm)
-            if np.count_nonzero(np.greater(norm, bound, out=over)):
-                i = int(np.argmax(over))
-                raise _divergence(float(y[0, i]), float(y[1, i]))
     return y, peak
 
 
@@ -479,39 +462,44 @@ def flow_oracle_array(beta4, r, x4, steps: int) -> tuple[np.ndarray, np.ndarray]
     """flow_oracle for every element of broadcastable arrays at once;
     returns (r', x4').
 
-    Each element takes its own step h = beta4/steps.  The state is one
-    (2, n) array of rows (r, x4), and a step is 28 numpy calls into
-    buffers made once per pass; 100 elements over 5,000 steps take about
-    0.1 s.  Each element sees flow_oracle's operations in the same order,
-    so it is bit-identical to the scalar call on the same floats (a
-    property test pins this); beta4 = 0 returns the input, and when no
-    element moves no step is taken.
+    Returns the bits, or raises the error, that
+    [flow_oracle(GroupParameter(b), Event(r, x4), steps) for ...] over the
+    broadcast elements in C order would; a property test pins this.
 
-    The divergence bound is not tested after each step.  One call a step
-    keeps the running max of r^2 and x4^2, and the final state is tested
-    exactly after the loop.  If sqrt(max r^2) + sqrt(max x4^2) exceeds
-    half of FLOW_DIVERGENCE_BOUND, or is not finite, or the final state is
-    past the bound, the same steps run again with the test after every
-    step, so the lowest-index element that crossed the bound first raises
-    the StepDivergence the scalar call would.
-    Raises ConfdopError for non-finite inputs or r < 0.  The caller's
-    arrays are never written.
+    Each element takes its own step h = beta4/steps and sees
+    flow_oracle's operations in the same order.  The state is one (2, n)
+    array of rows (r, x4), and a step is 28 numpy calls into buffers made
+    once per pass; 100 elements over 5,000 steps take about 0.1 s.  The
+    pass tests no bound; it keeps the running max of r^2 and x4^2.  Every
+    element that is not plainly fine runs again through flow_oracle, in
+    index order, and flow_oracle decides whether it raises.  Not plainly
+    fine: an input that Event or GroupParameter refuses, a step count
+    below 1, a peak sqrt(max r^2) + sqrt(max x4^2) above half of
+    FLOW_DIVERGENCE_BOUND, or a final state past the bound, not finite
+    or with r < 0.  beta4 = 0 returns the input.  The caller's arrays are
+    never written.
     """
-    _require_steps(steps)
-    b, r_in, x_in = np.broadcast_arrays(*_finite_arrays(beta4=beta4, r=r, x4=x4))
-    moving = b != 0.0
+    b, r_in, x_in = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (beta4, r, x4)))
     r_out, x_out = r_in.copy(), x_in.copy()
-    if not moving.any():
-        return r_out, x_out
-    y0 = np.stack((r_in[moving], x_in[moving]))
-    h = np.stack((b[moving] / steps,) * 2)
-    with np.errstate(over="ignore", invalid="ignore"):
-        y, peak = _rk4_array_steps(y0, h, steps, checked=False)
-        # sqrt(max r^2) + sqrt(max x4^2) >= |r| + |x4| of every state but
-        # the last; half the bound leaves room for the rounding of r*r
-        if not (np.sqrt(peak).sum(axis=0).max() <= 0.5 * FLOW_DIVERGENCE_BOUND) or (
-            (abs(y[0]) + abs(y[1]) > FLOW_DIVERGENCE_BOUND).any()
-        ):
-            _rk4_array_steps(y0, h, steps, checked=True)
-    r_out[moving], x_out[moving] = y
+    # so far fine: no input that Event, GroupParameter or the step count refuses
+    fine = np.ravel(np.isfinite(b) & np.isfinite(x_in) & (0.0 <= r_in) & (r_in < _INF))
+    fine &= steps >= 1
+    moving = np.flatnonzero(fine & np.ravel(b != 0.0))
+    if moving.size:
+        y0 = np.stack((r_in.flat[moving], x_in.flat[moving]))
+        h = np.stack((b.flat[moving] / steps,) * 2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            y, peak = _rk4_array_steps(y0, h, steps)
+            # sqrt(max r^2) + sqrt(max x4^2) >= |r| + |x4| of every state but
+            # the last; half the bound leaves room for the rounding of r*r
+            fine[moving] = (
+                (np.sqrt(peak).sum(axis=0) <= 0.5 * FLOW_DIVERGENCE_BOUND)
+                & (abs(y[0]) + abs(y[1]) <= FLOW_DIVERGENCE_BOUND)
+                & (y[0] >= 0.0)
+            )
+        r_out.flat[moving], x_out.flat[moving] = y
+    for i in np.flatnonzero(~fine):
+        flowed = flow_oracle(GroupParameter(b.flat[i].item()),
+                             Event(r_in.flat[i].item(), x_in.flat[i].item()), steps)
+        r_out.flat[i], x_out.flat[i] = flowed.r, flowed.x4
     return r_out, x_out

@@ -1,6 +1,7 @@
 """Property tests: the array kernels of confdop.conformal agree with the
 scalar kernels bit for bit, element by element, inside the domain; and
-the array RK4 oracle diverges where, and as, the scalar one does.
+the array RK4 oracle returns the bits, or raises the error, that a loop
+of scalar flow_oracle calls does, inside the domain and outside it.
 
 Kept apart from test_conformal.py so that those tests do not depend on
 hypothesis being installed.
@@ -18,6 +19,7 @@ import confdop.conformal
 from confdop import (
     Event,
     GroupParameter,
+    ConfdopError,
     StepDivergence,
     conformal_factor,
     differential_map,
@@ -67,15 +69,26 @@ def test_elements_equal_scalar_calls_bit_for_bit(batch):
 
 
 def oracle_batches():
-    """Lists of (beta4, r, x4) scaled as in admissible_batches, with
-    beta4 = 0 and r = 0 drawn on purpose.  Up to 10 distinct cases are
-    repeated to a count on either side of the one from which the oracle
-    suite takes the array path; drawing every case would cost far more."""
+    """Lists of (beta4, r, x4), each case either scaled as in
+    admissible_batches or unscaled, with beta4 = 0 and r = 0 drawn on
+    purpose.  Unscaled cases reach magnitudes from subnormal to 1e200, so
+    a batch may diverge, overflow to NaN or, in a few coarse steps near
+    unit scale, step r below 0.  Up to 10 distinct cases are repeated to a
+    count on either side of the one from which the oracle suite takes the
+    array path; drawing every case would cost far more."""
     beta = st.one_of(st.just(0.0), st.floats(-1.0, 1.0))
     radius = st.one_of(st.just(0.0), st.floats(0.0, 1e3))
-    case = st.tuples(beta, radius, st.floats(-1e3, 1e3)).map(
+    admissible = st.tuples(beta, radius, st.floats(-1e3, 1e3)).map(
         lambda c: (c[0] * 0.9 / max(c[1] + abs(c[2]), 1.0),) + c[1:]
     )
+    exponent = st.one_of(st.integers(-2, 1), st.integers(-310, 200))
+    magnitude = st.builds(lambda m, k: m * 10.0**k, st.floats(0.0, 10.0), exponent)
+    signed = st.builds(lambda m, negative: -m if negative else m, magnitude, st.booleans())
+    unscaled = st.one_of(
+        st.tuples(st.floats(-2.0, 2.0), st.floats(0.0, 3.0), st.floats(-3.0, 3.0)),
+        st.tuples(st.one_of(st.just(0.0), signed), st.one_of(st.just(0.0), magnitude), signed),
+    )
+    case = st.one_of(admissible, unscaled)
     n = _ORACLE_ARRAY_MIN_CASES
     count = st.one_of(st.integers(1, n - 1), st.integers(n, 2 * n))
     return st.tuples(st.lists(case, min_size=1, max_size=10), count).map(
@@ -83,13 +96,26 @@ def oracle_batches():
     )
 
 
-@given(oracle_batches(), st.integers(1, 40))
+def returned_or_raised(call):
+    """('bits', the int64 bits of the result) or (the exception's type, its message)."""
+    try:
+        out = call()
+    except ConfdopError as exc:
+        return type(exc), str(exc)
+    return "bits", np.array(out, dtype=float).view(np.int64).tolist()
+
+
+def scalar_loop(b, r, x4, steps):
+    flows = [flow_oracle(GroupParameter(bi), Event(r=ri, x4=xi), steps=steps)
+             for bi, ri, xi in zip(b, r, x4)]
+    return [e.r for e in flows] + [e.x4 for e in flows]
+
+
+@given(oracle_batches(), st.one_of(st.integers(1, 3), st.integers(1, 40)))
 def test_flow_oracle_array_equals_scalar_calls_bit_for_bit(batch, steps):
     b, r, x4 = (np.array(col) for col in zip(*batch))
-    flows = [flow_oracle(GroupParameter(bi), Event(r=ri, x4=xi), steps=steps)
-             for bi, ri, xi in batch]
-    expected = [e.r for e in flows] + [e.x4 for e in flows]
-    assert same_bits(np.ravel(flow_oracle_array(b, r, x4, steps)), expected)
+    expected = returned_or_raised(lambda: scalar_loop(*zip(*batch), steps))
+    assert returned_or_raised(lambda: np.ravel(flow_oracle_array(b, r, x4, steps))) == expected
 
 
 def test_flow_oracle_array_equals_scalar_calls_at_the_suites_step_count():
@@ -135,12 +161,13 @@ def test_flow_oracle_array_divergence_raises_without_warning():
     assert str(array.value) == str(scalar.value)
 
 
-def test_flow_oracle_array_raises_for_the_earliest_step_then_lowest_index():
+def test_flow_oracle_array_raises_for_the_lowest_failing_index():
     steps = 2000
     # beta4 = 0.8 doubles the step, so case 1 crosses the bound in fewer
-    # steps than case 0 and is the one reported
+    # steps than case 0; case 0 is reported all the same, as a loop of
+    # scalar calls reports it
     with pytest.raises(StepDivergence) as scalar:
-        flow_oracle(GroupParameter(0.8), Event(r=1.0, x4=2.0), steps=steps)
+        flow_oracle(GroupParameter(0.4), Event(r=1.0, x4=2.0), steps=steps)
     with pytest.raises(StepDivergence) as array:
         flow_oracle_array([0.4, 0.8], 1.0, 2.0, steps)
     assert str(array.value) == str(scalar.value)
@@ -167,34 +194,77 @@ def test_flow_oracle_array_raises_at_the_first_and_at_the_last_step(beta4, r, x4
     assert str(array.value) == str(scalar.value)
 
 
+@pytest.mark.parametrize(
+    "beta4, r, x4",
+    [([0.0, 0.4], [-1.0, 1.0], [0.0, 2.0]), ([0.4, 0.0], [1.0, 1.0], [2.0, np.inf])],
+    ids=["refused_input_first", "divergence_first"],
+)
+def test_flow_oracle_array_raises_for_the_lowest_index_whatever_the_cause(beta4, r, x4):
+    # an input Event refuses counts where beta4 = 0 too, though nothing moves
+    with pytest.raises(ConfdopError) as scalar:
+        scalar_loop(beta4, r, x4, 2000)
+    with pytest.raises(ConfdopError) as array:
+        flow_oracle_array(beta4, r, x4, 2000)
+    assert (type(array.value), str(array.value)) == (type(scalar.value), str(scalar.value))
+
+
+@pytest.mark.parametrize(
+    "beta4, r, x4",
+    [(1.0, 0.0, 1e200), (1e-310, 0.0, 1e160)],
+    ids=["overflows", "overflows_from_a_subnormal_step"],
+)
+def test_flow_oracle_array_raises_for_a_nan_state(beta4, r, x4):
+    # x4*x4 overflows and 2*x4*r = inf*0, so one step leaves a NaN state,
+    # which fails the bound test
+    with pytest.raises(StepDivergence, match=r"\(r=nan, x4=nan\)") as scalar:
+        flow_oracle(GroupParameter(beta4), Event(r=r, x4=x4), steps=1)
+    with pytest.raises(StepDivergence) as array:
+        flow_oracle_array(beta4, r, x4, 1)
+    assert str(array.value) == str(scalar.value)
+
+
+def test_flow_oracle_array_refuses_a_step_to_negative_r():
+    # one coarse step from (1, -1) with beta4 = 2 overshoots r = 0, a
+    # final state that Event refuses
+    with pytest.raises(ConfdopError) as scalar:
+        flow_oracle(GroupParameter(2.0), Event(r=1.0, x4=-1.0), steps=1)
+    with pytest.raises(ConfdopError) as array:
+        flow_oracle_array([0.1, 2.0], [0.5, 1.0], [0.3, -1.0], 1)
+    assert str(array.value) == str(scalar.value) == "r must be >= 0, got -8.333333333333334"
+    assert type(array.value) is type(scalar.value) is ConfdopError
+
+
 @pytest.fixture
 def step_passes(monkeypatch):
-    """The `checked` flag of every pass flow_oracle_array makes, in order."""
+    """Every array pass flow_oracle_array makes, as ("array", elements),
+    and every element it runs again, as ("scalar", beta4, r, x4), in order."""
     passes = []
-    run = confdop.conformal._rk4_array_steps
+    run, scalar = confdop.conformal._rk4_array_steps, confdop.conformal.flow_oracle
 
-    def spy(y0, h, steps, checked):
-        passes.append(checked)
-        return run(y0, h, steps, checked)
+    def array_spy(y0, h, steps):
+        passes.append(("array", y0.shape[1]))
+        return run(y0, h, steps)
 
-    monkeypatch.setattr(confdop.conformal, "_rk4_array_steps", spy)
+    def scalar_spy(p, e, steps):
+        passes.append(("scalar", p.beta4, e.r, e.x4))
+        return scalar(p, e, steps)
+
+    monkeypatch.setattr(confdop.conformal, "_rk4_array_steps", array_spy)
+    monkeypatch.setattr(confdop.conformal, "flow_oracle", scalar_spy)
     return passes
 
 
-def test_flow_oracle_array_past_half_the_bound_reruns_checked_with_the_scalar_bits(step_passes):
+def test_flow_oracle_array_past_half_the_bound_reruns_only_that_element(step_passes):
     # from x4 = 4e11 the flow passes half of FLOW_DIVERGENCE_BOUND, ending
     # near 6.7e11, and never crosses it
     b, r, x4 = [0.1, 1e-12], [0.5, 1.0], [0.3, 4e11]
-    flows = [flow_oracle(GroupParameter(bi), Event(r=ri, x4=xi), steps=100)
-             for bi, ri, xi in zip(b, r, x4)]
-    expected = [e.r for e in flows] + [e.x4 for e in flows]
-    assert same_bits(np.ravel(flow_oracle_array(b, r, x4, 100)), expected)
-    assert step_passes == [False, True]
+    assert same_bits(np.ravel(flow_oracle_array(b, r, x4, 100)), scalar_loop(b, r, x4, 100))
+    assert step_passes == [("array", 2), ("scalar", 1e-12, 1.0, 4e11)]
 
 
 def test_default_oracle_suite_makes_one_unchecked_pass(step_passes):
     assert run_oracle_suite(confdop.checks.DEFAULT_CASES["oracle"], 1e-9, 0).passed
-    assert step_passes == [False]
+    assert step_passes == [("array", confdop.checks.DEFAULT_CASES["oracle"])]
 
 
 def test_flow_oracle_array_refuses_bad_inputs():
@@ -211,5 +281,6 @@ def test_default_oracle_suite_runs_no_scalar_kernel(monkeypatch):
         raise AssertionError("scalar kernel called")
 
     monkeypatch.setattr(confdop.checks, "flow_oracle", refuse)
+    monkeypatch.setattr(confdop.conformal, "flow_oracle", refuse)
     monkeypatch.setattr(confdop.checks, "transform_finite", refuse)
     assert run_oracle_suite(confdop.checks.DEFAULT_CASES["oracle"], 1e-9, 0).passed
