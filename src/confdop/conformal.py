@@ -22,11 +22,13 @@ is bit-identical to the scalar call on the same floats.  The admissible
 domain is 1 - beta4*(x4 + r) > 0 and 1 - beta4*(x4 - r) > 0: the two
 null-coordinate factors whose product is 1/gamma.  The RK4 oracle
 likewise comes as flow_oracle_array, which returns the bits, or raises
-the error, that a loop of flow_oracle calls would.  Its step is 28 numpy
-calls on contiguous row blocks and tests no bound; flow_oracle alone
-decides divergence, for the few elements whose running max nears the
-bound or whose final state is not plainly fine.  A pass over 100
-elements and 5,000 steps takes about 0.1 s.
+the error, that a loop of flow_oracle calls would.  Both keep the r slope
+of each RK4 stage as the half-slope x4*r and carry its factor 2 on the
+step.  The array step is 25 numpy calls on contiguous row blocks and
+tests no bound; flow_oracle alone decides divergence, for the few
+elements whose running max nears the bound or whose final state is not
+plainly fine.  A pass over 100 elements and 5,000 steps takes about
+0.04-0.07 s.
 
 Everything here is a pure function of immutable values; all operations
 are safe to share between threads.
@@ -144,20 +146,44 @@ def _finite_map(b, r, x4, refuse):
     Elementwise on floats or numpy arrays; returns (gamma, r', x4').
     `refuse` raises for events outside the domain, given the regularity
     test (false near the singular surface, and where the denominator
-    overflowed to NaN) and the two null-coordinate factors.
+    overflowed to inf or NaN) and the two null-coordinate factors.  With
+    finite inputs, a finite denominator leaves every term finite.
     """
     s2 = x4 * x4 - r * r
     linear = 2.0 * b * x4
     quadratic = b * b * s2
     denom = 1.0 - linear + quadratic
-    regular = abs(denom) >= EPS_SINGULAR * (1.0 + abs(linear) + abs(quadratic))
+    size = abs(denom)
+    regular = (size >= EPS_SINGULAR * (1.0 + abs(linear) + abs(quadratic))) & (size < _INF)
     refuse(b, r, x4, regular, 1.0 - b * (x4 + r), 1.0 - b * (x4 - r))
     g = 1.0 / denom
     return g, g * r, g * (x4 - b * s2)
 
 
+def _finite_map_array(b, r, x4):
+    # every overflow here leaves the denominator non-finite, which
+    # _refuse_any refuses, or an image coordinate non-finite, which
+    # transform_finite_array refuses; so numpy need not warn of it
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite_map(b, r, x4, _refuse_any)
+
+
 def _refuse(b, r, x4, regular, u_factor, v_factor) -> None:
     if not regular:
+        # the inputs are finite, so a non-finite term overflowed; name the first
+        s2 = x4 * x4 - r * r
+        for name, term in (
+            ("x4^2 - r^2", s2),
+            ("2*beta4*x4", 2.0 * b * x4),
+            ("beta4^2", b * b),
+            ("beta4^2*s2", b * b * s2),
+            ("1 - 2*beta4*x4 + beta4^2*s2", 1.0 - 2.0 * b * x4 + b * b * s2),
+        ):
+            if not math.isfinite(term):
+                raise SingularTransform(
+                    f"conformal factor denominator overflows at (r={r}, x4={x4}) "
+                    f"for beta4={b}: {name} = {term}"
+                )
         raise SingularTransform(
             f"conformal factor singular at (r={r}, x4={x4}) for beta4={b}"
         )
@@ -194,8 +220,7 @@ def _differential_terms(b, r, x4):
     return 1.0 - 2.0 * b * x4 + b * b * (r * r + x4 * x4), 2.0 * b * r * (1.0 - b * x4)
 
 
-def _differential(b, r, x4, dr, dx4, refuse):
-    g = _finite_map(b, r, x4, refuse)[0]
+def _differential(g, b, r, x4, dr, dx4):
     a_coeff, b_coeff = _differential_terms(b, r, x4)
     g2 = g * g
     return g2 * (a_coeff * dr + b_coeff * dx4), g2 * (b_coeff * dr + a_coeff * dx4)
@@ -206,7 +231,8 @@ def conformal_factor(p: GroupParameter, e: Event) -> float:
 
     gamma is positive everywhere on the admissible domain.  Raises
     SingularTransform when the denominator is within EPS_SINGULAR
-    (relative to the magnitude of its terms) of zero, and DomainCrossing
+    (relative to the magnitude of its terms) of zero, or overflows, with
+    a message that names the term that overflowed, and DomainCrossing
     when the event lies beyond a singular surface, i.e. when
     1 - beta4*(x4 + r) or 1 - beta4*(x4 - r) is not positive.  Past both surfaces the
     denominator is positive again, but the flow from the identity
@@ -221,7 +247,7 @@ def conformal_factor_array(beta4, r, x4) -> np.ndarray:
     Raises as the scalar call would for the first element outside the
     domain, and ConfdopError for non-finite inputs or r < 0.
     """
-    return _finite_map(*_finite_arrays(beta4=beta4, r=r, x4=x4), _refuse_any)[0]
+    return _finite_map_array(*_finite_arrays(beta4=beta4, r=r, x4=x4))[0]
 
 
 def transform_finite(p: GroupParameter, e: Event) -> Event:
@@ -237,7 +263,7 @@ def transform_finite_array(beta4, r, x4) -> tuple[np.ndarray, np.ndarray]:
     coordinate overflows, as the Event that transform_finite builds would.
     """
     arrays = _finite_arrays(beta4=beta4, r=r, x4=x4)
-    _, r_out, x4_out = _finite_map(*arrays, _refuse_any)
+    _, r_out, x4_out = _finite_map_array(*arrays)
     return tuple(_finite_arrays(r=r_out, x4=x4_out))
 
 
@@ -254,7 +280,8 @@ def differential_map(p: GroupParameter, e: Event, dr: float, dx4: float) -> tupl
     with A = 1 - 2*beta4*x4 + beta4^2*(r^2 + x4^2) and
     B = 2*beta4*r*(1 - beta4*x4).  Raises as conformal_factor does.
     """
-    return _differential(p.beta4, e.r, e.x4, dr, dx4, _refuse)
+    g = _finite_map(p.beta4, e.r, e.x4, _refuse)[0]
+    return _differential(g, p.beta4, e.r, e.x4, dr, dx4)
 
 
 def differential_map_array(beta4, r, x4, dr, dx4) -> tuple[np.ndarray, np.ndarray]:
@@ -262,8 +289,8 @@ def differential_map_array(beta4, r, x4, dr, dx4) -> tuple[np.ndarray, np.ndarra
 
     Raises as conformal_factor_array does.
     """
-    arrays = _finite_arrays(beta4=beta4, r=r, x4=x4, dr=dr, dx4=dx4)
-    return _differential(*arrays, _refuse_any)
+    b, r, x4, dr, dx4 = _finite_arrays(beta4=beta4, r=r, x4=x4, dr=dr, dx4=dx4)
+    return _differential(_finite_map_array(b, r, x4)[0], b, r, x4, dr, dx4)
 
 
 def slope_transform(p: GroupParameter, e: Event, slope: float) -> float:
@@ -351,8 +378,15 @@ def flow_oracle(p: GroupParameter, e: Event, steps: int = 100_000) -> Event:
 
     This loop is the oracle contract: flow_oracle_array applies the same
     IEEE operations in the same order to each element, so both give the
-    same bits, and it leaves every refusal to this function.  half_h is
-    0.5*h, the grouping 0.5*h*k already has.
+    same bits, and it leaves every refusal to this function.  Each stage
+    keeps the half-slope x4*r of r, and the factor 2 rides on the step:
+    r + h*p where RK4 reads r + (h/2)*(2*x4*r), r + (2h)*p for stage 4,
+    and r + (2h)*(p1 + 2*(p2 + p3) + p4)/6 for the update.  Halving and
+    doubling are exact, so this gives the bits of the 2.0*x4*r form as
+    long as h/2, 2h, every half-slope, their sums and the doubles of
+    these are normal floats or zero; only a subnormal step or a |x4*r|
+    near the float maximum can differ.  half_h is 0.5*h, the grouping
+    0.5*h*k already has.
 
     Raises StepDivergence once |r| + |x4| exceeds FLOW_DIVERGENCE_BOUND,
     which signals an approach to the singular surface, or is NaN, as it
@@ -364,24 +398,25 @@ def flow_oracle(p: GroupParameter, e: Event, steps: int = 100_000) -> Event:
         return Event(r=e.r, x4=e.x4)
     h = p.beta4 / steps
     half_h = 0.5 * h
+    two_h = 2.0 * h
     r = e.r
     x = e.x4
     for _ in range(steps):
-        k1r = 2.0 * x * r
+        p1 = x * r
         k1x = r * r + x * x
-        r2 = r + half_h * k1r
+        r2 = r + h * p1
         x2 = x + half_h * k1x
-        k2r = 2.0 * x2 * r2
+        p2 = x2 * r2
         k2x = r2 * r2 + x2 * x2
-        r3 = r + half_h * k2r
+        r3 = r + h * p2
         x3 = x + half_h * k2x
-        k3r = 2.0 * x3 * r3
+        p3 = x3 * r3
         k3x = r3 * r3 + x3 * x3
-        r4 = r + h * k3r
+        r4 = r + two_h * p3
         x4 = x + h * k3x
-        k4r = 2.0 * x4 * r4
+        p4 = x4 * r4
         k4x = r4 * r4 + x4 * x4
-        r = r + h * (k1r + 2.0 * (k2r + k3r) + k4r) / 6.0
+        r = r + two_h * (p1 + 2.0 * (p2 + p3) + p4) / 6.0
         x = x + h * (k1x + 2.0 * (k2x + k3x) + k4x) / 6.0
         if not abs(r) + abs(x) <= FLOW_DIVERGENCE_BOUND:
             raise StepDivergence(
@@ -392,69 +427,68 @@ def flow_oracle(p: GroupParameter, e: Event, steps: int = 100_000) -> Event:
 
 def _rk4_array_steps(y0, h, steps: int):
     """Take `steps` RK4 steps of flow_oracle from the (2, n) state y0 of
-    rows (r, x4), element i with step h[:, i]; returns the final state and
+    rows (r, x4), element i with step h[i]; returns the final state and
     the elementwise running max of (r^2, x4^2) over the states that the
     steps start from, final state excluded.  Nothing here tests a bound.
 
-    A step is 28 numpy calls, each writing through out= to a buffer made
-    here.  x+x is exactly flow_oracle's 2.0*x, and s+s its
-    2.0*(k2 + k3).  Two same-level adds are fused into one call: stage 3's
-    y + h*k3 with k2 + k3, and stage 4's x+x with s+s.  Fused operands
-    are C-contiguous row blocks of one buffer, because a numpy call on a
-    strided view of the same rows costs 2-3 times as much.  No buffer
-    holds more than 14 values per element, the width that the oracle
-    suite's case limit is sized for.
+    A step is 25 numpy calls, each writing through its positional out
+    argument to a buffer made here.  The r row of a slope is flow_oracle's
+    half-slope x4*r, and the two (2, n) multipliers carry its factor 2:
+    mid = (h, h/2) for stages 2 and 3, full = (2h, h) for stage 4 and the
+    update.  s+s is exactly flow_oracle's 2.0*(k2 + k3).  Stage 4's
+    y + full*k3 is fused with k2 + k3 into one call, on C-contiguous row
+    blocks of one buffer, because a numpy call on a strided view of the
+    same rows costs 2-3 times as much.  No buffer holds more than 14
+    values per element, the width that the oracle suite's case limit is
+    sized for.
     """
     n = y0.shape[1]
     # row pairs y, k2 | t, k3 | z, s = k2 + k3 | k1
     rows = np.empty((14, n))
     y_r, y_x, k2_r, k2_x, _, _, k3_r, k3_x, z_r, z_x, _, _, k1_r, k1_x = rows
-    y, k2, t, k3, z, k1 = (rows[i:i + 2] for i in (0, 2, 4, 6, 8, 12))
-    y_k2, t_k3, z_s, zx_s = rows[0:4], rows[4:8], rows[8:12], rows[9:12]
-    w_d = np.empty((3, n))  # rows w = x+x of a slope and d = s+s
-    w, d = w_d[0], w_d[1:]
+    y, k2, t, k3, z, s, k1 = (rows[i:i + 2] for i in (0, 2, 4, 6, 8, 10, 12))
+    y_k2, t_k3, z_s = rows[0:4], rows[4:8], rows[8:12]
     k4, sq = np.empty((2, 2, n))
     (k4_r, k4_x), (sq_r, sq_x) = k4, sq
     peak = np.zeros((2, n))
-    half_h = 0.5 * h
-    six = np.full_like(h, 6.0)
+    mid = np.stack((h, 0.5 * h))
+    full = np.stack((2.0 * h, h))
+    six = np.full((2, n), 6.0)
     y[...] = y0
     # local names spare each call a global and an attribute lookup
     add, multiply, maximum, divide = np.add, np.multiply, np.maximum, np.divide
     for _ in range(steps):
-        # k1 at y, and the running max of y*y
-        add(y_x, y_x, out=w)
-        multiply(w, y_r, out=k1_r)
-        multiply(y, y, out=sq)
-        add(sq_r, sq_x, out=k1_x)
+        # k1 at y, and the running max of y*y; maximum keeps out= because
+        # numpy 2.4 deprecates its positional out
+        multiply(y_x, y_r, k1_r)
+        multiply(y, y, sq)
+        add(sq_r, sq_x, k1_x)
         maximum(peak, sq, out=peak)
-        # k2 at z = y + h/2*k1
-        multiply(half_h, k1, out=t)
-        add(y, t, out=z)
-        add(z_x, z_x, out=w)
-        multiply(w, z_r, out=k2_r)
-        multiply(z, z, out=sq)
-        add(sq_r, sq_x, out=k2_x)
-        # k3 at z = y + h/2*k2
-        multiply(half_h, k2, out=t)
-        add(y, t, out=z)
-        add(z_x, z_x, out=w)
-        multiply(w, z_r, out=k3_r)
-        multiply(z, z, out=sq)
-        add(sq_r, sq_x, out=k3_x)
-        # k4 at z = y + h*k3, fused with s = k2 + k3, and x+x with d = s+s
-        multiply(h, k3, out=t)
-        add(y_k2, t_k3, out=z_s)
-        add(zx_s, zx_s, out=w_d)
-        multiply(w, z_r, out=k4_r)
-        multiply(z, z, out=sq)
-        add(sq_r, sq_x, out=k4_x)
-        # y = y + h*(k1 + d + k4)/6
-        add(k1, d, out=t)
-        add(t, k4, out=t)
-        multiply(h, t, out=t)
-        divide(t, six, out=t)
-        add(y, t, out=y)
+        # k2 at z = y + mid*k1
+        multiply(mid, k1, t)
+        add(y, t, z)
+        multiply(z_x, z_r, k2_r)
+        multiply(z, z, sq)
+        add(sq_r, sq_x, k2_x)
+        # k3 at z = y + mid*k2
+        multiply(mid, k2, t)
+        add(y, t, z)
+        multiply(z_x, z_r, k3_r)
+        multiply(z, z, sq)
+        add(sq_r, sq_x, k3_x)
+        # k4 at z = y + full*k3, fused with s = k2 + k3
+        multiply(full, k3, t)
+        add(y_k2, t_k3, z_s)
+        multiply(z_x, z_r, k4_r)
+        multiply(z, z, sq)
+        add(sq_r, sq_x, k4_x)
+        # y = y + full*(k1 + (s+s) + k4)/6
+        add(s, s, s)
+        add(k1, s, t)
+        add(t, k4, t)
+        multiply(full, t, t)
+        divide(t, six, t)
+        add(y, t, y)
     return y, peak
 
 
@@ -467,17 +501,17 @@ def flow_oracle_array(beta4, r, x4, steps: int) -> tuple[np.ndarray, np.ndarray]
     broadcast elements in C order would; a property test pins this.
 
     Each element takes its own step h = beta4/steps and sees
-    flow_oracle's operations in the same order.  The state is one (2, n)
-    array of rows (r, x4), and a step is 28 numpy calls into buffers made
-    once per pass; 100 elements over 5,000 steps take about 0.1 s.  The
-    pass tests no bound; it keeps the running max of r^2 and x4^2.  Every
-    element that is not plainly fine runs again through flow_oracle, in
-    index order, and flow_oracle decides whether it raises.  Not plainly
-    fine: an input that Event or GroupParameter refuses, a step count
-    below 1, a peak sqrt(max r^2) + sqrt(max x4^2) above half of
-    FLOW_DIVERGENCE_BOUND, or a final state past the bound, not finite
-    or with r < 0.  beta4 = 0 returns the input.  The caller's arrays are
-    never written.
+    flow_oracle's operations in the same order, half-slopes included.
+    The state is one (2, n) array of rows (r, x4), and a step is 25 numpy
+    calls into buffers made once per pass; 100 elements over 5,000 steps
+    take about 0.04-0.07 s.  The pass tests no bound; it keeps the running
+    max of r^2 and x4^2.  Every element that is not plainly fine runs
+    again through flow_oracle, in index order, and flow_oracle decides
+    whether it raises.  Not plainly fine: an input that Event or
+    GroupParameter refuses, a step count below 1, a peak
+    sqrt(max r^2) + sqrt(max x4^2) above half of FLOW_DIVERGENCE_BOUND,
+    or a final state past the bound, not finite or with r < 0.
+    beta4 = 0 returns the input.  The caller's arrays are never written.
     """
     b, r_in, x_in = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (beta4, r, x4)))
     r_out, x_out = r_in.copy(), x_in.copy()
@@ -487,7 +521,7 @@ def flow_oracle_array(beta4, r, x4, steps: int) -> tuple[np.ndarray, np.ndarray]
     moving = np.flatnonzero(fine & np.ravel(b != 0.0))
     if moving.size:
         y0 = np.stack((r_in.flat[moving], x_in.flat[moving]))
-        h = np.stack((b.flat[moving] / steps,) * 2)
+        h = b.flat[moving] / steps
         with np.errstate(over="ignore", invalid="ignore"):
             y, peak = _rk4_array_steps(y0, h, steps)
             # sqrt(max r^2) + sqrt(max x4^2) >= |r| + |x4| of every state but

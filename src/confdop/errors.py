@@ -9,7 +9,7 @@ class ConfdopError(ValueError):
 
 
 class SingularTransform(ConfdopError):
-    """The conformal-factor denominator is within tolerance of zero."""
+    """The conformal-factor denominator is within tolerance of zero, or overflows."""
 
 
 class DomainCrossing(ConfdopError):

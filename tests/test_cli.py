@@ -150,6 +150,22 @@ class TestTransform:
         assert (code, out) == (1, "")
         assert err.startswith("error: s2_over_r is not finite (inf)")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--alpha", "0", "--r", "0", "--t", "1e160", "--hill"],
+            ["--beta4", "1e-160", "--r", "0", "--x4", "-1e300"],
+        ],
+        ids=["beta4_0", "beta4_1e-160"],
+    )
+    def test_overflowing_denominator_exits_one_naming_the_overflow(self, capsys, argv):
+        # every input is finite, but x4^2 overflows in the conformal factor
+        code, out, err = run(capsys, "transform", *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: conformal factor denominator overflows at (r=0.0, ")
+        assert err.endswith(": x4^2 - r^2 = inf\n") and err.count("\n") == 1
+        assert "singular" not in err and "must be finite" not in err
+
     def test_conflicting_parameters_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["transform", "--beta4", "1", "--alpha", "1", "--r", "1", "--x4", "0"])

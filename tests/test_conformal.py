@@ -9,6 +9,7 @@ for the first-order maps.
 import math
 import re
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -144,6 +145,36 @@ class TestConformalFactor:
             transform_finite(p, e)
         with pytest.raises(SingularTransform):
             transform_finite_array(p.beta4, e.r, e.x4)
+
+    @pytest.mark.parametrize(
+        "beta4, r, x4",
+        [(0.0, 0.0, SPEED_OF_LIGHT * 1e160), (1e-160, 0.0, -1e300)],
+        ids=["beta4_0", "beta4_1e-160"],
+    )
+    def test_overflowed_denominator_is_refused_naming_the_overflow(self, beta4, r, x4):
+        # x4^2 overflows, so the denominator is NaN (beta4 = 0, where gamma is
+        # 1) or inf (gamma = 0.0 was returned); every kernel, scalar or array,
+        # refuses with one message and no numpy warning
+        p, e = GroupParameter(beta4), Event(r=r, x4=x4)
+        calls = [
+            lambda: conformal_factor(p, e),
+            lambda: transform_finite(p, e),
+            lambda: differential_map(p, e, 1.0, 1.0),
+            lambda: conformal_factor_array(beta4, r, x4),
+            lambda: transform_finite_array([0.1, beta4], [0.5, r], [0.3, x4]),
+            lambda: differential_map_array(beta4, r, x4, 1.0, 1.0),
+        ]
+        messages = set()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in calls:
+                with pytest.raises(SingularTransform) as exc:
+                    call()
+                messages.add(str(exc.value))
+        assert messages == {
+            f"conformal factor denominator overflows at (r={r}, x4={x4}) "
+            f"for beta4={beta4}: x4^2 - r^2 = inf"
+        }
 
     @pytest.mark.parametrize("r, x4", [(0.1, 3.0), (0.0, 3.0)])
     def test_beyond_both_singular_surfaces_raises(self, r, x4):

@@ -1,7 +1,9 @@
 """Property tests: the array kernels of confdop.conformal agree with the
 scalar kernels bit for bit, element by element, inside the domain; and
 the array RK4 oracle returns the bits, or raises the error, that a loop
-of scalar flow_oracle calls does, inside the domain and outside it.
+of scalar flow_oracle calls does, inside the domain and outside it; and
+the half-slope flow_oracle returns those of the full-slope loop it
+replaced.
 
 Kept apart from test_conformal.py so that those tests do not depend on
 hypothesis being installed.
@@ -26,8 +28,9 @@ from confdop import (
     flow_oracle,
     transform_finite,
 )
-from confdop.checks import _ORACLE_ARRAY_MIN_CASES, run_oracle_suite
+from confdop.checks import _ORACLE_ARRAY_MIN_CASES, run_oracle_suite, run_suite
 from confdop.conformal import (
+    FLOW_DIVERGENCE_BOUND,
     conformal_factor_array,
     differential_map_array,
     flow_oracle_array,
@@ -116,6 +119,73 @@ def test_flow_oracle_array_equals_scalar_calls_bit_for_bit(batch, steps):
     b, r, x4 = (np.array(col) for col in zip(*batch))
     expected = returned_or_raised(lambda: scalar_loop(*zip(*batch), steps))
     assert returned_or_raised(lambda: np.ravel(flow_oracle_array(b, r, x4, steps))) == expected
+
+
+def full_slope_flow_oracle(p, e, steps):
+    """flow_oracle as written before it took half-slopes: every stage's r
+    slope is 2.0*x4*r, stepped by h/2, h and h.  The reference that the
+    half-slope loop must equal bit for bit."""
+    if p.beta4 == 0.0:
+        return Event(r=e.r, x4=e.x4)
+    h = p.beta4 / steps
+    half_h = 0.5 * h
+    r = e.r
+    x = e.x4
+    for _ in range(steps):
+        k1r = 2.0 * x * r
+        k1x = r * r + x * x
+        r2 = r + half_h * k1r
+        x2 = x + half_h * k1x
+        k2r = 2.0 * x2 * r2
+        k2x = r2 * r2 + x2 * x2
+        r3 = r + half_h * k2r
+        x3 = x + half_h * k2x
+        k3r = 2.0 * x3 * r3
+        k3x = r3 * r3 + x3 * x3
+        r4 = r + h * k3r
+        x4 = x + h * k3x
+        k4r = 2.0 * x4 * r4
+        k4x = r4 * r4 + x4 * x4
+        r = r + h * (k1r + 2.0 * (k2r + k3r) + k4r) / 6.0
+        x = x + h * (k1x + 2.0 * (k2x + k3x) + k4x) / 6.0
+        if not abs(r) + abs(x) <= FLOW_DIVERGENCE_BOUND:
+            raise StepDivergence(
+                f"flow state exceeded bound {FLOW_DIVERGENCE_BOUND:g} (r={r:g}, x4={x:g})"
+            )
+    return Event(r=r, x4=x)
+
+
+@given(
+    st.one_of(
+        # (beta4, r, x4) as the oracle suite draws them, and unit-scale
+        # cases that may diverge or step r below 0
+        st.tuples(st.floats(-1.0, 1.0), st.floats(0.05, 2.0), st.floats(-2.0, 2.0)).map(
+            lambda c: (c[0] * 0.3 / (c[1] + abs(c[2])), c[1], c[2])
+        ),
+        st.tuples(st.floats(-2.0, 2.0), st.floats(0.0, 3.0), st.floats(-3.0, 3.0)),
+    ),
+    st.one_of(st.integers(1, 40), st.just(confdop.checks.ORACLE_STEPS)),
+)
+def test_half_slope_flow_oracle_equals_the_full_slope_loop(case, steps):
+    p, e = GroupParameter(case[0]), Event(r=case[1], x4=case[2])
+
+    def flowed(oracle):
+        def call():
+            out = oracle(p, e, steps)
+            return out.r, out.x4
+
+        return returned_or_raised(call)
+
+    assert flowed(flow_oracle) == flowed(full_slope_flow_oracle)
+
+
+def test_oracle_warns_of_nothing():
+    # pytest makes only RuntimeWarning an error; numpy 2.4 warns of a
+    # positional out of np.maximum with a DeprecationWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_suite("oracle", None, 0, None).passed
+        flow_oracle(GroupParameter(0.1), Event(r=0.5, x4=1.0), steps=100)
 
 
 def test_flow_oracle_array_equals_scalar_calls_at_the_suites_step_count():
