@@ -10,13 +10,9 @@ Every suite draws its whole Generator stream as one `rng.random` block,
 in the order a per-case loop of `rng.uniform` calls would consume it;
 `low + (high - low) * u` is what `Generator.uniform` computes.  So every
 summary line equals that of the per-case loop.  The oracle suite
-integrates the RK4 flow of all its cases at once with `flow_oracle_array`
-from a measured case count on, and below it case by case with the scalar
-`flow_oracle`, where one array pass costs more than the loop.  The two
-paths have their own step code but apply the same operations in the same
-order to each case, and the array path leaves every refusal to
-`flow_oracle`, so they give the same bits and the same refusals; a
-property test pins this.
+integrates the RK4 flow of all its cases with one `flow_oracle_array`
+call, which returns the bits, or raises the error, of a loop of scalar
+`flow_oracle` calls.
 """
 
 from __future__ import annotations
@@ -27,16 +23,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conformal import (
-    Event,
     GroupParameter,
     _require_finite,
     conformal_factor_array,
     differential_map_array,
-    flow_oracle,
     flow_oracle_array,
     hill_transform,
     line_element_squared,
-    transform_finite,
+    transform_finite,  # unused here; perfbench's tracer counts calls through this name
     transform_finite_array,
 )
 from .errors import ConfdopError
@@ -54,12 +48,6 @@ DEFAULT_TOLERANCES = {
 DEFAULT_CASES = {"group": 10_000, "oracle": 100, "metric": 10_000}
 
 ORACLE_STEPS = 5000  # RK4 steps per oracle case
-# Case count from which run_oracle_suite integrates all cases at once.
-# Both paths timed through run_oracle_suite: the array loop costs about
-# 0.09-0.12 s at any count up to 28, the scalar one about 4-5.5 ms per
-# case; they break even at 20-24 cases (medians of 5-9 runs per count,
-# 2-core Xeon, Python 3.11.7, numpy 2.4.6).
-_ORACLE_ARRAY_MIN_CASES = 22
 # Largest case count every suite's arrays can be sized for; the widest is
 # the oracle's (14, cases) RK4 row buffer, 14 float64 values per case.
 _MAX_CASES = _max_rows(14)
@@ -143,29 +131,11 @@ def run_group_suite(cases: int, tol: float, seed: int) -> SuiteResult:
 
 
 def run_oracle_suite(cases: int, tol: float, seed: int) -> SuiteResult:
-    """Closed form against RK4 integration of the generating flow.
-
-    From _ORACLE_ARRAY_MIN_CASES cases on, every case is integrated at
-    once by flow_oracle_array; below, case by case with flow_oracle.  The
-    two paths give the same bits and the same refusals, so the outcome
-    does not depend on which one ran.
-    """
+    """Closed form against RK4 integration of the generating flow."""
     u_r, u_x4, u_b = _draws(_rng(seed), cases, 3)
     r, x4 = _sample_events(u_r, u_x4)
     b = _scaled_beta(u_b, r, x4, 0.3)
-    if cases >= _ORACLE_ARRAY_MIN_CASES:
-        err = _rel_err(*transform_finite_array(b, r, x4),
-                       *flow_oracle_array(b, r, x4, ORACLE_STEPS))
-    else:
-        rows = []
-        # Python floats: the RK4 loop runs far slower on numpy scalars
-        for ri, xi, bi in zip(r.tolist(), x4.tolist(), b.tolist()):
-            e = Event(ri, xi)
-            p = GroupParameter(bi)
-            fin = transform_finite(p, e)
-            flowed = flow_oracle(p, e, steps=ORACLE_STEPS)
-            rows.append((fin.r, fin.x4, flowed.r, flowed.x4))
-        err = _rel_err(*np.reshape(rows, (-1, 4)).T)
+    err = _rel_err(*transform_finite_array(b, r, x4), *flow_oracle_array(b, r, x4, ORACLE_STEPS))
     return _result(
         "oracle", cases, "max_rel_err", err, tol,
         lambda i: f"r={r[i]:.6g} x4={x4[i]:.6g} beta4={b[i]:.6g}",

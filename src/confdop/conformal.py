@@ -27,8 +27,10 @@ of each RK4 stage as the half-slope x4*r and carry its factor 2 on the
 step.  The array step is 25 numpy calls on contiguous row blocks and
 tests no bound; flow_oracle alone decides divergence, for the few
 elements whose running max nears the bound or whose final state is not
-plainly fine.  A pass over 100 elements and 5,000 steps takes about
-0.04-0.07 s.
+plainly fine.  At 5,000 steps an array pass over 10 to 100 elements
+takes about 0.04-0.09 s and one flow_oracle call 2.4-4.3 ms, so below
+_FLOW_ARRAY_MIN_ELEMENTS moving elements flow_oracle_array makes no pass
+and loops over flow_oracle.
 
 Everything here is a pure function of immutable values; all operations
 are safe to share between threads.
@@ -63,6 +65,15 @@ FLOW_DIVERGENCE_BOUND = 1e12
 _INF = math.inf
 
 _C2_MIN = sys.float_info.min
+
+# Moving elements from which flow_oracle_array makes an array pass; below
+# it, its flow_oracle loop costs less.  At 5,000 steps a pass took
+# 38-86 ms (mostly 38-50) at every count from 10 to 30, the loop 2.4-4.3 ms
+# an element; three alternating sweeps, medians of 5, 7 and 9 runs per
+# count, broke even at 22, 17 and 18 (2-core Xeon, Python 3.11.7, numpy
+# 2.4.6).  Keep it above 10, the case count of CI's and the benchmark's
+# short oracle runs.
+_FLOW_ARRAY_MIN_ELEMENTS = 22
 
 
 def _require_finite(name: str, value: float) -> None:
@@ -168,38 +179,44 @@ def _finite_map_array(b, r, x4):
         return _finite_map(b, r, x4, _refuse_any)
 
 
+def _overflow(what, b, r, x4, terms) -> str | None:
+    """The message naming the first non-finite (name, value) of `terms`, or None.
+
+    The inputs are finite, so a non-finite term overflowed.
+    """
+    for name, term in terms:
+        if not math.isfinite(term):
+            return f"{what} overflows at (r={r}, x4={x4}) for beta4={b}: {name} = {term}"
+    return None
+
+
 def _refuse(b, r, x4, regular, u_factor, v_factor) -> None:
     if not regular:
-        # the inputs are finite, so a non-finite term overflowed; name the first
         s2 = x4 * x4 - r * r
-        for name, term in (
+        raise SingularTransform(_overflow("conformal factor denominator", b, r, x4, (
             ("x4^2 - r^2", s2),
             ("2*beta4*x4", 2.0 * b * x4),
             ("beta4^2", b * b),
             ("beta4^2*s2", b * b * s2),
             ("1 - 2*beta4*x4 + beta4^2*s2", 1.0 - 2.0 * b * x4 + b * b * s2),
-        ):
-            if not math.isfinite(term):
-                raise SingularTransform(
-                    f"conformal factor denominator overflows at (r={r}, x4={x4}) "
-                    f"for beta4={b}: {name} = {term}"
-                )
-        raise SingularTransform(
-            f"conformal factor singular at (r={r}, x4={x4}) for beta4={b}"
-        )
+        )) or f"conformal factor singular at (r={r}, x4={x4}) for beta4={b}")
     if not (u_factor > 0.0 and v_factor > 0.0):
         raise DomainCrossing(
             f"event (r={r}, x4={x4}) lies beyond the singular surface of beta4={b}"
         )
 
 
+def _first(bad, *arrays):
+    """The Python values of `arrays`, broadcast to bad's shape, at its first true element."""
+    i = int(np.argmax(bad))
+    return (np.broadcast_to(a, bad.shape).flat[i].item() for a in arrays)
+
+
 def _refuse_any(b, r, x4, regular, u_factor, v_factor) -> None:
     # raises as the scalar kernel would for the first element outside the domain
     bad = ~(regular & (u_factor > 0.0) & (v_factor > 0.0))
     if bad.any():
-        i = int(np.argmax(bad))
-        _refuse(*(np.broadcast_to(a, bad.shape).flat[i].item()
-                  for a in (b, r, x4, regular, u_factor, v_factor)))
+        _refuse(*_first(bad, b, r, x4, regular, u_factor, v_factor))
 
 
 def _finite_arrays(**fields) -> list[np.ndarray]:
@@ -210,20 +227,27 @@ def _finite_arrays(**fields) -> list[np.ndarray]:
         if not np.isfinite(a).all():
             raise ConfdopError(f"{name} must be finite, got {a[~np.isfinite(a)].flat[0]}")
         if name == "r" and (a < 0.0).any():
-            raise ConfdopError(f"r must be >= 0, got {a.min()}")
+            raise ConfdopError(f"r must be >= 0, got {a[a < 0.0][0]}")
         arrays.append(a)
     return arrays
 
 
 def _differential_terms(b, r, x4):
-    """A = 1 - 2*beta4*x4 + beta4^2*(r^2 + x4^2) and B = 2*beta4*r*(1 - beta4*x4)."""
-    return 1.0 - 2.0 * b * x4 + b * b * (r * r + x4 * x4), 2.0 * b * r * (1.0 - b * x4)
+    """r^2 + x4^2, A = 1 - 2*beta4*x4 + beta4^2*(r^2 + x4^2) and B = 2*beta4*r*(1 - beta4*x4)."""
+    q = r * r + x4 * x4
+    return q, 1.0 - 2.0 * b * x4 + b * b * q, 2.0 * b * r * (1.0 - b * x4)
 
 
 def _differential(g, b, r, x4, dr, dx4):
-    a_coeff, b_coeff = _differential_terms(b, r, x4)
+    _, a_coeff, b_coeff = _differential_terms(b, r, x4)
     g2 = g * g
     return g2 * (a_coeff * dr + b_coeff * dx4), g2 * (b_coeff * dr + a_coeff * dx4)
+
+
+def _refuse_image(what, b, r, x4, images) -> None:
+    # the differential or slope image of an admissible event is not finite
+    terms = zip(("r^2 + x4^2", "A", "B"), _differential_terms(b, r, x4))
+    raise ConfdopError(_overflow(what, b, r, x4, (*terms, *images)))
 
 
 def conformal_factor(p: GroupParameter, e: Event) -> float:
@@ -278,19 +302,36 @@ def differential_map(p: GroupParameter, e: Event, dr: float, dx4: float) -> tupl
     dr' = gamma^2 * (A dr + B dx4),  dx4' = gamma^2 * (B dr + A dx4),
 
     with A = 1 - 2*beta4*x4 + beta4^2*(r^2 + x4^2) and
-    B = 2*beta4*r*(1 - beta4*x4).  Raises as conformal_factor does.
+    B = 2*beta4*r*(1 - beta4*x4).  Raises as conformal_factor does, and
+    ConfdopError for a non-finite dr or dx4, or where r^2 + x4^2, A, B,
+    dr' or dx4' overflows, naming the first of these that did.
     """
-    g = _finite_map(p.beta4, e.r, e.x4, _refuse)[0]
-    return _differential(g, p.beta4, e.r, e.x4, dr, dx4)
+    _require_finite("dr", dr)
+    _require_finite("dx4", dx4)
+    b, r, x4 = p.beta4, e.r, e.x4
+    drp, dx4p = _differential(_finite_map(b, r, x4, _refuse)[0], b, r, x4, dr, dx4)
+    if not (abs(drp) < _INF and abs(dx4p) < _INF):
+        _refuse_image(f"differential map of (dr={dr}, dx4={dx4})", b, r, x4,
+                      (("dr'", drp), ("dx4'", dx4p)))
+    return drp, dx4p
 
 
 def differential_map_array(beta4, r, x4, dr, dx4) -> tuple[np.ndarray, np.ndarray]:
     """differential_map over broadcastable arrays; returns (dr', dx4').
 
-    Raises as conformal_factor_array does.
+    Raises as conformal_factor_array does, and as differential_map does
+    for the first element whose image is not finite.
     """
     b, r, x4, dr, dx4 = _finite_arrays(beta4=beta4, r=r, x4=x4, dr=dr, dx4=dx4)
-    return _differential(_finite_map_array(b, r, x4)[0], b, r, x4, dr, dx4)
+    g = _finite_map_array(b, r, x4)[0]
+    # an overflow here leaves an image non-finite, which is refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        drp, dx4p = _differential(g, b, r, x4, dr, dx4)
+    bad = ~(np.isfinite(drp) & np.isfinite(dx4p))
+    if bad.any():
+        b, r, x4, dr, dx4 = _first(bad, b, r, x4, dr, dx4)
+        differential_map(GroupParameter(b), Event(r, x4), dr, dx4)  # raises
+    return drp, dx4p
 
 
 def slope_transform(p: GroupParameter, e: Event, slope: float) -> float:
@@ -300,15 +341,23 @@ def slope_transform(p: GroupParameter, e: Event, slope: float) -> float:
 
     with A and B as in differential_map.  Slopes +1 and -1 (light speed)
     are fixed points.  Raises as conformal_factor does for an event
-    outside the domain, and SlopeSingular when the denominator is within
-    EPS_SINGULAR of zero.
+    outside the domain, SlopeSingular when the denominator is within
+    EPS_SINGULAR of zero, and ConfdopError for a non-finite slope, or
+    where r^2 + x4^2, A, B, the denominator or slope' overflows, naming
+    the first of these that did.
     """
-    _finite_map(p.beta4, e.r, e.x4, _refuse)
-    a_coeff, b_coeff = _differential_terms(p.beta4, e.r, e.x4)
+    _require_finite("slope", slope)
+    b, r, x4 = p.beta4, e.r, e.x4
+    _finite_map(b, r, x4, _refuse)
+    _, a_coeff, b_coeff = _differential_terms(b, r, x4)
     denom = b_coeff * slope + a_coeff
     if abs(denom) < EPS_SINGULAR:
         raise SlopeSingular(f"slope map singular: B*slope + A = {denom!r}")
-    return (a_coeff * slope + b_coeff) / denom
+    out = (a_coeff * slope + b_coeff) / denom
+    if not (abs(out) < _INF and abs(denom) < _INF):
+        _refuse_image(f"slope map of slope={slope}", b, r, x4,
+                      (("B*slope + A", denom), ("slope'", out)))
+    return out
 
 
 def invariant_ratio(e: Event) -> float:
@@ -500,18 +549,21 @@ def flow_oracle_array(beta4, r, x4, steps: int) -> tuple[np.ndarray, np.ndarray]
     [flow_oracle(GroupParameter(b), Event(r, x4), steps) for ...] over the
     broadcast elements in C order would; a property test pins this.
 
-    Each element takes its own step h = beta4/steps and sees
-    flow_oracle's operations in the same order, half-slopes included.
-    The state is one (2, n) array of rows (r, x4), and a step is 25 numpy
-    calls into buffers made once per pass; 100 elements over 5,000 steps
-    take about 0.04-0.07 s.  The pass tests no bound; it keeps the running
-    max of r^2 and x4^2.  Every element that is not plainly fine runs
-    again through flow_oracle, in index order, and flow_oracle decides
-    whether it raises.  Not plainly fine: an input that Event or
-    GroupParameter refuses, a step count below 1, a peak
-    sqrt(max r^2) + sqrt(max x4^2) above half of FLOW_DIVERGENCE_BOUND,
-    or a final state past the bound, not finite or with r < 0.
-    beta4 = 0 returns the input.  The caller's arrays are never written.
+    Fewer than _FLOW_ARRAY_MIN_ELEMENTS moving elements (beta4 != 0)
+    make no array pass: each runs through flow_oracle, in index order,
+    which at 5,000 steps costs 2.4-4.3 ms an element against 0.04-0.09 s
+    a pass.  From that count on, each element takes its own step
+    h = beta4/steps and sees flow_oracle's operations in the same order,
+    half-slopes included.  The state is one (2, n) array of rows (r, x4),
+    and a step is 25 numpy calls into buffers made once per pass.  The
+    pass tests no bound; it keeps the running max of r^2 and x4^2.  Every
+    element that is not plainly fine runs again through flow_oracle, in
+    index order, and flow_oracle decides whether it raises.  Not plainly
+    fine: an input that Event or GroupParameter refuses, a step count
+    below 1, a peak sqrt(max r^2) + sqrt(max x4^2) above half of
+    FLOW_DIVERGENCE_BOUND, or a final state past the bound, not finite or
+    with r < 0.  beta4 = 0 returns the input.  The caller's arrays are
+    never written.
     """
     b, r_in, x_in = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (beta4, r, x4)))
     r_out, x_out = r_in.copy(), x_in.copy()
@@ -519,7 +571,9 @@ def flow_oracle_array(beta4, r, x4, steps: int) -> tuple[np.ndarray, np.ndarray]
     fine = np.ravel(np.isfinite(b) & np.isfinite(x_in) & (0.0 <= r_in) & (r_in < _INF))
     fine &= steps >= 1
     moving = np.flatnonzero(fine & np.ravel(b != 0.0))
-    if moving.size:
+    if moving.size < _FLOW_ARRAY_MIN_ELEMENTS:
+        fine[moving] = False
+    else:
         y0 = np.stack((r_in.flat[moving], x_in.flat[moving]))
         h = b.flat[moving] / steps
         with np.errstate(over="ignore", invalid="ignore"):

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import confdop.checks
+import confdop.conformal
 from confdop.checks import DEFAULT_TOLERANCES, run_suite
 from confdop.errors import ConfdopError
 
@@ -78,12 +79,13 @@ def test_summary_matches_pinned_line(suite, seed, cases):
 
 @pytest.mark.parametrize(
     "seed, cases", [(seed, cases) for suite, seed, cases in PINNED if suite == "oracle"
-                    and cases is not None and cases < confdop.checks._ORACLE_ARRAY_MIN_CASES],
+                    and cases is not None and cases < confdop.conformal._FLOW_ARRAY_MIN_ELEMENTS],
 )
 def test_small_oracle_lines_match_on_the_array_path(monkeypatch, seed, cases):
-    # these counts run the scalar loop by default, and the 100- and
-    # 300-case lines (recorded from that loop) now run the array path
-    monkeypatch.setattr(confdop.checks, "_ORACLE_ARRAY_MIN_CASES", 1)
+    # flow_oracle_array runs these counts through its flow_oracle loop by
+    # default, and the 100- and 300-case lines (recorded from that loop)
+    # through its array pass
+    monkeypatch.setattr(confdop.conformal, "_FLOW_ARRAY_MIN_ELEMENTS", 1)
     assert run_suite("oracle", None, seed, cases).summary() == PINNED["oracle", seed, cases]
 
 

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from confdop import (
+    ConfdopError,
     DomainCrossing,
     Event,
     GroupParameter,
@@ -38,6 +39,7 @@ from confdop import (
 from confdop.conformal import (
     conformal_factor_array,
     differential_map_array,
+    flow_oracle_array,
     transform_finite_array,
 )
 from confdop.constants import SPEED_OF_LIGHT
@@ -322,6 +324,47 @@ class TestDifferentialMap:
         assert abs((a.r - b.r) - drp) < 10 * delta**2
         assert abs((a.x4 - b.x4) - dx4p) < 10 * delta**2
 
+    @pytest.mark.parametrize(
+        "dr, dx4", [(math.nan, 1.0), (math.inf, 0.0), (1.0, -math.inf)],
+        ids=["dr_nan", "dr_inf", "dx4_minus_inf"],
+    )
+    def test_non_finite_displacement_is_refused_as_the_array_kernel_refuses_it(self, dr, dx4):
+        with pytest.raises(ConfdopError, match="must be finite") as array:
+            differential_map_array(0.1, 0.5, 0.3, dr, dx4)
+        with pytest.raises(ConfdopError) as scalar:
+            differential_map(GroupParameter(0.1), Event(r=0.5, x4=0.3), dr, dx4)
+        assert str(scalar.value) == str(array.value)
+
+    @pytest.mark.parametrize(
+        "beta4, r, x4, dr, dx4, term",
+        [
+            (0.0, 1.2e154, 1.2e154, 1.0, 1.0, "r^2 + x4^2 = inf"),
+            (1e-2, 1.0, 1.0, 1.75e308, 1.75e308, "dr' = inf"),
+            (1e-2, 1.0, 1.0, 1.0, 1.78e308, "dx4' = inf"),
+        ],
+        ids=["r2_plus_x4_2", "dr_prime", "dx4_prime"],
+    )
+    def test_overflowed_image_is_refused_naming_the_overflow(self, beta4, r, x4, dr, dx4, term):
+        # the event is admissible, and for beta4 = 0 the denominator's
+        # x4^2 - r^2 cancels to 0, but a term of the image overflows; the
+        # scalar and the array kernel refuse with one message and no warning
+        calls = [
+            lambda: differential_map(GroupParameter(beta4), Event(r=r, x4=x4), dr, dx4),
+            lambda: differential_map_array([0.1, beta4], [0.5, r], [0.3, x4], [0.2, dr], [0.7, dx4]),
+        ]
+        messages = set()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in calls:
+                with pytest.raises(ConfdopError) as exc:
+                    call()
+                assert type(exc.value) is ConfdopError
+                messages.add(str(exc.value))
+        assert messages == {
+            f"differential map of (dr={dr}, dx4={dx4}) overflows at (r={r}, x4={x4}) "
+            f"for beta4={beta4}: {term}"
+        }
+
 
 class TestSlopeTransform:
     def test_light_speed_fixed_points(self):
@@ -347,6 +390,28 @@ class TestSlopeTransform:
     def test_event_outside_domain_raises(self, r, x4):
         with pytest.raises(DomainCrossing):
             slope_transform(GroupParameter(1.0), Event(r=r, x4=x4), 0.3)
+
+    @pytest.mark.parametrize("slope", [math.nan, -math.inf])
+    def test_non_finite_slope_is_refused(self, slope):
+        with pytest.raises(ConfdopError, match=f"^slope must be finite, got {slope}$"):
+            slope_transform(GroupParameter(0.1), Event(r=0.5, x4=0.3), slope)
+
+    @pytest.mark.parametrize(
+        "beta4, r, x4, slope, term",
+        [
+            (0.0, 1.2e154, 1.2e154, 1.0, "r^2 + x4^2 = inf"),
+            (0.4, 1.0, -1.0, 1e308, "slope' = inf"),
+            (0.4, 1.0, -1.0, 1.7e308, "B*slope + A = inf"),
+        ],
+        ids=["r2_plus_x4_2", "slope_prime", "denominator"],
+    )
+    def test_overflow_is_refused_naming_it(self, beta4, r, x4, slope, term):
+        with pytest.raises(ConfdopError) as exc:
+            slope_transform(GroupParameter(beta4), Event(r=r, x4=x4), slope)
+        assert type(exc.value) is ConfdopError
+        assert str(exc.value) == (
+            f"slope map of slope={slope} overflows at (r={r}, x4={x4}) for beta4={beta4}: {term}"
+        )
 
 
 class TestInvariantRatio:
@@ -536,3 +601,12 @@ class TestArrayKernel:
     def test_negative_radius_refused(self):
         with pytest.raises(ValueError, match="r must be >= 0"):
             conformal_factor_array(0.1, [1.0, -0.5], 0.0)
+
+    def test_negative_radius_names_the_first_as_a_scalar_loop_does(self):
+        message = "^r must be >= 0, got -1.0$"
+        with pytest.raises(ConfdopError, match=message):
+            [conformal_factor(GroupParameter(0.1), Event(r=r, x4=0.0)) for r in (-1.0, -2.0)]
+        with pytest.raises(ConfdopError, match=message):
+            conformal_factor_array(0.1, [-1.0, -2.0], 0.0)
+        with pytest.raises(ConfdopError, match=message):
+            flow_oracle_array(0.1, [-1.0, -2.0], 0.0, 10)

@@ -29,7 +29,7 @@ from confdop import (
     flow_oracle,
     transform_finite,
 )
-from confdop.checks import _ORACLE_ARRAY_MIN_CASES, run_oracle_suite, run_suite
+from confdop.checks import run_oracle_suite, run_suite
 from confdop.conformal import (
     FLOW_DIVERGENCE_BOUND,
     conformal_factor_array,
@@ -37,6 +37,19 @@ from confdop.conformal import (
     flow_oracle_array,
     transform_finite_array,
 )
+
+# moving elements from which flow_oracle_array makes an array pass
+FLOW_ARRAY_MIN_ELEMENTS = confdop.conformal._FLOW_ARRAY_MIN_ELEMENTS
+
+
+@pytest.fixture(scope="module", autouse=True)
+def array_pass_at_every_count():
+    """Every flow_oracle_array call in this module makes an array pass, so
+    the properties compare it, not the flow_oracle loop, with the loop.
+    Module-scoped, since hypothesis refuses function-scoped fixtures."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(confdop.conformal, "_FLOW_ARRAY_MIN_ELEMENTS", 1)
+        yield
 
 
 def admissible_batches():
@@ -78,8 +91,8 @@ def oracle_batches():
     purpose.  Unscaled cases reach magnitudes from subnormal to 1e200, so
     a batch may diverge, overflow to NaN or, in a few coarse steps near
     unit scale, step r below 0.  Up to 10 distinct cases are repeated to a
-    count on either side of the one from which the oracle suite takes the
-    array path; drawing every case would cost far more."""
+    count on either side of the one from which flow_oracle_array makes an
+    array pass by default; drawing every case would cost far more."""
     beta = st.one_of(st.just(0.0), st.floats(-1.0, 1.0))
     radius = st.one_of(st.just(0.0), st.floats(0.0, 1e3))
     admissible = st.tuples(beta, radius, st.floats(-1e3, 1e3)).map(
@@ -93,7 +106,7 @@ def oracle_batches():
         st.tuples(st.one_of(st.just(0.0), signed), st.one_of(st.just(0.0), magnitude), signed),
     )
     case = st.one_of(admissible, unscaled)
-    n = _ORACLE_ARRAY_MIN_CASES
+    n = FLOW_ARRAY_MIN_ELEMENTS
     count = st.one_of(st.integers(1, n - 1), st.integers(n, 2 * n))
     return st.tuples(st.lists(case, min_size=1, max_size=10), count).map(
         lambda d: [d[0][i % len(d[0])] for i in range(d[1])]
@@ -364,6 +377,25 @@ def test_flow_oracle_array_past_half_the_bound_reruns_only_that_element(step_pas
     assert step_passes == [("array", 2), ("scalar", 1e-12, 1.0, 4e11)]
 
 
+@pytest.mark.parametrize("offset", [-1, 0], ids=["one_below", "at"])
+def test_flow_oracle_array_loops_below_its_threshold_and_passes_from_it(
+        monkeypatch, step_passes, offset):
+    # the default threshold, in place of the module fixture's 1
+    monkeypatch.setattr(confdop.conformal, "_FLOW_ARRAY_MIN_ELEMENTS", FLOW_ARRAY_MIN_ELEMENTS)
+    n = FLOW_ARRAY_MIN_ELEMENTS + offset
+    rng = confdop.checks._rng(5)
+    u_r, u_x4, u_b = confdop.checks._draws(rng, n, 3)
+    r, x4 = confdop.checks._sample_events(u_r, u_x4)
+    b = confdop.checks._scaled_beta(u_b, r, x4, 0.3)
+    out = flow_oracle_array(b, r, x4, 50)
+    expected = scalar_loop(b.tolist(), r.tolist(), x4.tolist(), 50)
+    assert same_bits(np.ravel(out), expected)
+    if offset < 0:
+        assert step_passes == [("scalar", *case) for case in zip(b, r, x4)]
+    else:
+        assert step_passes == [("array", n)]
+
+
 def test_default_oracle_suite_makes_one_unchecked_pass(step_passes):
     assert run_oracle_suite(confdop.checks.DEFAULT_CASES["oracle"], 1e-9, 0).passed
     assert step_passes == [("array", confdop.checks.DEFAULT_CASES["oracle"])]
@@ -382,7 +414,5 @@ def test_default_oracle_suite_runs_no_scalar_kernel(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("scalar kernel called")
 
-    monkeypatch.setattr(confdop.checks, "flow_oracle", refuse)
     monkeypatch.setattr(confdop.conformal, "flow_oracle", refuse)
-    monkeypatch.setattr(confdop.checks, "transform_finite", refuse)
     assert run_oracle_suite(confdop.checks.DEFAULT_CASES["oracle"], 1e-9, 0).passed
