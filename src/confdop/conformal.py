@@ -18,7 +18,9 @@ cross-check of the closed forms.
 The conformal factor, the finite transformation and the differential map
 also come as `*_array` functions over numpy arrays of (beta4, r, x4).
 They share their formula body with the scalar functions, so each element
-is bit-identical to the scalar call on the same floats.  The admissible
+is bit-identical to the scalar call on the same floats, and they run the
+first element that they refuse through the scalar call, so they raise
+the error that a loop of scalar calls would.  The admissible
 domain is 1 - beta4*(x4 + r) > 0 and 1 - beta4*(x4 - r) > 0: the two
 null-coordinate factors whose product is 1/gamma.  The RK4 oracle
 likewise comes as flow_oracle_array, which returns the bits, or raises
@@ -154,11 +156,13 @@ def line_element_squared(dr: float, dx4: float) -> float:
 def _finite_map(b, r, x4, refuse):
     """Formula body of the finite map, shared by the scalar and array kernels.
 
-    Elementwise on floats or numpy arrays; returns (gamma, r', x4').
-    `refuse` raises for events outside the domain, given the regularity
-    test (false near the singular surface, and where the denominator
-    overflowed to inf or NaN) and the two null-coordinate factors.  With
-    finite inputs, a finite denominator leaves every term finite.
+    Elementwise on floats or numpy arrays; returns (gamma, r', x4', test).
+    `refuse` is given the regularity test (false near the singular
+    surface, and where the denominator overflowed to inf or NaN) and the
+    two null-coordinate factors.  The scalar one raises for an event
+    outside the domain; the array one returns the elementwise domain test,
+    the fourth value.  With finite inputs, a finite denominator leaves
+    every term finite.
     """
     s2 = x4 * x4 - r * r
     linear = 2.0 * b * x4
@@ -166,34 +170,59 @@ def _finite_map(b, r, x4, refuse):
     denom = 1.0 - linear + quadratic
     size = abs(denom)
     regular = (size >= EPS_SINGULAR * (1.0 + abs(linear) + abs(quadratic))) & (size < _INF)
-    refuse(b, r, x4, regular, 1.0 - b * (x4 + r), 1.0 - b * (x4 - r))
+    test = refuse(b, r, x4, regular, 1.0 - b * (x4 + r), 1.0 - b * (x4 - r))
     g = 1.0 / denom
-    return g, g * r, g * (x4 - b * s2)
+    return g, g * r, g * (x4 - b * s2), test
+
+
+def _in_domain(b, r, x4, regular, u_factor, v_factor):
+    return regular & (u_factor > 0.0) & (v_factor > 0.0)
 
 
 def _finite_map_array(b, r, x4):
-    # every overflow here leaves the denominator non-finite, which
-    # _refuse_any refuses, or an image coordinate non-finite, which
-    # transform_finite_array refuses; so numpy need not warn of it
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _finite_map(b, r, x4, _refuse_any)
+    """_finite_map over float arrays; returns (gamma, r', x4', fine), with
+    fine false wherever the scalar kernel refuses the input: a non-finite
+    beta4 or x4, an r that is negative or not finite, or an event outside
+    the domain.  numpy does not warn of what a refused element computes."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        g, r_out, x4_out, in_domain = _finite_map(b, r, x4, _in_domain)
+    fine = in_domain & np.isfinite(b) & np.isfinite(x4) & (0.0 <= r) & (r < _INF)
+    return g, r_out, x4_out, fine
 
 
-def _overflow(what, b, r, x4, terms) -> str | None:
+def _first(bad, *arrays):
+    """The Python values of `arrays`, broadcast to bad's shape, at its first true element."""
+    i = int(np.argmax(bad))
+    return (np.broadcast_to(a, bad.shape).flat[i].item() for a in arrays)
+
+
+def _raise_first(fine, kernel, b, r, x4, *rest) -> None:
+    """Unless `fine` is true throughout, run the scalar `kernel` on the first
+    element of (beta4, r, x4, *rest) in C order where it is false.  `fine`
+    is false only where the kernel refuses, so the kernel raises there, as
+    a loop of scalar calls would."""
+    bad = ~fine
+    if bad.any():
+        b, r, x4, *rest = _first(bad, b, r, x4, *rest)
+        kernel(GroupParameter(b), Event(r, x4), *rest)
+
+
+def _overflow(what, at, terms) -> str | None:
     """The message naming the first non-finite (name, value) of `terms`, or None.
 
     The inputs are finite, so a non-finite term overflowed.
     """
     for name, term in terms:
         if not math.isfinite(term):
-            return f"{what} overflows at (r={r}, x4={x4}) for beta4={b}: {name} = {term}"
+            return f"{what} overflows at {at}: {name} = {term}"
     return None
 
 
 def _refuse(b, r, x4, regular, u_factor, v_factor) -> None:
     if not regular:
         s2 = x4 * x4 - r * r
-        raise SingularTransform(_overflow("conformal factor denominator", b, r, x4, (
+        at = f"(r={r}, x4={x4}) for beta4={b}"
+        raise SingularTransform(_overflow("conformal factor denominator", at, (
             ("x4^2 - r^2", s2),
             ("2*beta4*x4", 2.0 * b * x4),
             ("beta4^2", b * b),
@@ -206,30 +235,8 @@ def _refuse(b, r, x4, regular, u_factor, v_factor) -> None:
         )
 
 
-def _first(bad, *arrays):
-    """The Python values of `arrays`, broadcast to bad's shape, at its first true element."""
-    i = int(np.argmax(bad))
-    return (np.broadcast_to(a, bad.shape).flat[i].item() for a in arrays)
-
-
-def _refuse_any(b, r, x4, regular, u_factor, v_factor) -> None:
-    # raises as the scalar kernel would for the first element outside the domain
-    bad = ~(regular & (u_factor > 0.0) & (v_factor > 0.0))
-    if bad.any():
-        _refuse(*_first(bad, b, r, x4, regular, u_factor, v_factor))
-
-
-def _finite_arrays(**fields) -> list[np.ndarray]:
-    """The named inputs as float arrays; refuses non-finite values and r < 0."""
-    arrays = []
-    for name, value in fields.items():
-        a = np.asarray(value, dtype=float)
-        if not np.isfinite(a).all():
-            raise ConfdopError(f"{name} must be finite, got {a[~np.isfinite(a)].flat[0]}")
-        if name == "r" and (a < 0.0).any():
-            raise ConfdopError(f"r must be >= 0, got {a[a < 0.0][0]}")
-        arrays.append(a)
-    return arrays
+def _float_arrays(*values) -> list[np.ndarray]:
+    return [np.asarray(v, dtype=float) for v in values]
 
 
 def _differential_terms(b, r, x4):
@@ -247,7 +254,7 @@ def _differential(g, b, r, x4, dr, dx4):
 def _refuse_image(what, b, r, x4, images) -> None:
     # the differential or slope image of an admissible event is not finite
     terms = zip(("r^2 + x4^2", "A", "B"), _differential_terms(b, r, x4))
-    raise ConfdopError(_overflow(what, b, r, x4, (*terms, *images)))
+    raise ConfdopError(_overflow(what, f"(r={r}, x4={x4}) for beta4={b}", (*terms, *images)))
 
 
 def conformal_factor(p: GroupParameter, e: Event) -> float:
@@ -268,27 +275,33 @@ def conformal_factor(p: GroupParameter, e: Event) -> float:
 def conformal_factor_array(beta4, r, x4) -> np.ndarray:
     """conformal_factor over broadcastable arrays of beta4, r and x4.
 
-    Raises as the scalar call would for the first element outside the
-    domain, and ConfdopError for non-finite inputs or r < 0.
+    Raises the error that a loop of scalar calls over the broadcast
+    elements in C order would: a refused element is run again through
+    conformal_factor.
     """
-    return _finite_map_array(*_finite_arrays(beta4=beta4, r=r, x4=x4))[0]
+    b, r, x4 = _float_arrays(beta4, r, x4)
+    g, _, _, fine = _finite_map_array(b, r, x4)
+    _raise_first(fine, conformal_factor, b, r, x4)
+    return g
 
 
 def transform_finite(p: GroupParameter, e: Event) -> Event:
     """Finite transformation (r, x4) -> (gamma*r, gamma*(x4 - beta4*s2))."""
-    _, r, x4 = _finite_map(p.beta4, e.r, e.x4, _refuse)
+    _, r, x4, _ = _finite_map(p.beta4, e.r, e.x4, _refuse)
     return Event(r, x4)
 
 
 def transform_finite_array(beta4, r, x4) -> tuple[np.ndarray, np.ndarray]:
     """transform_finite over broadcastable arrays; returns (r', x4').
 
-    Raises as conformal_factor_array does, and ConfdopError where an image
-    coordinate overflows, as the Event that transform_finite builds would.
+    Raises the error that a loop of transform_finite calls would, its
+    refusal of an image coordinate that overflows included.
     """
-    arrays = _finite_arrays(beta4=beta4, r=r, x4=x4)
-    _, r_out, x4_out = _finite_map_array(*arrays)
-    return tuple(_finite_arrays(r=r_out, x4=x4_out))
+    b, r, x4 = _float_arrays(beta4, r, x4)
+    _, r_out, x4_out, fine = _finite_map_array(b, r, x4)
+    fine = fine & (0.0 <= r_out) & (r_out < _INF) & np.isfinite(x4_out)
+    _raise_first(fine, transform_finite, b, r, x4)
+    return r_out, x4_out
 
 
 def transform_inverse_finite(p: GroupParameter, e_primed: Event) -> Event:
@@ -319,18 +332,16 @@ def differential_map(p: GroupParameter, e: Event, dr: float, dx4: float) -> tupl
 def differential_map_array(beta4, r, x4, dr, dx4) -> tuple[np.ndarray, np.ndarray]:
     """differential_map over broadcastable arrays; returns (dr', dx4').
 
-    Raises as conformal_factor_array does, and as differential_map does
-    for the first element whose image is not finite.
+    Raises the error that a loop of differential_map calls would, its
+    refusal of an image that is not finite included.
     """
-    b, r, x4, dr, dx4 = _finite_arrays(beta4=beta4, r=r, x4=x4, dr=dr, dx4=dx4)
-    g = _finite_map_array(b, r, x4)[0]
+    b, r, x4, dr, dx4 = _float_arrays(beta4, r, x4, dr, dx4)
+    g, _, _, fine = _finite_map_array(b, r, x4)
     # an overflow here leaves an image non-finite, which is refused below
     with np.errstate(over="ignore", invalid="ignore"):
         drp, dx4p = _differential(g, b, r, x4, dr, dx4)
-    bad = ~(np.isfinite(drp) & np.isfinite(dx4p))
-    if bad.any():
-        b, r, x4, dr, dx4 = _first(bad, b, r, x4, dr, dx4)
-        differential_map(GroupParameter(b), Event(r, x4), dr, dx4)  # raises
+    fine = fine & np.isfinite(dr) & np.isfinite(dx4) & np.isfinite(drp) & np.isfinite(dx4p)
+    _raise_first(fine, differential_map, b, r, x4, dr, dx4)
     return drp, dx4p
 
 
@@ -387,10 +398,46 @@ def hill_transform(p: GroupParameter, r: float, t: float) -> tuple[float, float]
 
     r' = (1 + alpha*t) * r,  t' = t + alpha*(r^2/c^2 + t^2) / 2.
 
-    Intended for |alpha*t| << 1; accepts all inputs.
+    Intended for |alpha*t| << 1.  r and t are floats, or numpy arrays that
+    broadcast.  Raises ConfdopError for a non-finite r or t, and where r'
+    or t' is not finite, naming the first of alpha, alpha*t, r', r^2,
+    r^2/c^2, t^2, their sum, the time shift and t' that overflowed.  An
+    array call raises the error of its first such element in C order,
+    with no numpy warning.
     """
     a = p.alpha
-    return (1.0 + a * t) * r, t + _hill_time_shift(a, r, t, p.c * p.c)
+    c2 = p.c * p.c
+    if type(r) is float and type(t) is float:  # a single event: no numpy call
+        r_out, t_out = (1.0 + a * t) * r, t + _hill_time_shift(a, r, t, c2)
+        if not (abs(r_out) < _INF and abs(t_out) < _INF):
+            _refuse_hill(p, r, t)
+        return r_out, t_out
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
+        r_out, t_out = (1.0 + a * t) * r, t + _hill_time_shift(a, r, t, c2)
+    bad = ~(np.isfinite(r_out) & np.isfinite(t_out))
+    if bad.any():
+        _refuse_hill(p, *(float(v) for v in _first(bad, r, t)))
+    return r_out, t_out
+
+
+def _refuse_hill(p: GroupParameter, r: float, t: float) -> None:
+    # hill_transform's image of these floats is not finite
+    _require_finite("r", r)
+    _require_finite("t", t)
+    a, c2 = p.alpha, p.c * p.c
+    r2c2 = r * r / c2
+    shift = _hill_time_shift(a, r, t, c2)
+    raise ConfdopError(_overflow("Hill map", f"(r={r}, t={t}) for alpha={a}", (
+        ("alpha", a),
+        ("alpha*t", a * t),
+        ("r'", (1.0 + a * t) * r),
+        ("r^2", r * r),
+        ("r^2/c^2", r2c2),
+        ("t^2", t * t),
+        ("r^2/c^2 + t^2", r2c2 + t * t),
+        ("alpha*(r^2/c^2 + t^2)/2", shift),
+        ("t'", t + shift),
+    )))
 
 
 def hill_differentials(

@@ -284,25 +284,53 @@ def write_records_csv(table: TrackingTable, path) -> None:
 
     A column whose values are all bit-for-bit equal is formatted once and
     baked into the row template; only the other columns are formatted per
-    row.  The bytes are those of formatting every value with %.17e.
+    row.  A varying column that is bit-for-bit equal to an earlier one (as
+    range_meas is to range_true when sigma_range is 0) is formatted once
+    per chunk, and its strings fill both of its cells.  Both tests compare
+    int64 views, so -0.0 and 0.0, or two NaN payloads, count as different
+    values.  The bytes are those of formatting every value with %.17e.
     """
-    cells = []
-    varying = []
+    cells = []  # per column: its text if constant, else the index of its column in varying
+    varying = []  # the distinct varying columns
     for name in _COLUMNS:
         col = getattr(table, name)
         bits = col.view(np.int64)
         if col.size and (bits == bits[0]).all():  # int64 view: -0.0 and 0.0 differ
             cells.append("%.17e" % col[0])
-        else:
-            cells.append("%.17e")
+            continue
+        j = next((j for j, v in enumerate(varying) if (v.view(np.int64) == bits).all()),
+                 len(varying))
+        if j == len(varying):
             varying.append(col)
-    row = ",".join(cells) + "\n"
+        cells.append(j)
+    slots = [j for j in cells if not isinstance(j, str)]
+    repeated = {j for j in slots if slots.count(j) > 1}
+    row = ",".join(
+        c if isinstance(c, str) else "%s" if c in repeated else "%.17e" for c in cells
+    ) + "\n"
     rows = np.column_stack(varying) if varying else np.empty((len(table), 0))
     with open(path, "w", newline="") as f:
         f.write(CSV_HEADER + "\n")
         for start in range(0, len(rows), _CSV_CHUNK_ROWS):
             chunk = rows[start : start + _CSV_CHUNK_ROWS]
-            f.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))
+            values = chunk.ravel().tolist()
+            if repeated:
+                values = _with_repeated_strings(values, len(varying), slots, repeated)
+            f.write((row * len(chunk)) % tuple(values))
+
+
+def _with_repeated_strings(values: list, width: int, slots: list, repeated: set) -> list:
+    """The row-major cell values of a chunk of `values` (row-major, `width`
+    distinct columns), with each repeated column's values replaced by their
+    %.17e strings, formatted once."""
+    m = len(values) // width
+    strings = {
+        j: ("%.17e\n" * m % tuple(values[j::width])).split("\n")[:m] for j in repeated
+    }
+    cells = [None] * (m * len(slots))
+    for i, j in enumerate(slots):
+        cells[i :: len(slots)] = strings[j] if j in repeated else values[j::width]
+    return cells
 
 
 def read_records_csv(path) -> TrackingTable:

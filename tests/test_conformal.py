@@ -502,6 +502,34 @@ class TestHill:
         assert hill_velocity(p, 1e9, c) == c
         assert hill_velocity(p, 1e9, -c) == -c
 
+    @pytest.mark.parametrize(
+        "beta4, r, t", [(0.0, 0.0, 1e160), (1e-200, 1.0, 1e200)], ids=["alpha_0", "alpha_6e-192"]
+    )
+    def test_overflowing_map_is_refused_naming_the_overflow(self, beta4, r, t):
+        # t^2 overflows: (0.0, nan) and (599584917.0, inf) were returned; the
+        # scalar and the array call refuse with one message and no warning
+        p = GroupParameter(beta4)
+        calls = [
+            lambda: hill_transform(p, r, t),
+            lambda: hill_transform(p, np.array([1e8, r]), np.array([3.0, t])),
+        ]
+        messages = set()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in calls:
+                with pytest.raises(ConfdopError) as exc:
+                    call()
+                assert type(exc.value) is ConfdopError
+                messages.add(str(exc.value))
+        assert messages == {f"Hill map overflows at (r={r}, t={t}) for alpha={p.alpha}: t^2 = inf"}
+
+    def test_non_finite_input_is_refused(self):
+        p = GroupParameter.from_alpha(1e-5)
+        with pytest.raises(ConfdopError, match="^r must be finite, got nan$"):
+            hill_transform(p, math.nan, 1.0)
+        with pytest.raises(ConfdopError, match="^t must be finite, got inf$"):
+            hill_transform(p, np.array([1.0, 1.0]), np.array([0.0, math.inf]))
+
 
 class TestFlowOracle:
     def test_identity_parameter(self):
@@ -610,3 +638,30 @@ class TestArrayKernel:
             conformal_factor_array(0.1, [-1.0, -2.0], 0.0)
         with pytest.raises(ConfdopError, match=message):
             flow_oracle_array(0.1, [-1.0, -2.0], 0.0, 10)
+
+    @pytest.mark.parametrize(
+        "kernel, scalar, columns, message",
+        [
+            (conformal_factor_array, conformal_factor,
+             ([0.1, math.nan], [-1.0, 1.0], [0.0, 0.0]), "r must be >= 0, got -1.0"),
+            (transform_finite_array, transform_finite,
+             ([0.1, math.nan], [-1.0, 1.0], [0.0, 0.0]), "r must be >= 0, got -1.0"),
+            (differential_map_array, differential_map,
+             ([0.0, 1.0], [1.2e154, 0.5], [1.2e154, 1.0], [1.0, 1.0], [1.0, 1.0]),
+             "differential map of (dr=1.0, dx4=1.0) overflows at (r=1.2e+154, x4=1.2e+154) "
+             "for beta4=0.0: r^2 + x4^2 = inf"),
+        ],
+        ids=["factor_input", "finite_input", "differential_overflow"],
+    )
+    def test_refusal_names_the_lowest_index_as_a_scalar_loop_does(
+        self, kernel, scalar, columns, message
+    ):
+        # element 1 is refused too (beta4 = nan, or past the singular
+        # surface), by a test the array kernels used to run first
+        with pytest.raises(ConfdopError) as loop:
+            for b, r, x4, *rest in zip(*columns):
+                scalar(GroupParameter(b), Event(r=r, x4=x4), *rest)
+        with pytest.raises(ConfdopError) as array:
+            kernel(*columns)
+        assert str(loop.value) == message
+        assert (type(array.value), str(array.value)) == (type(loop.value), message)

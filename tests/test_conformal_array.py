@@ -1,6 +1,7 @@
 """Property tests: the array kernels of confdop.conformal agree with the
-scalar kernels bit for bit, element by element, inside the domain; and
-the array RK4 oracle returns the bits, or raises the error, that a loop
+scalar kernels bit for bit, element by element, inside the domain, and
+raise the error of a loop of scalar calls outside it; and the array RK4
+oracle returns the bits, or raises the error, that a loop
 of scalar flow_oracle calls does, inside the domain and outside it; and
 the half-slope flow_oracle returns those of the full-slope loop it
 replaced.
@@ -27,6 +28,7 @@ from confdop import (
     conformal_factor,
     differential_map,
     flow_oracle,
+    hill_transform,
     transform_finite,
 )
 from confdop.checks import run_oracle_suite, run_suite
@@ -83,6 +85,57 @@ def test_elements_equal_scalar_calls_bit_for_bit(batch):
     assert same_bits(conformal_factor_array(b, r, x4), g)
     assert same_bits(np.ravel(transform_finite_array(b, r, x4)), rp + x4p)
     assert same_bits(np.ravel(differential_map_array(b, r, x4, dr, dx4)), drp + dx4p)
+
+
+def signed_magnitudes():
+    """Floats from subnormal to 1e300 in magnitude, of either sign, and 0.0."""
+    exponent = st.one_of(st.integers(-2, 1), st.integers(-310, 300))
+    magnitude = st.builds(lambda m, k: m * 10.0**k, st.floats(0.0, 10.0), exponent)
+    return st.builds(lambda m, negative: -m if negative else m, magnitude, st.booleans())
+
+
+def refusable_batches():
+    """Lists of (beta4, r, x4, dr, dx4) that mix admissible cases with ones
+    that a scalar kernel refuses: a non-finite or negative input, an event
+    on or past a singular surface, or a term that overflows."""
+    edge = st.sampled_from((0.0, 1.0, -1.0, np.nan, np.inf, -np.inf, 1.2e154, 1e300))
+    value = st.one_of(edge, st.floats(-3.0, 3.0), signed_magnitudes())
+    wild = st.tuples(value, value, value, value, value)
+    return st.lists(st.one_of(admissible_batches().map(lambda b: b[0]), wild),
+                    min_size=1, max_size=8)
+
+
+def scalar_kernel_loop(kernel, batch):
+    """The outputs of kernel(GroupParameter(b), Event(r, x4), *rest) over
+    the batch, as the array kernel's outputs ravel."""
+    outs = [kernel(GroupParameter(b), Event(r=r, x4=x4), *rest) for b, r, x4, *rest in batch]
+    if outs and isinstance(outs[0], Event):
+        outs = [(e.r, e.x4) for e in outs]
+    return np.array(outs, dtype=float).T
+
+
+@given(refusable_batches())
+def test_array_kernels_return_or_raise_as_a_scalar_loop_does(batch):
+    # pytest turns a numpy RuntimeWarning into an error, so none is emitted
+    b, r, x4, dr, dx4 = (np.array(col) for col in zip(*batch))
+    pairs = [
+        (lambda: conformal_factor_array(b, r, x4), conformal_factor, 3),
+        (lambda: transform_finite_array(b, r, x4), transform_finite, 3),
+        (lambda: differential_map_array(b, r, x4, dr, dx4), differential_map, 5),
+    ]
+    for array_call, kernel, width in pairs:
+        cases = [case[:width] for case in batch]
+        expected = returned_or_raised(lambda: np.ravel(scalar_kernel_loop(kernel, cases)))
+        assert returned_or_raised(lambda: np.ravel(array_call())) == expected
+
+
+@given(st.one_of(st.floats(-1.0, 1.0), signed_magnitudes()),
+       st.lists(st.tuples(signed_magnitudes(), signed_magnitudes()), min_size=1, max_size=8))
+def test_hill_transform_on_arrays_returns_or_raises_as_a_scalar_loop_does(beta4, cases):
+    p = GroupParameter(beta4)
+    r, t = (np.array(col) for col in zip(*cases))
+    expected = returned_or_raised(lambda: np.array([hill_transform(p, *c) for c in cases]).T)
+    assert returned_or_raised(lambda: hill_transform(p, r, t)) == expected
 
 
 def oracle_batches():

@@ -377,11 +377,17 @@ EDGE_VALUES = (0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -1.797693134862
 
 
 @st.composite
-def csv_column(draw, n, rng):
+def csv_column(draw, n, rng, earlier):
     """A float64 column of n rows: constant (at an edge value such as nan,
-    or at any float), a mix of -0.0 and 0.0, constant but for one row, or
-    all distinct."""
-    kind = draw(st.sampled_from(["edge", "constant", "signed_zeros", "one_differs", "distinct"]))
+    or at any float), a mix of -0.0 and 0.0, constant but for one row, all
+    distinct, or derived from a column of the list `earlier`: a bit-for-bit
+    copy, a copy with one row changed, or a copy with the sign of one zero
+    flipped.  Before it is copied, the source may get a nan in one row,
+    and for a flipped zero it gets a 0.0 or -0.0 there."""
+    kinds = ["edge", "constant", "signed_zeros", "one_differs", "distinct"]
+    if earlier and n:
+        kinds += ["copy", "copy_one_differs", "copy_zero_flipped"]
+    kind = draw(st.sampled_from(kinds))
     if kind == "edge":
         return np.full(n, draw(st.sampled_from(EDGE_VALUES)))
     if kind == "constant":
@@ -391,6 +397,19 @@ def csv_column(draw, n, rng):
     if kind == "one_differs" and n:
         col = np.full(n, draw(st.floats()))
         col[draw(st.integers(0, n - 1))] = draw(st.floats())
+        return col
+    if kind.startswith("copy"):
+        source = draw(st.sampled_from(earlier))
+        k = draw(st.integers(0, n - 1))
+        if kind == "copy" and draw(st.booleans()):
+            source[k] = math.nan
+        if kind == "copy_zero_flipped":
+            source[k] = draw(st.sampled_from((0.0, -0.0)))
+        col = source.copy()
+        if kind == "copy_one_differs":
+            col[k] = draw(st.floats())
+        if kind == "copy_zero_flipped":
+            col[k] = -col[k]
         return col
     return rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, size=n)
 
@@ -437,7 +456,9 @@ class TestCsv:
     def test_bytes_equal_formatting_every_value(self, tmp_path_factory, n, data):
         # the writer before constant columns were baked into the row template
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        cols = [data.draw(csv_column(n, rng)) for _ in dataclasses.fields(TrackingTable)]
+        cols = []
+        for _ in dataclasses.fields(TrackingTable):
+            cols.append(data.draw(csv_column(n, rng, cols)))
         path = tmp_path_factory.mktemp("csv") / "run.csv"
         write_records_csv(TrackingTable(*cols), path)
         rows = np.column_stack(cols).ravel().tolist()
