@@ -235,10 +235,6 @@ def _refuse(b, r, x4, regular, u_factor, v_factor) -> None:
         )
 
 
-def _float_arrays(*values) -> list[np.ndarray]:
-    return [np.asarray(v, dtype=float) for v in values]
-
-
 def _differential_terms(b, r, x4):
     """r^2 + x4^2, A = 1 - 2*beta4*x4 + beta4^2*(r^2 + x4^2) and B = 2*beta4*r*(1 - beta4*x4)."""
     q = r * r + x4 * x4
@@ -279,7 +275,7 @@ def conformal_factor_array(beta4, r, x4) -> np.ndarray:
     elements in C order would: a refused element is run again through
     conformal_factor.
     """
-    b, r, x4 = _float_arrays(beta4, r, x4)
+    b, r, x4 = (np.asarray(v, dtype=float) for v in (beta4, r, x4))
     g, _, _, fine = _finite_map_array(b, r, x4)
     _raise_first(fine, conformal_factor, b, r, x4)
     return g
@@ -297,11 +293,11 @@ def transform_finite_array(beta4, r, x4) -> tuple[np.ndarray, np.ndarray]:
     Raises the error that a loop of transform_finite calls would, its
     refusal of an image coordinate that overflows included.
     """
-    b, r, x4 = _float_arrays(beta4, r, x4)
+    b, r, x4 = (np.asarray(v, dtype=float) for v in (beta4, r, x4))
     _, r_out, x4_out, fine = _finite_map_array(b, r, x4)
     fine = fine & (0.0 <= r_out) & (r_out < _INF) & np.isfinite(x4_out)
     _raise_first(fine, transform_finite, b, r, x4)
-    return r_out, x4_out
+    return np.asarray(r_out), np.asarray(x4_out)
 
 
 def transform_inverse_finite(p: GroupParameter, e_primed: Event) -> Event:
@@ -335,7 +331,7 @@ def differential_map_array(beta4, r, x4, dr, dx4) -> tuple[np.ndarray, np.ndarra
     Raises the error that a loop of differential_map calls would, its
     refusal of an image that is not finite included.
     """
-    b, r, x4, dr, dx4 = _float_arrays(beta4, r, x4, dr, dx4)
+    b, r, x4, dr, dx4 = (np.asarray(v, dtype=float) for v in (beta4, r, x4, dr, dx4))
     g, _, _, fine = _finite_map_array(b, r, x4)
     # an overflow here leaves an image non-finite, which is refused below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -407,11 +403,6 @@ def hill_transform(p: GroupParameter, r: float, t: float) -> tuple[float, float]
     """
     a = p.alpha
     c2 = p.c * p.c
-    if type(r) is float and type(t) is float:  # a single event: no numpy call
-        r_out, t_out = (1.0 + a * t) * r, t + _hill_time_shift(a, r, t, c2)
-        if not (abs(r_out) < _INF and abs(t_out) < _INF):
-            _refuse_hill(p, r, t)
-        return r_out, t_out
     with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
         r_out, t_out = (1.0 + a * t) * r, t + _hill_time_shift(a, r, t, c2)
     bad = ~(np.isfinite(r_out) & np.isfinite(t_out))

@@ -313,24 +313,24 @@ def write_records_csv(table: TrackingTable, path) -> None:
         f.write(CSV_HEADER + "\n")
         for start in range(0, len(rows), _CSV_CHUNK_ROWS):
             chunk = rows[start : start + _CSV_CHUNK_ROWS]
-            values = chunk.ravel().tolist()
-            if repeated:
-                values = _with_repeated_strings(values, len(varying), slots, repeated)
-            f.write((row * len(chunk)) % tuple(values))
+            f.write((row * len(chunk)) % _chunk_cells(chunk, slots, repeated))
 
 
-def _with_repeated_strings(values: list, width: int, slots: list, repeated: set) -> list:
-    """The row-major cell values of a chunk of `values` (row-major, `width`
-    distinct columns), with each repeated column's values replaced by their
-    %.17e strings, formatted once."""
-    m = len(values) // width
+def _chunk_cells(chunk: np.ndarray, slots: list, repeated: set) -> tuple:
+    """The row-major cell values of a chunk of the distinct varying columns,
+    with each repeated column's values replaced by their %.17e strings,
+    formatted once.  `slots` gives each varying cell's column in the chunk."""
+    values = chunk.ravel().tolist()
+    if not repeated:
+        return tuple(values)
+    m, width = chunk.shape
     strings = {
         j: ("%.17e\n" * m % tuple(values[j::width])).split("\n")[:m] for j in repeated
     }
     cells = [None] * (m * len(slots))
     for i, j in enumerate(slots):
         cells[i :: len(slots)] = strings[j] if j in repeated else values[j::width]
-    return cells
+    return tuple(cells)
 
 
 def read_records_csv(path) -> TrackingTable:

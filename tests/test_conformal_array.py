@@ -87,6 +87,13 @@ def test_elements_equal_scalar_calls_bit_for_bit(batch):
     assert same_bits(np.ravel(differential_map_array(b, r, x4, dr, dx4)), drp + dx4p)
 
 
+def test_transform_finite_array_returns_arrays_for_0d_input():
+    out = transform_finite_array(0.1, 1.0, 2.0)
+    assert [(type(a), a.shape) for a in out] == [(np.ndarray, ())] * 2
+    e = transform_finite(GroupParameter(0.1), Event(r=1.0, x4=2.0))
+    assert same_bits(np.ravel(out), [e.r, e.x4])
+
+
 def signed_magnitudes():
     """Floats from subnormal to 1e300 in magnitude, of either sign, and 0.0."""
     exponent = st.one_of(st.integers(-2, 1), st.integers(-310, 300))
