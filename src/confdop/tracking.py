@@ -10,6 +10,7 @@ generator keyed by the seed, so reruns are byte-identical.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import MISSING, asdict, dataclass, fields
 
@@ -282,55 +283,166 @@ def sign_comparison_report(anomaly_rate: float, hubble_rate: float) -> SignCompa
 def write_records_csv(table: TrackingTable, path) -> None:
     """Write the table with the fixed header; floats carry 18 significant digits.
 
-    A column whose values are all bit-for-bit equal is formatted once and
-    baked into the row template; only the other columns are formatted per
-    row.  A varying column that is bit-for-bit equal to an earlier one (as
-    range_meas is to range_true when sigma_range is 0) is formatted once
-    per chunk, and its strings fill both of its cells.  Both tests compare
-    int64 views, so -0.0 and 0.0, or two NaN payloads, count as different
-    values.  The bytes are those of formatting every value with %.17e.
+    The bytes are those of formatting every value with %.17e.  A column
+    whose values are all bit-for-bit equal is formatted once and baked
+    into the row template.  The other columns are formatted a chunk of
+    rows at a time by _e17_kernel, in numpy, into fixed NUL-padded slots
+    of a uint8 matrix of the chunk's rows; the NULs are dropped as the
+    chunk is written.  The few cells the kernel cannot decide go to
+    Python's %.17e: zero, nan and inf, |x| outside [1e-250, 1e250),
+    values within 1e-6 of a tie of the 18th digit where the scaling by a
+    power of ten is inexact, and 18-digit counts out of range after one
+    retry.  A varying column bit-for-bit equal to an earlier one (as
+    range_meas is to range_true when sigma_range is 0) shares its cells.
+    Both tests compare int64 views, so -0.0 and 0.0, or two NaN payloads,
+    count as different values.
     """
-    cells = []  # per column: its text if constant, else the index of its column in varying
-    varying = []  # the distinct varying columns
+    row, slots, varying = b"", [], []  # the row template; per varying cell, its slot and column
     for name in _COLUMNS:
         col = getattr(table, name)
         bits = col.view(np.int64)
         if col.size and (bits == bits[0]).all():  # int64 view: -0.0 and 0.0 differ
-            cells.append("%.17e" % col[0])
+            row += ("%.17e," % col[0]).encode()
             continue
         j = next((j for j, v in enumerate(varying) if (v.view(np.int64) == bits).all()),
                  len(varying))
         if j == len(varying):
             varying.append(col)
-        cells.append(j)
-    slots = [j for j in cells if not isinstance(j, str)]
-    repeated = {j for j in slots if slots.count(j) > 1}
-    row = ",".join(
-        c if isinstance(c, str) else "%s" if c in repeated else "%.17e" for c in cells
-    ) + "\n"
-    rows = np.column_stack(varying) if varying else np.empty((len(table), 0))
-    with open(path, "w", newline="") as f:
-        f.write(CSV_HEADER + "\n")
-        for start in range(0, len(rows), _CSV_CHUNK_ROWS):
-            chunk = rows[start : start + _CSV_CHUNK_ROWS]
-            f.write((row * len(chunk)) % _chunk_cells(chunk, slots, repeated))
+        slots.append((len(row), j))
+        row += bytes(_E17_WIDTH) + b","
+    template = np.frombuffer(row[:-1] + b"\n", np.uint8)
+    with open(path, "wb") as f:
+        f.write(CSV_HEADER.encode() + b"\n")
+        for start in range(0, len(table), _CSV_CHUNK_ROWS):
+            stop = min(start + _CSV_CHUNK_ROWS, len(table))
+            rows = np.empty((stop - start, template.size), np.uint8)
+            rows[:] = template
+            if varying:
+                text = _e17_cells(np.concatenate([col[start:stop] for col in varying]))
+                text = text.reshape(len(varying), stop - start, _E17_WIDTH)
+                for at, j in slots:
+                    rows[:, at : at + _E17_WIDTH] = text[j]
+            f.write(rows.tobytes().replace(b"\0", b""))
 
 
-def _chunk_cells(chunk: np.ndarray, slots: list, repeated: set) -> tuple:
-    """The row-major cell values of a chunk of the distinct varying columns,
-    with each repeated column's values replaced by their %.17e strings,
-    formatted once.  `slots` gives each varying cell's column in the chunk."""
-    values = chunk.ravel().tolist()
-    if not repeated:
-        return tuple(values)
-    m, width = chunk.shape
-    strings = {
-        j: ("%.17e\n" * m % tuple(values[j::width])).split("\n")[:m] for j in repeated
-    }
-    cells = [None] * (m * len(slots))
-    for i, j in enumerate(slots):
-        cells[i :: len(slots)] = strings[j] if j in repeated else values[j::width]
-    return tuple(cells)
+# A %.17e cell: sign, digit, '.', 17 digits, 'e', sign and 2 or 3 digits.
+_E17_WIDTH = 25
+# The kernel formats |x| in [_E17_MIN, _E17_MAX): no product it forms there
+# overflows or leaves the normal range.
+_E17_MIN, _E17_MAX = 1e-250, 1e250
+# Powers 10**m in the table, and decimal exponents in the exponent table.
+_E17_POW_MIN, _E17_POW_MAX = -240, 280
+_E17_EXP_MAX = 300
+_E18 = 10**18
+_E17 = 10**17
+# Veltkamp's split factor 2**27 + 1: a float64 as the sum of two 26-bit halves.
+_SPLIT = 134217729.0
+
+
+def _split(x):
+    """Veltkamp's split of x into (high, low) halves with x == high + low."""
+    big = _SPLIT * x
+    high = big - (big - x)
+    return high, x - high
+
+
+@functools.cache
+def _e17_tables():
+    """The kernel's tables, built from Python ints on the first write.
+
+    10**m for m in [_E17_POW_MIN, _E17_POW_MAX] as a double-double:
+    hi is 10**m correctly rounded (an int division for m < 0), with its
+    Veltkamp halves, and lo is the rounded remainder 10**m - hi, so lo is
+    0 exactly where 10**m is a float64 (0 <= m <= 22).  Also the ASCII
+    digit pairs 00-99, and the exponent fields e-300 ... e+300, each
+    NUL-padded to 8 bytes.
+    """
+    hi, lo = [], []
+    for m in range(_E17_POW_MIN, _E17_POW_MAX + 1):
+        num, den = (10**m, 1) if m >= 0 else (1, 10**-m)
+        h = num / den
+        p, q = h.as_integer_ratio()
+        hi.append(h)
+        lo.append((num * q - p * den) / (den * q))
+    hi = np.array(hi)
+    hi_high, hi_low = _split(hi)
+    # byte strings viewed as uint16 and uint64, so one take gathers a field
+    pairs = np.frombuffer(b"".join(b"%02d" % i for i in range(100)), np.uint16)
+    exps = np.frombuffer(b"".join(
+        (b"e%+03d" % e).ljust(8, b"\0") for e in range(-_E17_EXP_MAX, _E17_EXP_MAX + 1)
+    ), np.uint64)
+    return hi, np.array(lo), hi_high, hi_low, pairs, exps
+
+
+def _e17_count(a, k):
+    """floor(a * 10**(17-k)), that product rounded half to even, and where
+    the rounding is undecided, for float64 a in [_E17_MIN, _E17_MAX).
+
+    The product is Dekker's two-product of a and the table's hi, exact as
+    p + err, plus a*lo: about 2**-100 relative error.  Where lo is 0 it is
+    exact, so an exact tie rounds half to even; elsewhere a fraction within
+    1e-6 of 1/2 is undecided.
+    """
+    hi, lo, hi_high, hi_low = (t[17 - _E17_POW_MIN - k] for t in _e17_tables()[:4])
+    p = a * hi
+    a_high, a_low = _split(a)
+    s = a_high * hi_high  # in place: Dekker's err = a*hi - p, exact, then s = err + a*lo
+    s -= p
+    s += a_high * hi_low
+    s += a_low * hi_high
+    s += a_low * hi_low
+    s += a * lo
+    whole = np.floor(s)
+    frac = s - whole
+    floor = p.astype(np.int64) + whole.astype(np.int64)
+    up = (frac > 0.5) | ((frac == 0.5) & (floor % 2 == 1))
+    return floor, floor + up, (lo != 0.0) & (np.abs(frac - 0.5) < 1e-6)
+
+
+def _e17_kernel(x: np.ndarray):
+    """The %.17e text of each float64 of x as an (n, _E17_WIDTH) uint8
+    matrix of NUL-padded cells, and the indices of the cells it leaves
+    undecided, whose bytes are not set: zero, nan, inf, |x| outside
+    [_E17_MIN, _E17_MAX), near-ties of an inexact scaling, and counts that
+    are not 18 digits after one retry at the next lower exponent."""
+    *_, pairs, exps = _e17_tables()
+    a = np.abs(x)
+    fine = (a >= _E17_MIN) & (a < _E17_MAX)  # false for 0, nan and inf
+    a = np.where(fine, a, 1.0)
+    k = np.floor(np.log10(a)).astype(np.intp)
+    floor, count, undecided = _e17_count(a, k)
+    low = np.flatnonzero(floor < _E17)
+    if low.size:  # log10 rounded up: a is just below a power of ten
+        k[low] -= 1
+        floor[low], count[low], undecided[low] = _e17_count(a[low], k[low])
+    undecided |= ~fine | (floor < _E17) | (count > _E18)
+    carry = count == _E18  # rounded up to 10**18: 1.00000000000000000e+(k+1)
+    count[carry] = _E17
+    k += carry
+    count[undecided] = _E17  # keeps the table lookups below in range
+    k[undecided] = 0
+    text = np.empty((x.size, 9), np.uint16)  # the count's 9 digit pairs, as ASCII
+    for i in range(8, -1, -1):
+        count, pair = np.divmod(count, 100)
+        text[:, i] = pairs.take(pair)
+    text = text.view(np.uint8)
+    cells = np.empty((x.size, _E17_WIDTH), np.uint8)
+    cells[:, 0] = np.where(np.signbit(x), ord("-"), 0)
+    cells[:, 1] = text[:, 0]
+    cells[:, 2] = ord(".")
+    cells[:, 3:20] = text[:, 1:]
+    cells[:, 20:] = exps.take(k + _E17_EXP_MAX).view(np.uint8).reshape(-1, 8)[:, :5]
+    return cells, np.flatnonzero(undecided)
+
+
+def _e17_cells(x: np.ndarray) -> np.ndarray:
+    """_e17_kernel's cells, with the undecided ones formatted by Python."""
+    cells, undecided = _e17_kernel(x)
+    for i, v in zip(undecided.tolist(), x[undecided].tolist()):
+        text = ("%.17e" % v).encode()
+        cells[i] = 0
+        cells[i, : len(text)] = np.frombuffer(text, np.uint8)
+    return cells
 
 
 def read_records_csv(path) -> TrackingTable:

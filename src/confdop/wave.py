@@ -10,7 +10,9 @@ velocity or as velocity plus an alpha*r kinematic term.
 
 from __future__ import annotations
 
-from .conformal import GroupParameter, _hill_time_shift
+import math
+
+from .conformal import GroupParameter, _hill_time_shift, _overflow, _require_finite
 from .errors import ConfdopError, NotPastCone
 
 
@@ -23,8 +25,12 @@ def inbound_ray_coords(p: GroupParameter, r_prime: float, t_prime: float) -> tup
 
     by a fixed-point pass seeded at (r', t') plus one refinement, which
     is adequate at second order in alpha.  For alpha > 0 the outputs
-    satisfy r >= r' and |t| >= |t'|.
+    satisfy r >= r' and |t| >= |t'|.  A non-finite r' or t' is refused by
+    name; an image that is not finite raises ConfdopError naming the
+    first quantity of the two passes that overflowed.
     """
+    _require_finite("r_prime", r_prime)
+    _require_finite("t_prime", t_prime)
     if t_prime >= 0.0:
         raise NotPastCone(f"inbound ray needs t' < 0, got {t_prime}")
     if r_prime < 0.0:
@@ -37,7 +43,32 @@ def inbound_ray_coords(p: GroupParameter, r_prime: float, t_prime: float) -> tup
         abs_t = -t_prime + _hill_time_shift(a, r, t, c2)
         t = -abs_t
         r = (1.0 + a * abs_t) * r_prime
+    if not (math.isfinite(r) and math.isfinite(t)):
+        _refuse_inbound_coords(a, c2, r_prime, t_prime)
     return r, t
+
+
+def _refuse_inbound_coords(a: float, c2: float, r_prime: float, t_prime: float) -> None:
+    # inbound_ray_coords' image of these finite floats is not finite
+    terms = []
+    r, t = r_prime, t_prime
+    for n in (1, 2):
+        r2c2 = r * r / c2
+        shift = _hill_time_shift(a, r, t, c2)
+        abs_t = -t_prime + shift
+        terms += [(f"{name} (pass {n})", value) for name, value in (
+            ("r^2", r * r),
+            ("r^2/c^2", r2c2),
+            ("t^2", t * t),
+            ("r^2/c^2 + t^2", r2c2 + t * t),
+            ("alpha*(r^2/c^2 + t^2)/2", shift),
+            ("|t|", abs_t),
+            ("alpha*|t|", a * abs_t),
+            ("r", (1.0 + a * abs_t) * r_prime),
+        )]
+        t, r = -abs_t, (1.0 + a * abs_t) * r_prime
+    at = f"(r'={r_prime}, t'={t_prime}) for alpha={a}"
+    raise ConfdopError(_overflow("inbound-ray map", at, terms))
 
 
 def inbound_ray_differentials(
@@ -51,13 +82,45 @@ def inbound_ray_differentials(
     The dt relation carries the unprimed time t of the same point, here
     evaluated at first order from (r', t').  During inbound flight
     dr' < 0 and dt' > 0, and for small alpha the signs are preserved.
+    A non-finite input is refused by name; an image that is not finite
+    raises ConfdopError naming the first quantity that overflowed.
     """
+    for name, value in (("r_prime", r_prime), ("t_prime", t_prime),
+                        ("dr_prime", dr_prime), ("dt_prime", dt_prime)):
+        _require_finite(name, value)
     a = p.alpha
     c2 = p.c * p.c
     t = t_prime - _hill_time_shift(a, r_prime, t_prime, c2)
     dr = dr_prime * (1.0 - a * t_prime) - a * r_prime * dt_prime
     dt = dt_prime * (1.0 - a * t) - a * r_prime * dr_prime / c2
+    if not (math.isfinite(dr) and math.isfinite(dt)):
+        _refuse_inbound_differentials(a, c2, r_prime, t_prime, dr_prime, dt_prime)
     return dr, dt
+
+
+def _refuse_inbound_differentials(a, c2, r_prime, t_prime, dr_prime, dt_prime) -> None:
+    # inbound_ray_differentials' image of these finite floats is not finite
+    r2c2 = r_prime * r_prime / c2
+    shift = _hill_time_shift(a, r_prime, t_prime, c2)
+    t = t_prime - shift
+    at = f"(r'={r_prime}, t'={t_prime}, dr'={dr_prime}, dt'={dt_prime}) for alpha={a}"
+    raise ConfdopError(_overflow("inbound-ray differential map", at, (
+        ("alpha*t'", a * t_prime),
+        ("dr'*(1 - alpha*t')", dr_prime * (1.0 - a * t_prime)),
+        ("alpha*r'", a * r_prime),
+        ("alpha*r'*dt'", a * r_prime * dt_prime),
+        ("dr", dr_prime * (1.0 - a * t_prime) - a * r_prime * dt_prime),
+        ("r'^2", r_prime * r_prime),
+        ("r'^2/c^2", r2c2),
+        ("t'^2", t_prime * t_prime),
+        ("r'^2/c^2 + t'^2", r2c2 + t_prime * t_prime),
+        ("alpha*(r'^2/c^2 + t'^2)/2", shift),
+        ("t", t),
+        ("alpha*t", a * t),
+        ("dt'*(1 - alpha*t)", dt_prime * (1.0 - a * t)),
+        ("alpha*r'*dr'/c^2", a * r_prime * dr_prime / c2),
+        ("dt", dt_prime * (1.0 - a * t) - a * r_prime * dr_prime / c2),
+    )))
 
 
 def wavelength_map(

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,7 +29,16 @@ from confdop import (
     write_records_csv,
 )
 from confdop.constants import SPEED_OF_LIGHT
-from confdop.tracking import _CSV_CHUNK_ROWS, CSV_HEADER
+from confdop.tracking import (
+    _COLUMNS,
+    _CSV_CHUNK_ROWS,
+    _E17_POW_MAX,
+    _E17_POW_MIN,
+    CSV_HEADER,
+    _e17_cells,
+    _e17_kernel,
+    _e17_tables,
+)
 
 C = SPEED_OF_LIGHT
 
@@ -593,3 +603,111 @@ def assert_tables_bitwise_equal(a, b):
     for f in dataclasses.fields(TrackingTable):
         x, y = getattr(a, f.name), getattr(b, f.name)
         assert np.array_equal(x.view(np.int64), y.view(np.int64)), f.name
+
+
+def percent_e17(x):
+    """The reference: Python's %.17e text of each value of x, as bytes."""
+    return [("%.17e" % v).encode() for v in np.asarray(x, dtype=np.float64).tolist()]
+
+
+def kernel_e17(x):
+    """The writer's cells for the values of x, NUL padding dropped."""
+    return [cell.tobytes().replace(b"\0", b"") for cell in _e17_cells(np.asarray(x, np.float64))]
+
+
+def power_of_ten(k):
+    return float(10**k) if k >= 0 else 1 / 10**-k
+
+
+def tie_values(k, rng):
+    """Floats x in [10**k, 10**(k+1)) whose count x * 10**(17-k) is an odd
+    multiple of 1/2, each with that count's floor: q / 2**(18-k) for odd q."""
+    scale = 2 ** (18 - k)
+    low = 10**k * scale if k >= 0 else -(-scale // 10**-k)
+    high = 10 ** (k + 1) * scale if k >= 0 else 10 * scale // 10**-k
+    qs = {q for q in range(low, min(low + 40, high)) if q % 2}
+    qs |= {int(q) | 1 for q in rng.integers(low, high, size=40)}
+    ties = [q / scale for q in sorted(qs) if q / scale < 10 ** (k + 1)]
+    counts = [Fraction(x) * Fraction(10) ** (17 - k) for x in ties]
+    assert all(c.denominator == 2 for c in counts)
+    return ties, [math.floor(c) for c in counts]
+
+
+KERNEL_EDGES = (
+    [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+    + [s * v for s in (1.0, -1.0) for b in (1e250, 1e-250)
+       for v in (b, np.nextafter(b, 0.0), np.nextafter(b, math.inf))]
+    + [v for k in range(-30, 31) for v in (
+        power_of_ten(k), np.nextafter(power_of_ten(k), 0.0), np.nextafter(power_of_ten(k), math.inf),
+    )]
+    + (np.arange(2000) * 1e13 + 0.5).tolist()
+    + [1e153, -1e153, math.nan, -math.nan, math.inf, -math.inf]
+)
+
+
+class TestE17Kernel:
+    """_e17_cells writes exactly the bytes of "%.17e" % x for every float64."""
+
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(20_261_019).integers(0, 2**64, size=200_000, dtype=np.uint64)
+        x = bits.view(np.float64)
+        assert kernel_e17(x) == percent_e17(x)
+
+    def test_edge_values(self):
+        assert kernel_e17(KERNEL_EDGES) == percent_e17(KERNEL_EDGES)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=50)
+    @given(st.lists(st.floats(), max_size=64))
+    def test_drawn_floats(self, values):
+        assert kernel_e17(values) == percent_e17(values)
+
+    def test_carry_to_the_next_power_of_ten(self):
+        # the double 1e153 lies below 10**153 by less than half a unit of the
+        # 18th digit, so its count rounds up to 10**18
+        assert Fraction(1e153) < 10**153
+        assert kernel_e17([1e153, -1e153]) == [b"1.00000000000000000e+153", b"-1.00000000000000000e+153"]
+        assert _e17_kernel(np.array([1e153]))[1].size == 0  # decided by the kernel
+
+    def test_exact_ties_round_half_to_even_in_numpy(self):
+        # 0 <= 17-k <= 22: the scaling is exact, so the kernel decides the tie
+        rng = np.random.default_rng(5)
+        ties, floors = [], []
+        for k in range(-5, 14):
+            x, f = tie_values(k, rng)
+            ties += x
+            floors += f
+        assert len(ties) > 1000
+        assert {f % 2 for f in floors} == {0, 1}  # ties that round down and ties that round up
+        x = np.array(ties + [-t for t in ties])
+        assert kernel_e17(x) == percent_e17(x)
+        assert _e17_kernel(x)[1].size == 0
+
+    def test_inexact_ties_go_to_python(self):
+        # 17-k > 22: 10**(17-k) is not a float64, so a tie is left undecided
+        rng = np.random.default_rng(6)
+        ties = [x for k in range(-8, -5) for x in tie_values(k, rng)[0]]
+        assert ties
+        assert kernel_e17(ties) == percent_e17(ties)
+        assert _e17_kernel(np.array(ties))[1].size == len(ties)
+
+    def test_power_table_is_the_correctly_rounded_double_double(self):
+        hi, lo, *_ = _e17_tables()
+        for m, h, low in zip(range(_E17_POW_MIN, _E17_POW_MAX + 1), hi.tolist(), lo.tolist()):
+            exact = Fraction(10) ** m
+            assert (h, low) == (float(exact), float(exact - Fraction(h))), m
+
+    def test_writer_interleaves_python_cells(self, tmp_path):
+        x = np.array(KERNEL_EDGES)
+        cols = [np.roll(x, j) for j in range(len(_COLUMNS))]
+        path = tmp_path / "edge.csv"
+        write_records_csv(TrackingTable(*cols), path)
+        lines = [CSV_HEADER.encode()] + [b",".join(row) for row in zip(*map(percent_e17, cols))]
+        assert path.read_bytes() == b"\n".join(lines) + b"\n"
+
+    @pytest.mark.parametrize("seed", sorted(FIXED_POINTS))
+    def test_only_the_zero_epoch_falls_back_on_a_reference_table(self, seed):
+        # a silent return to Python's formatter fails here, not only in the benchmark
+        table = simulate(SimConfig(**REFERENCE_MISSION, seed=seed))
+        undecided = {name: _e17_kernel(getattr(table, name))[1].tolist() for name in _COLUMNS}
+        assert table.epoch[0] == 0.0
+        assert undecided == {name: [0] if name == "epoch" else [] for name in _COLUMNS}

@@ -1,9 +1,13 @@
 """Tests for null-ray propagation and the Doppler/Hubble relations."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
 from confdop import (
+    ConfdopError,
     GroupParameter,
     NotPastCone,
     doppler_model_conformal,
@@ -68,6 +72,38 @@ class TestInboundRayCoords:
         with pytest.raises(ValueError, match="r_prime must be >= 0"):
             inbound_ray_coords(GroupParameter.from_alpha(1e-3), -1.0, -1.0)
 
+    @pytest.mark.parametrize(
+        "beta4, rp, tp", [(0.0, 0.0, -1e160), (1e-200, 1.0, -1e200)], ids=["alpha_0", "alpha_6e-192"]
+    )
+    def test_overflowing_map_is_refused_naming_the_overflow(self, beta4, rp, tp):
+        # t^2 overflows in the first pass: (nan, nan) and (inf, -inf) were returned
+        p = GroupParameter(beta4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfdopError) as exc:
+                inbound_ray_coords(p, rp, tp)
+        assert type(exc.value) is ConfdopError
+        assert str(exc.value) == (
+            f"inbound-ray map overflows at (r'={rp}, t'={tp}) for alpha={p.alpha}: "
+            "t^2 (pass 1) = inf"
+        )
+
+    def test_overflow_in_the_second_pass_is_named(self):
+        # the first pass is finite; the second squares r = 1.8e301
+        p = GroupParameter.from_alpha(6e-4)
+        with pytest.raises(ConfdopError, match=r"overflows at .*: r\^2 \(pass 2\) = inf$") as exc:
+            inbound_ray_coords(p, 1.0, -1e154)
+        assert "singular" not in str(exc.value) and "must be finite" not in str(exc.value)
+
+    @pytest.mark.parametrize("rp, tp, name", [
+        (1.0, math.nan, "t_prime"), (1.0, -math.inf, "t_prime"), (math.nan, -1.0, "r_prime"),
+        (math.inf, -1.0, "r_prime"),
+    ])
+    def test_non_finite_input_is_refused_by_name(self, rp, tp, name):
+        # a nan t' passed the t' >= 0 test, and -inf was mapped
+        with pytest.raises(ConfdopError, match=f"^{name} must be finite, got "):
+            inbound_ray_coords(GroupParameter.from_alpha(1e-3), rp, tp)
+
 
 class TestInboundRayDifferentials:
     def test_identity_parameter(self):
@@ -85,6 +121,30 @@ class TestInboundRayDifferentials:
             dr, dt = inbound_ray_differentials(p, rp, tp, dr_p, dt_p)
             assert dr < 0.0
             assert dt > 0.0
+
+    @pytest.mark.parametrize(
+        "beta4, rp, tp", [(0.0, 0.0, -1e160), (1e-200, 1.0, -1e200)], ids=["alpha_0", "alpha_6e-192"]
+    )
+    def test_overflowing_map_is_refused_naming_the_overflow(self, beta4, rp, tp):
+        # t'^2 overflows: (1.0, nan) and (599584917.0, inf) were returned
+        p = GroupParameter(beta4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfdopError) as exc:
+                inbound_ray_differentials(p, rp, tp, 1.0, 1.0)
+        assert type(exc.value) is ConfdopError
+        assert str(exc.value) == (
+            "inbound-ray differential map overflows at "
+            f"(r'={rp}, t'={tp}, dr'=1.0, dt'=1.0) for alpha={p.alpha}: t'^2 = inf"
+        )
+
+    @pytest.mark.parametrize("index, name", enumerate(["r_prime", "t_prime", "dr_prime", "dt_prime"]))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_input_is_refused_by_name(self, index, name, bad):
+        args = [1e8, -5.0, -300.0, 1e-6]
+        args[index] = bad
+        with pytest.raises(ConfdopError, match=f"^{name} must be finite, got {bad}$"):
+            inbound_ray_differentials(GroupParameter.from_alpha(1e-3), *args)
 
     def test_round_trip_with_hill_differentials_is_second_order(self):
         rp, tp = 4e8, -12.0
