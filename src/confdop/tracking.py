@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
@@ -448,45 +449,185 @@ def _e17_cells(x: np.ndarray) -> np.ndarray:
 def read_records_csv(path) -> TrackingTable:
     """Parse a tracking CSV, validating the header and every line.
 
+    A file in the writer's own layout (the header line, then rows of six
+    %.17e cells joined by ',' and each ended by '\\n') is parsed in numpy
+    by _e17_parse, a chunk of rows at a time, into six preallocated
+    columns.  The cells it cannot decide go to float(): those whose
+    10**(e-17) is outside the power table (|x| below 1e-223 or from
+    1e298 up, subnormals among them), and values within a rounding
+    error of a midpoint between two doubles (exact ties among them).
+    Every value is bit-for-bit float() of its cell's text.  Any other
+    file is read by _scan_rows, one float() per cell.
+
     Blank lines are skipped.  A line without six numeric fields, or with a
     non-finite value, raises MalformedCsv naming its line number; text
     that is not UTF-8 raises MalformedCsv naming the file.  Each column
     is contiguous, not a strided view of the rows.
     """
-    try:
-        return TrackingTable(*np.ascontiguousarray(_read_rows(path).T))
-    except UnicodeDecodeError as exc:
-        raise MalformedCsv(f"{path}: not UTF-8 text ({exc.reason})") from exc
-
-
-def _read_rows(path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8", newline="") as f:
-        header = f.readline().rstrip("\r\n")
-        if header != CSV_HEADER:
-            raise MalformedCsv(f"line 1: header must be {CSV_HEADER!r}, got {header!r}")
-        has_rows = any(line.strip() for line in f)
-    rows = None
-    if has_rows:  # loadtxt warns on a file without rows
+    columns = _read_columns(path)
+    if columns is None:
         try:
-            rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, comments=None)
-        except ValueError:
-            pass
-    if rows is None or rows.shape[1] != len(_COLUMNS) or not np.isfinite(rows).all():
-        return _scan_rows(path)
-    return rows
+            columns = np.ascontiguousarray(_scan_rows(path).T)
+        except UnicodeDecodeError as exc:
+            raise MalformedCsv(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    return TrackingTable(*columns)
+
+
+# Rows parsed per read chunk: bounds the reader's per-cell temporaries.
+_CSV_READ_ROWS = 1024
+# The bytes of a row of the writer's layout: six cells of 23 to 25 bytes,
+# each followed by ',' or '\n'.
+_ROW_MIN, _ROW_MAX = 6 * 24, 6 * (_E17_WIDTH + 1)
+_SEPARATORS = np.frombuffer(b",,,,,\n", np.uint8)
+
+
+def _read_columns(path) -> np.ndarray | None:
+    """The (6, n) columns of a file in the writer's layout, or None for
+    any other file (whose bytes then go to _scan_rows).
+
+    The file is read a chunk of about _CSV_READ_ROWS rows at a time; the
+    columns are sized from the file's length at the shortest row and
+    returned as a view of their first n entries.
+    """
+    header = CSV_HEADER.encode() + b"\n"
+    with open(path, "rb") as f:
+        if f.read(len(header)) != header:
+            return None
+        size = os.fstat(f.fileno()).st_size - len(header)
+        columns = np.empty((len(_COLUMNS), size // _ROW_MIN))
+        n, rest = 0, b""
+        while chunk := f.read(_CSV_READ_ROWS * _ROW_MAX):
+            chunk = rest + chunk
+            end = chunk.rfind(b"\n") + 1  # 0: a row longer than the writer's, or no '\n' at the end
+            parsed = _e17_parse(np.frombuffer(chunk, np.uint8, count=end)) if end else None
+            if parsed is None:
+                return None
+            values, undecided, starts, stops = parsed
+            for i in undecided.tolist():
+                values[i] = float(chunk[starts[i] : stops[i]])
+            if not np.isfinite(values[undecided]).all():  # _scan_rows names its line
+                return None
+            rows = values.size // len(_COLUMNS)
+            if n + rows > columns.shape[1]:  # the file grew as it was read
+                return None
+            columns[:, n : n + rows] = values.reshape(rows, len(_COLUMNS)).T
+            n += rows
+            rest = chunk[end:]
+    if rest:  # the last row has no '\n'
+        return None
+    return columns[:, :n]
+
+
+# Eight ASCII digits in a little-endian uint64 word are tested and
+# converted with the bit tests and multiplies of Lemire, "Number Parsing
+# at a Gigabyte per Second" (Software: Practice and Experience, 2021,
+# arXiv:2101.11408).
+_ZEROS = 0x3030303030303030
+# Half-width of the interval, relative to the product, that must round
+# to one double for a cell to be decided.  The double-double product is
+# within about 2**-102 of M * 10**(e-17), relative, and a half-gap
+# between doubles is at least 2**-54 of either neighbour.
+_ROUNDING_BAND = 2.0**-90
+
+
+def _e17_parse(a: np.ndarray):
+    """Parse whole rows of the writer's layout in the uint8 array a, which
+    ends with a row's '\\n'.
+
+    Returns the cells' values in row order, the indices of the cells it
+    leaves undecided (their values are meaningless), and every cell's first
+    and last-plus-one byte offsets; or None where a strays from the
+    layout.  A cell [-]d.ddddddddddddddddde(+|-)dd[d] is an 18-digit
+    count M and an exponent e.  M * 10**(e-17) is formed as a
+    double-double: M as a float64 plus its integer remainder, times the
+    writer's table entry hi + lo for 10**(e-17), with Dekker's
+    two-product.  A cell is decided where the product plus and minus
+    _ROUNDING_BAND of itself round to the same double (Ziv's rounding
+    test), which holds everywhere but within a rounding error of a
+    midpoint between two doubles, exact ties included.  A cell whose
+    e-17 is outside [_E17_POW_MIN, _E17_POW_MAX] is left undecided; the
+    table's range keeps every value it decides in the normal range.
+    """
+    stops = np.flatnonzero((a == ord(",")) | (a == ord("\n")))
+    if stops.size % len(_COLUMNS) or (a[stops].reshape(-1, len(_COLUMNS)) != _SEPARATORS).any():
+        return None
+    starts = np.empty_like(stops)
+    starts[0] = 0
+    starts[1:] = stops[:-1] + 1
+    negative = a[starts] == ord("-")
+    first = starts + negative
+    width = stops - first
+    long = width == 24  # a 3-digit exponent
+    if not (long | (width == 23)).all():
+        return None
+    # The 24 bytes from each cell's first digit as three words; in byte
+    # order, d.dddddd dddddddd dddes + 3 exponent digits or 2 and a separator.
+    words = np.ndarray((a.size - 23,), "V24", a, strides=(1,))[first].view("<u8").reshape(-1, 3)
+    head, tail = words[:, 0], words[:, 2]
+    signs = (tail >> 24) & 0xFFFF  # 'e' and the exponent's sign
+    if ((head & 0xFF00) != ord(".") << 8).any() or (
+        (signs != ord("+") << 8 | ord("e")) & (signs != ord("-") << 8 | ord("e"))
+    ).any():
+        return None
+    w = np.empty((4, head.size), np.uint64)  # words of 8 digits each
+    w[0] = (head & 0xFFFFFFFFFFFF0000) | (head & 0xFF) << 8 | 0x30  # 0ddddddd
+    w[1] = words[:, 1]
+    w[2] = tail << 40 | 0x3030303030  # 00000ddd
+    w[3] = np.where(  # 00000xxx, the exponent
+        long,
+        (tail & 0xFFFFFF0000000000) | 0x3030303030,
+        (tail << 8 & 0xFFFF000000000000) | 0x303030303030,
+    )
+    if (((w + 0x4646464646464646) | (w - _ZEROS)) & 0x8080808080808080).any():
+        return None  # a byte that is not a digit
+    w -= _ZEROS
+    w *= 10 << 8 | 1
+    w >>= 8
+    w &= 0x00FF00FF00FF00FF
+    w *= 100 << 16 | 1
+    w >>= 16
+    w &= 0x0000FFFF0000FFFF
+    w *= 10000 << 32 | 1
+    w >>= 32
+    count = (w[0] * 10**11 + w[1] * 1000 + w[2]).view(np.int64)
+    e = w[3].view(np.int64)
+    e = np.where(signs == ord("-") << 8 | ord("e"), -e, e)
+    m = e - 17 - _E17_POW_MIN  # the table index of 10**(e-17)
+    clipped = m.clip(0, _E17_POW_MAX - _E17_POW_MIN)
+    hi, lo, hi_high, hi_low = (t.take(clipped) for t in _e17_tables()[:4])
+    mf = count.astype(np.float64)
+    rest = (count - mf.astype(np.int64)).astype(np.float64)  # M - mf, exact
+    p = mf * hi
+    m_high, m_low = _split(mf)
+    s = m_high * hi_high  # in place: Dekker's err = mf*hi - p, exact, then the small terms
+    s -= p
+    s += m_high * hi_low
+    s += m_low * hi_high
+    s += m_low * hi_low
+    s += mf * lo
+    s += rest * hi
+    band = p * _ROUNDING_BAND
+    below = p + (s - band)
+    s += band
+    s += p  # the product rounded up by the band
+    undecided = (m != clipped) | (below != s)
+    np.negative(s, out=s, where=negative)
+    return s, np.flatnonzero(undecided), starts, stops
 
 
 def _scan_rows(path) -> np.ndarray:
-    """Parse the data lines one at a time with float().
+    """Parse the header and then the data lines one at a time with float().
 
-    This is the reference for what a valid line is: it names the first
-    bad line in a MalformedCsv, and it also reads the valid files that
-    np.loadtxt refuses (whitespace-only lines, say).
+    This is the reference for what a valid file is: it names the first
+    bad line in a MalformedCsv, and it reads every file that float()
+    reads, whitespace-only lines and CRLF line ends among them.
     """
     names = CSV_HEADER.split(",")
     rows = []
     with open(path, "r", encoding="utf-8", newline="") as f:
-        f.readline()
+        header = f.readline().rstrip("\r\n")
+        if header != CSV_HEADER:
+            raise MalformedCsv(f"line 1: header must be {CSV_HEADER!r}, got {header!r}")
         for lineno, line in enumerate(f, start=2):
             line = line.strip()
             if not line:

@@ -16,6 +16,16 @@ from .conformal import GroupParameter, _hill_time_shift, _overflow, _require_fin
 from .errors import ConfdopError, NotPastCone
 
 
+def _require_inbound(r_prime: float, t_prime: float) -> None:
+    """The domain of both inbound-ray maps: finite r' >= 0 and t' < 0."""
+    _require_finite("r_prime", r_prime)
+    _require_finite("t_prime", t_prime)
+    if t_prime >= 0.0:
+        raise NotPastCone(f"inbound ray needs t' < 0, got {t_prime}")
+    if r_prime < 0.0:
+        raise ConfdopError(f"r_prime must be >= 0, got {r_prime}")
+
+
 def inbound_ray_coords(p: GroupParameter, r_prime: float, t_prime: float) -> tuple[float, float]:
     """Unprimed coordinates of a point riding an inbound null ray.
 
@@ -29,12 +39,7 @@ def inbound_ray_coords(p: GroupParameter, r_prime: float, t_prime: float) -> tup
     name; an image that is not finite raises ConfdopError naming the
     first quantity of the two passes that overflowed.
     """
-    _require_finite("r_prime", r_prime)
-    _require_finite("t_prime", t_prime)
-    if t_prime >= 0.0:
-        raise NotPastCone(f"inbound ray needs t' < 0, got {t_prime}")
-    if r_prime < 0.0:
-        raise ConfdopError(f"r_prime must be >= 0, got {r_prime}")
+    _require_inbound(r_prime, t_prime)
     a = p.alpha
     c2 = p.c * p.c
     r = r_prime
@@ -82,12 +87,13 @@ def inbound_ray_differentials(
     The dt relation carries the unprimed time t of the same point, here
     evaluated at first order from (r', t').  During inbound flight
     dr' < 0 and dt' > 0, and for small alpha the signs are preserved.
-    A non-finite input is refused by name; an image that is not finite
-    raises ConfdopError naming the first quantity that overflowed.
+    A point that inbound_ray_coords refuses is refused with the same
+    error, and a non-finite dr' or dt' by name; an image that is not
+    finite raises ConfdopError naming the first quantity that overflowed.
     """
-    for name, value in (("r_prime", r_prime), ("t_prime", t_prime),
-                        ("dr_prime", dr_prime), ("dt_prime", dt_prime)):
-        _require_finite(name, value)
+    _require_inbound(r_prime, t_prime)
+    _require_finite("dr_prime", dr_prime)
+    _require_finite("dt_prime", dt_prime)
     a = p.alpha
     c2 = p.c * p.c
     t = t_prime - _hill_time_shift(a, r_prime, t_prime, c2)
@@ -132,8 +138,11 @@ def wavelength_map(
 
     The factor is >= 1 for alpha > 0 on the past cone and tends to 1 as
     the sample approaches the origin, where both wavelengths agree with
-    the measured one.
+    the measured one.  A non-finite input is refused by name.
     """
+    _require_finite("lambda_primed", lambda_primed)
+    _require_finite("r_prime", r_prime)
+    _require_finite("t_prime", t_prime)
     if t_prime >= 0.0 and r_prime > 0.0:
         raise NotPastCone(
             f"wave sample must lie on the past cone, got (r'={r_prime}, t'={t_prime})"

@@ -5,6 +5,8 @@ import hashlib
 import json
 import math
 import re
+import tracemalloc
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -28,6 +30,7 @@ from confdop import (
     simulate,
     write_records_csv,
 )
+from confdop import tracking
 from confdop.constants import SPEED_OF_LIGHT
 from confdop.tracking import (
     _COLUMNS,
@@ -37,7 +40,10 @@ from confdop.tracking import (
     CSV_HEADER,
     _e17_cells,
     _e17_kernel,
+    _e17_parse,
     _e17_tables,
+    _read_columns,
+    _scan_rows,
 )
 
 C = SPEED_OF_LIGHT
@@ -711,3 +717,183 @@ class TestE17Kernel:
         undecided = {name: _e17_kernel(getattr(table, name))[1].tolist() for name in _COLUMNS}
         assert table.epoch[0] == 0.0
         assert undecided == {name: [0] if name == "epoch" else [] for name in _COLUMNS}
+
+
+def e17_text(value: Fraction) -> str:
+    """The 18 significant digits of a rational in the writer's cell layout,
+    rounded half to even."""
+    with localcontext() as ctx:
+        ctx.prec = 18
+        d = Decimal(value.numerator) / Decimal(value.denominator)
+    mantissa, exponent = f"{d:.17e}".split("e")
+    return f"{mantissa}e{int(exponent):+03d}"
+
+
+def binary_ties():
+    """Writer-layout cells that are exact midpoints between two doubles:
+    every midpoint 2**k - 2**(k-54) just below a power of two that has 18
+    digits, and midpoints above random doubles in [2**51, 2**60)."""
+    rng = np.random.default_rng(11)
+    mids = [Fraction(2**k) - Fraction(2) ** (k - 54) for k in range(52, 60)]
+    for k in range(51, 60):
+        for x in (2.0**k * (1 + rng.random(40))).tolist():
+            mids.append((Fraction(x) + Fraction(math.nextafter(x, math.inf))) / 2)
+    cells = [e17_text(m) for m in mids]
+    return [c for c, m in zip(cells, mids) if Fraction(Decimal(c)) == m]
+
+
+def is_binary_tie(cell: str) -> bool:
+    """Whether a cell's value is the midpoint between two doubles."""
+    value, x = Fraction(Decimal(cell)), float(cell)
+    return any(value == (Fraction(x) + Fraction(math.nextafter(x, side))) / 2
+               for side in (-math.inf, math.inf) if math.isfinite(math.nextafter(x, side)))
+
+
+def near_ties():
+    """The 18-digit roundings of midpoints above random doubles across the
+    whole exponent range: within half a unit of the 18th digit of a tie."""
+    rng = np.random.default_rng(12)
+    x = rng.random(3000) * 10.0 ** rng.integers(-320, 308, size=3000)
+    return [e17_text((Fraction(v) + Fraction(math.nextafter(v, math.inf))) / 2) for v in x.tolist()]
+
+
+HAND_MADE_CELLS = (
+    ["4.50359962737049575e+15", "9.00719925474099150e+15", "1.80143985094819830e+16",
+     "9.00719925474099300e+15", "9.00719925474099301e+15", "9.00719925474099299e+15"]
+    # 10**(e-17) at both ends of the power table, then one past each
+    + ["1.00000000000000000e-223", "9.87654321098765432e-223", "9.99999999999999999e+297",
+       "-1.23456789012345678e+297", "9.99999999999999999e-224", "1.00000000000000000e+298"]
+    # subnormal and smallest normal results, signed zeros, 3-digit exponents
+    + ["4.94065645841246544e-324", "2.47032822920623272e-324", "-1.00000000000000000e-310",
+       "2.22507385850720088e-308", "-2.22507385850720138e-308", "-0.00000000000000000e+00",
+       "0.00000000000000000e+00", "0.00000000000000000e-250", "-0.00000000000000000e+999",
+       "1.00000000000000000e+100", "-3.14159265358979324e-100", "1.79769313486231570e+308",
+       "0.12345678901234567e+05"]
+)
+
+
+def read_cells(path, cells):
+    """Write the cells as rows of six (zero-padded) under the header, then
+    parse the body with the fast path alone: (values, undecided indices)."""
+    cells = list(cells) + ["0.00000000000000000e+00"] * (-len(cells) % 6)
+    rows = [",".join(cells[i : i + 6]) for i in range(0, len(cells), 6)]
+    body = "".join(row + "\n" for row in rows).encode()
+    path.write_bytes(CSV_HEADER.encode() + b"\n" + body)
+    values, undecided, *_ = _e17_parse(np.frombuffer(body, np.uint8))
+    return cells, values, undecided.tolist()
+
+
+def outcome(read, path):
+    """A read's table bits, or the message it refused the file with."""
+    try:
+        table = read(path)
+    except MalformedCsv as exc:
+        return "not UTF-8" if "not UTF-8" in str(exc) else str(exc)
+    return [getattr(table, name).view(np.int64).tolist() for name in _COLUMNS]
+
+
+def scan_only(path):
+    """The reader without its fast path: _scan_rows on every file."""
+    try:
+        return TrackingTable(*np.ascontiguousarray(_scan_rows(path).T))
+    except UnicodeDecodeError:
+        raise MalformedCsv("not UTF-8") from None
+
+
+class TestE17Reader:
+    """read_records_csv reads every cell of the writer's layout as float()
+    reads its text, and reads any other file as _scan_rows reads it."""
+
+    def test_random_bit_patterns_read_back(self, tmp_path):
+        bits = np.random.default_rng(20_261_020).integers(0, 2**64, size=200_000, dtype=np.uint64)
+        x = bits.view(np.float64)
+        x = np.concatenate([x[np.isfinite(x)], [v for v in KERNEL_EDGES if math.isfinite(v)]])
+        assert x.size > 200_000
+        table = TrackingTable(*np.concatenate([x, np.zeros(-x.size % 6)]).reshape(6, -1))
+        path = tmp_path / "bits.csv"
+        write_records_csv(table, path)
+        columns = _read_columns(path)
+        assert columns is not None  # every row in the fast path, none through _scan_rows
+        assert_tables_bitwise_equal(TrackingTable(*columns), table)
+        assert_tables_bitwise_equal(read_records_csv(path), table)
+
+    def test_hand_made_cells_read_as_float_reads_them(self, tmp_path):
+        ties, near = binary_ties(), near_ties()
+        assert len(ties) > 300
+        path = tmp_path / "cells.csv"
+        cells, values, undecided = read_cells(path, HAND_MADE_CELLS + ties + near)
+        expected = np.array([float(c) for c in cells])
+        read = np.concatenate([getattr(read_records_csv(path), name) for name in _COLUMNS])
+        by_row = expected.reshape(-1, 6).T.ravel()
+        assert read.view(np.int64).tolist() == by_row.view(np.int64).tolist()
+        decided = sorted(set(range(len(cells))) - set(undecided))
+        assert values[decided].view(np.int64).tolist() == expected[decided].view(np.int64).tolist()
+        # float() takes the exact ties and the cells outside the power table, and no others
+        exact_ties = {c for c in cells if is_binary_tie(c)}
+        outside = {c for c in cells if not -223 <= int(c.split("e")[1]) <= 297}
+        assert set(ties) <= exact_ties
+        assert {cells[i] for i in undecided} == exact_ties | outside
+        assert {"9.99999999999999999e-224", "1.00000000000000000e+298"} <= outside
+        assert not {"1.00000000000000000e-223", "9.99999999999999999e+297"} & outside
+
+    def test_overflowing_cell_is_refused_by_line_and_column(self, tmp_path):
+        path = tmp_path / "big.csv"
+        cells = ["1.00000000000000000e+00"] * 6 + ["1.79769313486231581e+308"] + ["1.0e+00"] * 5
+        read_cells(path, cells[:6] + ["1.79769313486231581e+308"] + cells[:5])
+        with pytest.raises(MalformedCsv, match="^line 3: epoch_s must be finite, got inf$"):
+            read_records_csv(path)
+
+    @pytest.mark.parametrize("seed", sorted(FIXED_POINTS))
+    def test_no_cell_of_a_reference_table_goes_to_float(self, tmp_path, monkeypatch, seed):
+        # a silent return to float() fails here, not only in the benchmark
+        table = simulate(SimConfig(**REFERENCE_MISSION, seed=seed))
+        path = tmp_path / "run.csv"
+        write_records_csv(table, path)
+        body = np.frombuffer(path.read_bytes(), np.uint8)[len(CSV_HEADER) + 1 :]
+        values, undecided, *_ = _e17_parse(body)
+        assert values.size == len(_COLUMNS) * REFERENCE_MISSION["n_obs"]
+        assert undecided.size == 0
+        monkeypatch.setattr(tracking, "_scan_rows", None)  # read without the slow path
+        assert_tables_bitwise_equal(read_records_csv(path), table)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(data=st.data())
+    def test_edited_files_read_as_the_float_scan_reads_them(self, tmp_path_factory, data):
+        text = bytearray(EDIT_BASE)
+        for _ in range(data.draw(st.integers(1, 3))):
+            at = data.draw(st.integers(0, len(text) - 1))
+            byte = data.draw(st.sampled_from(b"0159.eE+-,\n\r x\0\xff"))
+            edit = data.draw(st.sampled_from(["replace", "insert", "delete"]))
+            if edit == "replace":
+                text[at] = byte
+            elif edit == "insert":
+                text.insert(at, byte)
+            else:
+                del text[at]
+        path = tmp_path_factory.mktemp("edit") / "run.csv"
+        path.write_bytes(bytes(text))
+        assert outcome(read_records_csv, path) == outcome(scan_only, path)
+
+    def test_read_peak_is_the_table_and_one_chunk(self, tmp_path):
+        # the (n, 6) rows and their transposed copy were twice the table
+        n = 100_000
+        table = simulate(SimConfig(**{**REFERENCE_MISSION, "n_obs": n}, seed=3))
+        path = tmp_path / "run.csv"
+        write_records_csv(table, path)
+        tracemalloc.start()
+        try:
+            read = read_records_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert_tables_bitwise_equal(read, table)
+        assert peak < len(_COLUMNS) * 8 * n + 3_000_000
+
+
+EDIT_BASE = (
+    CSV_HEADER + "\n"
+    "0.00000000000000000e+00,2.99195741000000000e+12,1.22000000000000000e+04,"
+    "-2.99195741000000000e+12,4.06946451818412447e-08,1.00000000000000000e-12\n"
+    "6.13106000000000000e+08,2.99943731320000000e+12,1.22000000000000000e+04,"
+    "2.99943731320000000e+12,-4.06946495741316203e-08,1.00000000000000000e-120\n"
+).encode()

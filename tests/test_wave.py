@@ -146,6 +146,17 @@ class TestInboundRayDifferentials:
         with pytest.raises(ConfdopError, match=f"^{name} must be finite, got {bad}$"):
             inbound_ray_differentials(GroupParameter.from_alpha(1e-3), *args)
 
+    @pytest.mark.parametrize("rp, tp", [(-1.0, 5.0), (-1.0, -5.0), (1.0, 0.0), (1.0, 5.0)])
+    def test_refuses_what_inbound_ray_coords_refuses(self, rp, tp):
+        # (-1.0, 5.0) was mapped to (0.996, 0.9950125)
+        p = GroupParameter.from_alpha(1e-3)
+        with pytest.raises(ConfdopError) as coords:
+            inbound_ray_coords(p, rp, tp)
+        with pytest.raises(ConfdopError) as differentials:
+            inbound_ray_differentials(p, rp, tp, 1.0, 1.0)
+        assert type(differentials.value) is type(coords.value)
+        assert str(differentials.value) == str(coords.value)
+
     def test_round_trip_with_hill_differentials_is_second_order(self):
         rp, tp = 4e8, -12.0
         dt_p = 1e-6
@@ -188,6 +199,15 @@ class TestWavelengthMap:
     def test_rejects_future_sample(self):
         with pytest.raises(NotPastCone):
             wavelength_map(GroupParameter.from_alpha(1e-3), 0.13, 1e9, 0.0)
+
+    @pytest.mark.parametrize("args, name", [
+        ((0.13, 1.0, math.nan), "t_prime"), ((math.nan, 1.0, -1.0), "lambda_primed"),
+        ((0.13, math.inf, -1.0), "r_prime"),
+    ])
+    def test_non_finite_input_is_refused_by_name(self, args, name):
+        # a nan t' passed the past-cone test, and nan was returned
+        with pytest.raises(ConfdopError, match=f"^{name} must be finite, got "):
+            wavelength_map(GroupParameter(0.0), *args)
 
     def test_origin_sample_at_zero_time_allowed(self):
         # the observer's own event is on the cone, with no stretch
