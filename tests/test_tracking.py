@@ -838,8 +838,8 @@ class TestE17Reader:
 
     def test_overflowing_cell_is_refused_by_line_and_column(self, tmp_path):
         path = tmp_path / "big.csv"
-        cells = ["1.00000000000000000e+00"] * 6 + ["1.79769313486231581e+308"] + ["1.0e+00"] * 5
-        read_cells(path, cells[:6] + ["1.79769313486231581e+308"] + cells[:5])
+        one = "1.00000000000000000e+00"
+        read_cells(path, [one] * 6 + ["1.79769313486231581e+308"] + [one] * 5)  # past the largest double
         with pytest.raises(MalformedCsv, match="^line 3: epoch_s must be finite, got inf$"):
             read_records_csv(path)
 
