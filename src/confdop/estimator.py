@@ -50,17 +50,21 @@ def _weights(sigma_frac: np.ndarray, c: float) -> np.ndarray:
     """
     if np.any(sigma_frac < 0.0):
         raise ZeroSigma("sigmas must be >= 0")
-    var = (c * sigma_frac) ** 2
+    var = c * sigma_frac
+    var *= var
     if np.all(var == 0.0):
         return np.ones_like(var)
     if np.any(var == 0.0):
         raise ZeroSigma("sigma values mix zero and positive; weights are ill-posed")
-    return 1.0 / var
+    return np.divide(1.0, var, out=var)
 
 
 def _wls_terms(table: TrackingTable, c: float):
     """Per-record terms of the fit: ranges r, residual velocities
-    y = c*frac - rate, weights w, and the summands w*r*y and w*r^2.
+    y = c*frac - rate, weights w, and the summands as one (n, 2) array
+    whose rows are (w*r*y, w*r^2), so that a resample gathers both at once.
+    Each is a new array built in place, with the bits of the plain
+    expressions.
 
     Raises ConfdopError for a c that GroupParameter refuses or a column
     the fit reads that is not finite (naming it and its first bad row), and
@@ -78,23 +82,29 @@ def _wls_terms(table: TrackingTable, c: float):
         raise DegenerateDesign("all ranges are equal; alpha is not identifiable")
     w = _weights(table.sigma_frac, c)
     y = _residual_velocity(table, c)
-    wr = w * r
-    return r, y, w, wr * y, wr * r
+    terms = np.empty((n, 2))
+    wr = np.multiply(w, r, out=terms[:, 1])
+    np.multiply(wr, y, out=terms[:, 0])
+    wr *= r
+    return r, y, w, terms
 
 
-def _alpha_hat(wry: np.ndarray, wr2: np.ndarray) -> tuple[float, float]:
-    """alpha_hat = sum(w r y) / sum(w r^2), returned with sum(w r^2).
+def _alpha_hat(terms: np.ndarray) -> tuple[float, float]:
+    """alpha_hat = sum(w r y) / sum(w r^2) over the rows (w*r*y, w*r^2) of
+    terms, returned with sum(w r^2).  Each column is summed by
+    np.add.reduce: numpy's pairwise sum, in the order np.sum takes on a
+    contiguous copy of it, without np.sum's Python wrapper.
 
     Raises DegenerateDesign when sum(w r^2) overflows to inf or underflows
     to 0, where alpha_hat and its standard error are undefined.
     """
-    swr2 = float(np.sum(wr2))
+    swr2 = float(np.add.reduce(terms[:, 1]))
     if not 0.0 < swr2 < math.inf:
         cause = "overflows" if swr2 else "underflows to 0"
         raise DegenerateDesign(
             f"sum(w*r^2) {cause} ({swr2!r}); the standard error of alpha is undefined"
         )
-    return float(np.sum(wry)) / swr2, swr2
+    return float(np.add.reduce(terms[:, 0])) / swr2, swr2
 
 
 # A sum that overflows (or inf - inf) is refused by _alpha_hat, or shows as
@@ -114,11 +124,14 @@ def fit_alpha(table: TrackingTable, c: float = SPEED_OF_LIGHT) -> FitResult:
     all-equal ranges, or a sum(w r^2) that overflows to inf or underflows
     to 0, where the standard error is undefined.
     """
-    r, y, w, wry, wr2 = _wls_terms(table, c)
-    alpha_hat, swr2 = _alpha_hat(wry, wr2)
+    r, y, w, terms = _wls_terms(table, c)
+    alpha_hat, swr2 = _alpha_hat(terms)
     stderr = swr2**-0.5
-    resid = y - alpha_hat * r
-    chi2 = float(np.sum(w * resid * resid))
+    # w*resid*resid with resid = y - alpha_hat*r, in the buffers of y and w
+    y -= alpha_hat * r
+    w *= y
+    w *= y
+    chi2 = float(np.add.reduce(w))
     return FitResult(
         alpha_hat=alpha_hat,
         alpha_stderr=stderr,
@@ -132,24 +145,52 @@ def fit_alpha(table: TrackingTable, c: float = SPEED_OF_LIGHT) -> FitResult:
 # Most resamples whose float64 estimates numpy can size.
 _MAX_RESAMPLES = _max_rows(1)
 
+# Most records whose indices numpy draws with 32-bit Lemire products; from
+# 2**32 + 1 records on, Generator.integers takes 64-bit words per index.
+_MAX_RECORDS = 2**32
+
 
 def _resample_indices(n: int, n_resamples: int, seed: int):
-    """Yield the record indices of each bootstrap resample: draw i is n
-    integers in [0, n) from Generator(Philox(key=seed, counter=i << 64)).
+    """Yield the record indices of each bootstrap resample: draw i is the
+    int64 array Generator(Philox(key=seed, counter=i << 64)).integers(0, n,
+    size=n) returns, bit for bit, for 1 <= n <= 2**32.
 
-    One generator serves every draw.  Before draw i its state is set to
-    that fresh generator's: counter [0, i, 0, 0], an empty buffer, and no
-    spare 32-bit half left over from the draw before.
+    One bit generator serves every draw.  Before draw i its state is set
+    to that fresh generator's: counter [0, i, 0, 0] and an empty buffer.
+    The draw repeats numpy's buffered_bounded_lemire_uint32 in numpy
+    (Lemire, "Fast Random Integer Generation in an Interval", ACM TOMACS
+    2019): the Philox words from random_raw are split into 32-bit halves
+    u, low half first, as Philox hands them to integers; m = u * n is
+    formed in uint64; a half whose low 32 bits of m are below
+    (2**32 - n) % n is rejected; and the index is m >> 32 of each of the
+    first n halves kept.  Rejections are not rare (about 1 resample in 60
+    at n = 1e4, about 12 halves a resample at n = 3e5), so each rejected
+    half is replaced by the next half of the same stream, as numpy does:
+    the spare half of an odd n first, then the halves of more words.
     """
     bitgen = np.random.Philox(key=seed)
-    rng = np.random.Generator(bitgen)
     state = bitgen.state
     state.update(buffer_pos=4, has_uint32=0, uinteger=0)
     counter = state["state"]["counter"]
+    n64 = np.uint64(n)
+    threshold = (2**32 - n) % n
+
+    def products(words):
+        halves = bitgen.random_raw(words).astype("<u8", copy=False).view("<u4")
+        return halves * n64
+
     for i in range(n_resamples):
         counter[:] = (0, i, 0, 0)
         bitgen.state = state
-        yield rng.integers(0, n, size=n)
+        m = products((n + 1) // 2)
+        if threshold and m[:n].astype(np.uint32).min() < threshold:
+            m = m[m.astype(np.uint32) >= threshold]
+            while m.size < n:
+                more = products((n - m.size + 1) // 2)
+                m = np.concatenate((m, more[more.astype(np.uint32) >= threshold]))
+        m = m[:n]
+        m >>= 32
+        yield m.view(np.int64)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -164,10 +205,16 @@ def bootstrap_alpha(
     Resamples records with replacement and refits; the resample index
     stream for draw i comes from a counter-based generator keyed by
     (seed, i), so the result is reproducible and independent of
-    evaluation order.  A resample whose ranges are all equal, or whose
-    sum(w r^2) overflows or underflows, raises DegenerateDesign.
-    n_resamples must lie in [100, _MAX_RESAMPLES], the seed, a Philox
-    key, in [0, 2**128); c is checked as fit_alpha checks it.  These are
+    evaluation order.  The indices are those of
+    Generator(Philox(key=seed, counter=i << 64)).integers(0, n, size=n),
+    drawn by _resample_indices with Lemire's rejection rule on 32-bit
+    halves, so the table may hold at most 2**32 records.  Each resample
+    gathers its (w*r*y, w*r^2) rows in one take and sums each column in
+    numpy's pairwise order, as fit_alpha sums the table's.  A resample
+    whose ranges are all equal, or whose sum(w r^2) overflows or
+    underflows, raises DegenerateDesign.  n_resamples must lie in
+    [100, _MAX_RESAMPLES], the seed, a Philox key, in [0, 2**128); c is
+    checked as fit_alpha checks it.  These and the record count are
     checked before any term of the fit is computed.
     """
     if n_resamples < 100:
@@ -177,9 +224,14 @@ def bootstrap_alpha(
             f"n_resamples must be <= {_MAX_RESAMPLES}, so that numpy can size "
             f"the float64 estimates, got {n_resamples}"
         )
+    if len(table) > _MAX_RECORDS:
+        raise ConfdopError(
+            f"a bootstrap takes at most 2**32 records, the range of numpy's "
+            f"32-bit index draw, got {len(table)}"
+        )
     if not 0 <= seed < 2**128:
         raise ConfdopError(f"bootstrap seed must be in [0, 2**128), got {seed}")
-    r, _, _, wry, wr2 = _wls_terms(table, c)
+    r, _, _, terms = _wls_terms(table, c)
     estimates = np.empty(n_resamples)
     for i, idx in enumerate(_resample_indices(r.size, n_resamples, seed)):
         # a resample whose first two ranges differ holds two different
@@ -189,7 +241,7 @@ def bootstrap_alpha(
                 f"resample {i} of {r.size} records has all ranges equal; "
                 "alpha is not identifiable"
             )
-        estimates[i] = _alpha_hat(wry.take(idx), wr2.take(idx))[0]
+        estimates[i] = _alpha_hat(terms.take(idx, axis=0))[0]
     return float(np.std(estimates, ddof=1))
 
 

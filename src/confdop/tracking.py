@@ -242,7 +242,9 @@ def _require_finite_columns(table: TrackingTable, names) -> None:
 def _residual_velocity(table: TrackingTable, c: float) -> np.ndarray:
     """Measured Doppler velocity minus the alpha = 0 (Minkowski) prediction,
     the range rate itself: y = c*doppler_frac_meas - range_rate_true."""
-    return c * table.doppler_frac_meas - table.range_rate_true
+    y = c * table.doppler_frac_meas
+    y -= table.range_rate_true
+    return y
 
 
 def anomaly_residuals(table: TrackingTable, c: float = SPEED_OF_LIGHT) -> AnomalyResidual:

@@ -25,6 +25,7 @@ from confdop import (
 )
 from confdop.constants import ASTRONOMICAL_UNIT, SPEED_OF_LIGHT
 from confdop.estimator import _resample_indices
+from test_tracking import KERNEL_EDGES
 
 C = SPEED_OF_LIGHT
 
@@ -93,6 +94,31 @@ def reference_fit(table, c=C):
     return alpha_hat, swr2**-0.5, chi2
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def expression_fit(table, c=C):
+    """alpha_hat, stderr and chi2 by the plain array expressions, each step
+    a new array; the fit builds the same terms in place, with these bits."""
+    r = table.range_true
+    w = 1.0 / (c * table.sigma_frac) ** 2
+    y = c * table.doppler_frac_meas - table.range_rate_true
+    wr = w * r
+    swr2 = float(np.sum(wr * r))
+    alpha_hat = float(np.sum(wr * y)) / swr2
+    resid = y - alpha_hat * r
+    return alpha_hat, swr2**-0.5, float(np.sum(w * resid * resid))
+
+
+def edge_values_table():
+    """The CSV kernel's finite edge values as Doppler data and range rates,
+    at ranges and sigmas where sum(w r^2) is finite: subnormals, +-0.0,
+    +-1e+-250, powers of ten and their neighbours.  c * 1.8e308 overflows
+    y, so the two largest magnitudes are left out."""
+    x = np.array([v for v in KERNEL_EDGES if abs(v) < 1e300])
+    r = np.linspace(1e12, 1e13, x.size)
+    sigma = np.geomspace(1e-14, 1e-10, x.size)
+    return make_table(r, x, np.roll(x, 1), sigma)
+
+
 class TestFitAlpha:
     def test_noiseless_zero_alpha_is_exact(self):
         # dyadic rate: (v/c)*c round-trips exactly, so every residual is 0.0
@@ -156,6 +182,19 @@ class TestFitAlpha:
         assert fit.alpha_hat == pytest.approx(alpha_hat, rel=1e-12)
         assert fit.alpha_stderr == pytest.approx(stderr, rel=1e-12)
         assert fit.chi2 == pytest.approx(chi2, rel=1e-9)
+
+    # on this simulated table chi2 summed as w*(resid*resid) differs in its last bit
+    @pytest.mark.parametrize("make", [
+        lambda: simulate(pioneer_like_cfg(4, n_obs=5000)),
+        edge_values_table,
+    ], ids=["simulated", "edge-values"])
+    def test_in_place_terms_keep_the_expressions_bits(self, make):
+        table = make()
+        fit = fit_alpha(table)
+        got = np.array([fit.alpha_hat, fit.alpha_stderr, fit.chi2])
+        want = np.array(expression_fit(table))
+        assert np.isfinite(got[:2]).all()
+        assert got.tobytes() == want.tobytes()
 
     def test_too_few_records(self):
         table = head(simulate(pioneer_like_cfg(0)), 1)
@@ -227,6 +266,19 @@ def refit_each_resample(table, n_resamples, seed):
     return float(np.std(estimates, ddof=1))
 
 
+def lemire_rejections(n, i, seed):
+    """How many 32-bit halves integers(0, n, size=n) of a fresh
+    Generator(Philox(key=seed, counter=i << 64)) rejects: those whose low
+    32 bits of u*n lie below (2**32 - n) % n, up to the n-th half kept.
+    The halves are split from the raw words by mask and shift."""
+    words = np.random.Philox(key=seed, counter=i << 64).random_raw(n // 2 + 64)
+    halves = np.stack((words & 0xFFFFFFFF, words >> 32), axis=1).ravel()
+    rejected = (halves * n) & 0xFFFFFFFF < (2**32 - n) % n
+    kept = np.cumsum(~rejected)
+    assert kept[-1] >= n
+    return int(np.count_nonzero(rejected[: np.searchsorted(kept, n) + 1]))
+
+
 class TestBootstrap:
     def test_noiseless_data_gives_zero_spread(self):
         table = simulate(exact_recovery_cfg(2.19e-18))
@@ -259,6 +311,36 @@ class TestBootstrap:
         for i, idx in enumerate(_resample_indices(n, 40, seed)):
             fresh = np.random.Generator(np.random.Philox(key=seed, counter=i << 64))
             assert np.array_equal(idx, fresh.integers(0, n, size=n)), i
+
+    @pytest.mark.parametrize("n, n_resamples, seed, taken", [
+        # a few of 200 resamples reject a half
+        (10_000, 200, 0, lambda rejections: 0 < np.count_nonzero(rejections) < 200),
+        # every resample rejects 10 halves or more
+        (300_000, 4, 5, lambda rejections: min(rejections) >= 10),
+        # odd n: one rejection takes the spare half, two draw one word more
+        (59_851, 20, 3, lambda rejections: {0, 1, 2} <= set(rejections)),
+    ])
+    def test_rejected_halves_are_redrawn_as_numpy_redraws_them(self, n, n_resamples, seed, taken):
+        rejections = []
+        for i, idx in enumerate(_resample_indices(n, n_resamples, seed)):
+            fresh = np.random.Generator(np.random.Philox(key=seed, counter=i << 64))
+            assert np.array_equal(idx, fresh.integers(0, n, size=n)), i
+            rejections.append(lemire_rejections(n, i, seed))
+        assert taken(rejections), rejections
+
+    def test_rejects_more_records_than_the_32_bit_draw_serves(self):
+        # zero-stride columns: tables of 2**32 and 2**32 + 1 rows that allocate
+        # nothing; c = -1 is refused before any term of the fit is computed
+        def table(n):
+            return TrackingTable(*[np.broadcast_to(1.0, n)] * 6)
+
+        with pytest.raises(
+            ConfdopError,
+            match=r"^a bootstrap takes at most 2\*\*32 records, .* got 4294967297$",
+        ):
+            bootstrap_alpha(table(2**32 + 1), 100, seed=0, c=-1.0)
+        with pytest.raises(ConfdopError, match="^c must be positive"):
+            bootstrap_alpha(table(2**32), 100, seed=0, c=-1.0)
 
     def test_resample_of_one_repeated_range_rejected(self):
         # with 2 records, some of the first 100 resamples repeat one row
