@@ -25,7 +25,6 @@ from confdop import (
 )
 from confdop.constants import ASTRONOMICAL_UNIT, SPEED_OF_LIGHT
 from confdop.estimator import _resample_indices
-from test_tracking import KERNEL_EDGES
 
 C = SPEED_OF_LIGHT
 
@@ -108,12 +107,12 @@ def expression_fit(table, c=C):
     return alpha_hat, swr2**-0.5, float(np.sum(w * resid * resid))
 
 
-def edge_values_table():
+def edge_values_table(kernel_edges):
     """The CSV kernel's finite edge values as Doppler data and range rates,
     at ranges and sigmas where sum(w r^2) is finite: subnormals, +-0.0,
     +-1e+-250, powers of ten and their neighbours.  c * 1.8e308 overflows
     y, so the two largest magnitudes are left out."""
-    x = np.array([v for v in KERNEL_EDGES if abs(v) < 1e300])
+    x = np.array([v for v in kernel_edges if abs(v) < 1e300])
     r = np.linspace(1e12, 1e13, x.size)
     sigma = np.geomspace(1e-14, 1e-10, x.size)
     return make_table(r, x, np.roll(x, 1), sigma)
@@ -185,11 +184,11 @@ class TestFitAlpha:
 
     # on this simulated table chi2 summed as w*(resid*resid) differs in its last bit
     @pytest.mark.parametrize("make", [
-        lambda: simulate(pioneer_like_cfg(4, n_obs=5000)),
+        lambda edges: simulate(pioneer_like_cfg(4, n_obs=5000)),
         edge_values_table,
     ], ids=["simulated", "edge-values"])
-    def test_in_place_terms_keep_the_expressions_bits(self, make):
-        table = make()
+    def test_in_place_terms_keep_the_expressions_bits(self, make, kernel_edges):
+        table = make(kernel_edges)
         fit = fit_alpha(table)
         got = np.array([fit.alpha_hat, fit.alpha_stderr, fit.chi2])
         want = np.array(expression_fit(table))

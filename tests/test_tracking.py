@@ -621,10 +621,6 @@ def kernel_e17(x):
     return [cell.tobytes().replace(b"\0", b"") for cell in _e17_cells(np.asarray(x, np.float64))]
 
 
-def power_of_ten(k):
-    return float(10**k) if k >= 0 else 1 / 10**-k
-
-
 def tie_values(k, rng):
     """Floats x in [10**k, 10**(k+1)) whose count x * 10**(17-k) is an odd
     multiple of 1/2, each with that count's floor: q / 2**(18-k) for odd q."""
@@ -639,18 +635,6 @@ def tie_values(k, rng):
     return ties, [math.floor(c) for c in counts]
 
 
-KERNEL_EDGES = (
-    [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
-    + [s * v for s in (1.0, -1.0) for b in (1e250, 1e-250)
-       for v in (b, np.nextafter(b, 0.0), np.nextafter(b, math.inf))]
-    + [v for k in range(-30, 31) for v in (
-        power_of_ten(k), np.nextafter(power_of_ten(k), 0.0), np.nextafter(power_of_ten(k), math.inf),
-    )]
-    + (np.arange(2000) * 1e13 + 0.5).tolist()
-    + [1e153, -1e153, math.nan, -math.nan, math.inf, -math.inf]
-)
-
-
 class TestE17Kernel:
     """_e17_cells writes exactly the bytes of "%.17e" % x for every float64."""
 
@@ -659,8 +643,8 @@ class TestE17Kernel:
         x = bits.view(np.float64)
         assert kernel_e17(x) == percent_e17(x)
 
-    def test_edge_values(self):
-        assert kernel_e17(KERNEL_EDGES) == percent_e17(KERNEL_EDGES)
+    def test_edge_values(self, kernel_edges):
+        assert kernel_e17(kernel_edges) == percent_e17(kernel_edges)
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=50)
     @given(st.lists(st.floats(), max_size=64))
@@ -702,8 +686,8 @@ class TestE17Kernel:
             exact = Fraction(10) ** m
             assert (h, low) == (float(exact), float(exact - Fraction(h))), m
 
-    def test_writer_interleaves_python_cells(self, tmp_path):
-        x = np.array(KERNEL_EDGES)
+    def test_writer_interleaves_python_cells(self, tmp_path, kernel_edges):
+        x = np.array(kernel_edges)
         cols = [np.roll(x, j) for j in range(len(_COLUMNS))]
         path = tmp_path / "edge.csv"
         write_records_csv(TrackingTable(*cols), path)
@@ -804,10 +788,10 @@ class TestE17Reader:
     """read_records_csv reads every cell of the writer's layout as float()
     reads its text, and reads any other file as _scan_rows reads it."""
 
-    def test_random_bit_patterns_read_back(self, tmp_path):
+    def test_random_bit_patterns_read_back(self, tmp_path, kernel_edges):
         bits = np.random.default_rng(20_261_020).integers(0, 2**64, size=200_000, dtype=np.uint64)
         x = bits.view(np.float64)
-        x = np.concatenate([x[np.isfinite(x)], [v for v in KERNEL_EDGES if math.isfinite(v)]])
+        x = np.concatenate([x[np.isfinite(x)], [v for v in kernel_edges if math.isfinite(v)]])
         assert x.size > 200_000
         table = TrackingTable(*np.concatenate([x, np.zeros(-x.size % 6)]).reshape(6, -1))
         path = tmp_path / "bits.csv"
