@@ -77,6 +77,15 @@ _C2_MIN = sys.float_info.min
 # short oracle runs.
 _FLOW_ARRAY_MIN_ELEMENTS = 22
 
+# Names of the steps of the finite map's denominator and of each first-order
+# map, in computing order; the first non-finite step names an overflow.
+_DENOM_STEPS = ("x4^2 - r^2", "2*beta4*x4", "beta4^2", "beta4^2*s2", "1 - 2*beta4*x4 + beta4^2*s2")
+_SHIFT_STEPS = ("r^2", "r^2/c^2", "t^2", "r^2/c^2 + t^2", "alpha*(r^2/c^2 + t^2)/2")
+_HILL_STEPS = ("alpha", "alpha*t", "r'", *_SHIFT_STEPS, "t'")
+_HILL_DIFFERENTIAL_STEPS = ("alpha", "alpha*t", "dr*(1 + alpha*t)", "alpha*r", "alpha*r*dt",
+                            "dr'", "dt*(1 + alpha*t)", "alpha*r*dr/c^2", "dt'")
+_HILL_VELOCITY_STEPS = ("alpha", "alpha*r", "v^2", "v^2/c^2", "alpha*r*(1 - v^2/c^2)", "v'")
+
 
 def _require_finite(name: str, value: float) -> None:
     if not math.isfinite(value):
@@ -157,25 +166,27 @@ def _finite_map(b, r, x4, refuse):
     """Formula body of the finite map, shared by the scalar and array kernels.
 
     Elementwise on floats or numpy arrays; returns (gamma, r', x4', test).
-    `refuse` is given the regularity test (false near the singular
-    surface, and where the denominator overflowed to inf or NaN) and the
-    two null-coordinate factors.  The scalar one raises for an event
-    outside the domain; the array one returns the elementwise domain test,
-    the fourth value.  With finite inputs, a finite denominator leaves
-    every term finite.
+    `refuse` is given the denominator's steps, named by _DENOM_STEPS, the
+    regularity test (false near the singular surface, and where the
+    denominator overflowed to inf or NaN) and the two null-coordinate
+    factors.  The scalar one raises for an event outside the domain; the
+    array one returns the elementwise domain test, the fourth value.  With
+    finite inputs, a finite denominator leaves every term finite.
     """
     s2 = x4 * x4 - r * r
     linear = 2.0 * b * x4
-    quadratic = b * b * s2
+    b2 = b * b
+    quadratic = b2 * s2
     denom = 1.0 - linear + quadratic
     size = abs(denom)
     regular = (size >= EPS_SINGULAR * (1.0 + abs(linear) + abs(quadratic))) & (size < _INF)
-    test = refuse(b, r, x4, regular, 1.0 - b * (x4 + r), 1.0 - b * (x4 - r))
+    steps = (s2, linear, b2, quadratic, denom)
+    test = refuse(b, r, x4, steps, regular, 1.0 - b * (x4 + r), 1.0 - b * (x4 - r))
     g = 1.0 / denom
     return g, g * r, g * (x4 - b * s2), test
 
 
-def _in_domain(b, r, x4, regular, u_factor, v_factor):
+def _in_domain(b, r, x4, steps, regular, u_factor, v_factor):
     return regular & (u_factor > 0.0) & (v_factor > 0.0)
 
 
@@ -218,17 +229,11 @@ def _overflow(what, at, terms) -> str | None:
     return None
 
 
-def _refuse(b, r, x4, regular, u_factor, v_factor) -> None:
+def _refuse(b, r, x4, steps, regular, u_factor, v_factor) -> None:
     if not regular:
-        s2 = x4 * x4 - r * r
         at = f"(r={r}, x4={x4}) for beta4={b}"
-        raise SingularTransform(_overflow("conformal factor denominator", at, (
-            ("x4^2 - r^2", s2),
-            ("2*beta4*x4", 2.0 * b * x4),
-            ("beta4^2", b * b),
-            ("beta4^2*s2", b * b * s2),
-            ("1 - 2*beta4*x4 + beta4^2*s2", 1.0 - 2.0 * b * x4 + b * b * s2),
-        )) or f"conformal factor singular at (r={r}, x4={x4}) for beta4={b}")
+        overflow = _overflow("conformal factor denominator", at, zip(_DENOM_STEPS, steps))
+        raise SingularTransform(overflow or f"conformal factor singular at {at}")
     if not (u_factor > 0.0 and v_factor > 0.0):
         raise DomainCrossing(
             f"event (r={r}, x4={x4}) lies beyond the singular surface of beta4={b}"
@@ -384,9 +389,30 @@ def interval_scale(p: GroupParameter, e: Event) -> float:
     return g * g
 
 
-def _hill_time_shift(a: float, r: float, t: float, c2: float) -> float:
-    """First-order time shift alpha*(r^2/c^2 + t^2)/2 of the Hill and inbound-ray maps."""
-    return a * (r * r / c2 + t * t) / 2.0
+def _image(what: str, p: GroupParameter, inputs, names, steps, *image) -> tuple:
+    """The `steps` at the indices `image` of a first-order map of the (name, value) `inputs`;
+    if one is not finite, raises ConfdopError naming a non-finite input, else step."""
+    values = tuple(steps[i] for i in image)
+    if not all(map(math.isfinite, values)):
+        for name, value in inputs:
+            _require_finite(name, value)
+        at = ", ".join(f"{name}={value}" for name, value in inputs)
+        raise ConfdopError(_overflow(what, f"({at}) for alpha={p.alpha}", zip(names, steps)))
+    return values
+
+
+def _shift_steps(a, r, t, c2):
+    """_SHIFT_STEPS, ending in the time shift of the Hill and inbound-ray maps."""
+    r2, t2 = r * r, t * t
+    r2c2 = r2 / c2
+    q = r2c2 + t2
+    return r2, r2c2, t2, q, a * q / 2.0
+
+
+def _hill_steps(a, c2, r, t):
+    at = a * t
+    shift = _shift_steps(a, r, t, c2)
+    return (a, at, (1.0 + at) * r, *shift, t + shift[-1])
 
 
 def hill_transform(p: GroupParameter, r: float, t: float) -> tuple[float, float]:
@@ -396,39 +422,25 @@ def hill_transform(p: GroupParameter, r: float, t: float) -> tuple[float, float]
 
     Intended for |alpha*t| << 1.  r and t are floats, or numpy arrays that
     broadcast.  Raises ConfdopError for a non-finite r or t, and where r'
-    or t' is not finite, naming the first of alpha, alpha*t, r', r^2,
-    r^2/c^2, t^2, their sum, the time shift and t' that overflowed.  An
-    array call raises the error of its first such element in C order,
+    or t' is not finite, naming the first value it computes that overflowed.
+    An array call raises the error of its first such element in C order,
     with no numpy warning.
     """
-    a = p.alpha
-    c2 = p.c * p.c
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
-        r_out, t_out = (1.0 + a * t) * r, t + _hill_time_shift(a, r, t, c2)
-    bad = ~(np.isfinite(r_out) & np.isfinite(t_out))
-    if bad.any():
-        _refuse_hill(p, *(float(v) for v in _first(bad, r, t)))
-    return r_out, t_out
-
-
-def _refuse_hill(p: GroupParameter, r: float, t: float) -> None:
-    # hill_transform's image of these floats is not finite
-    _require_finite("r", r)
-    _require_finite("t", t)
     a, c2 = p.alpha, p.c * p.c
-    r2c2 = r * r / c2
-    shift = _hill_time_shift(a, r, t, c2)
-    raise ConfdopError(_overflow("Hill map", f"(r={r}, t={t}) for alpha={a}", (
-        ("alpha", a),
-        ("alpha*t", a * t),
-        ("r'", (1.0 + a * t) * r),
-        ("r^2", r * r),
-        ("r^2/c^2", r2c2),
-        ("t^2", t * t),
-        ("r^2/c^2 + t^2", r2c2 + t * t),
-        ("alpha*(r^2/c^2 + t^2)/2", shift),
-        ("t'", t + shift),
-    )))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
+        steps = _hill_steps(a, c2, r, t)
+    bad = ~(np.isfinite(steps[2]) & np.isfinite(steps[-1]))
+    if bad.any():
+        r, t = (float(v) for v in _first(bad, r, t))
+        _image("Hill map", p, (("r", r), ("t", t)), _HILL_STEPS, _hill_steps(a, c2, r, t), 2, -1)
+    return steps[2], steps[-1]
+
+
+def _hill_differential_steps(a, c2, r, t, dr, dt):
+    at, ar = a * t, a * r
+    dr_scaled, ar_dt = dr * (1.0 + at), ar * dt
+    dt_scaled, ar_dr_c2 = dt * (1.0 + at), ar * dr / c2
+    return a, at, dr_scaled, ar, ar_dt, dr_scaled + ar_dt, dt_scaled, ar_dr_c2, dt_scaled + ar_dr_c2
 
 
 def hill_differentials(
@@ -438,20 +450,29 @@ def hill_differentials(
 
     dr' = dr*(1 + alpha*t) + alpha*r*dt,
     dt' = dt*(1 + alpha*t) + alpha*r*dr/c^2.
+
+    Refuses an image that is not finite as hill_transform does.
     """
-    a = p.alpha
-    return (
-        dr * (1.0 + a * t) + a * r * dt,
-        dt * (1.0 + a * t) + a * r * dr / (p.c * p.c),
-    )
+    inputs = (("r", r), ("t", t), ("dr", dr), ("dt", dt))
+    steps = _hill_differential_steps(p.alpha, p.c * p.c, r, t, dr, dt)
+    return _image("Hill differential map", p, inputs, _HILL_DIFFERENTIAL_STEPS, steps, 5, -1)
+
+
+def _hill_velocity_steps(a, c2, r, v):
+    v2 = v * v
+    ar, v2c2 = a * r, v2 / c2
+    correction = ar * (1.0 - v2c2)
+    return a, ar, v2, v2c2, correction, v + correction
 
 
 def hill_velocity(p: GroupParameter, r: float, v: float) -> float:
     """First-order velocity map v' = v + alpha*r*(1 - v^2/c^2).
 
     Light speed is preserved exactly: the correction vanishes at v = +-c.
+    Refuses an image that is not finite as hill_transform does.
     """
-    return v + p.alpha * r * (1.0 - v * v / (p.c * p.c))
+    steps = _hill_velocity_steps(p.alpha, p.c * p.c, r, v)
+    return _image("Hill velocity map", p, (("r", r), ("v", v)), _HILL_VELOCITY_STEPS, steps, -1)[0]
 
 
 def flow_oracle(p: GroupParameter, e: Event, steps: int = 100_000) -> Event:

@@ -10,10 +10,15 @@ velocity or as velocity plus an alpha*r kinematic term.
 
 from __future__ import annotations
 
-import math
-
-from .conformal import GroupParameter, _hill_time_shift, _overflow, _require_finite
+from .conformal import GroupParameter, _SHIFT_STEPS, _image, _require_finite, _shift_steps
 from .errors import ConfdopError, NotPastCone
+
+_COORDS_STEPS = tuple(f"{name} (pass {n})" for n in (1, 2)
+                      for name in (*_SHIFT_STEPS, "|t|", "alpha*|t|", "r"))
+_DIFFERENTIAL_STEPS = ("alpha*t'", "dr'*(1 - alpha*t')", "alpha*r'", "alpha*r'*dt'", "dr",
+                       "r'^2", "r'^2/c^2", "t'^2", "r'^2/c^2 + t'^2", "alpha*(r'^2/c^2 + t'^2)/2",
+                       "t", "alpha*t", "dt'*(1 - alpha*t)", "alpha*r'*dr'/c^2", "dt")
+_WAVELENGTH_STEPS = ("alpha", "r'/c", "|t'| + r'/c", "alpha*(|t'| + r'/c)", "lambda")
 
 
 def _require_inbound(r_prime: float, t_prime: float) -> None:
@@ -24,6 +29,18 @@ def _require_inbound(r_prime: float, t_prime: float) -> None:
         raise NotPastCone(f"inbound ray needs t' < 0, got {t_prime}")
     if r_prime < 0.0:
         raise ConfdopError(f"r_prime must be >= 0, got {r_prime}")
+
+
+def _coords_steps(a, c2, r_prime, t_prime):
+    """_COORDS_STEPS of inbound_ray_coords: two passes, each ending in |t| and r."""
+    steps, r, t = (), r_prime, t_prime
+    for _ in range(2):
+        shift = _shift_steps(a, r, t, c2)
+        abs_t = -t_prime + shift[-1]
+        a_abs_t = a * abs_t
+        r, t = (1.0 + a_abs_t) * r_prime, -abs_t
+        steps += (*shift, abs_t, a_abs_t, r)
+    return steps
 
 
 def inbound_ray_coords(p: GroupParameter, r_prime: float, t_prime: float) -> tuple[float, float]:
@@ -40,40 +57,21 @@ def inbound_ray_coords(p: GroupParameter, r_prime: float, t_prime: float) -> tup
     first quantity of the two passes that overflowed.
     """
     _require_inbound(r_prime, t_prime)
-    a = p.alpha
-    c2 = p.c * p.c
-    r = r_prime
-    t = t_prime
-    for _ in range(2):
-        abs_t = -t_prime + _hill_time_shift(a, r, t, c2)
-        t = -abs_t
-        r = (1.0 + a * abs_t) * r_prime
-    if not (math.isfinite(r) and math.isfinite(t)):
-        _refuse_inbound_coords(a, c2, r_prime, t_prime)
-    return r, t
+    steps = _coords_steps(p.alpha, p.c * p.c, r_prime, t_prime)
+    inputs = (("r'", r_prime), ("t'", t_prime))
+    r, abs_t = _image("inbound-ray map", p, inputs, _COORDS_STEPS, steps, -1, -3)
+    return r, -abs_t
 
 
-def _refuse_inbound_coords(a: float, c2: float, r_prime: float, t_prime: float) -> None:
-    # inbound_ray_coords' image of these finite floats is not finite
-    terms = []
-    r, t = r_prime, t_prime
-    for n in (1, 2):
-        r2c2 = r * r / c2
-        shift = _hill_time_shift(a, r, t, c2)
-        abs_t = -t_prime + shift
-        terms += [(f"{name} (pass {n})", value) for name, value in (
-            ("r^2", r * r),
-            ("r^2/c^2", r2c2),
-            ("t^2", t * t),
-            ("r^2/c^2 + t^2", r2c2 + t * t),
-            ("alpha*(r^2/c^2 + t^2)/2", shift),
-            ("|t|", abs_t),
-            ("alpha*|t|", a * abs_t),
-            ("r", (1.0 + a * abs_t) * r_prime),
-        )]
-        t, r = -abs_t, (1.0 + a * abs_t) * r_prime
-    at = f"(r'={r_prime}, t'={t_prime}) for alpha={a}"
-    raise ConfdopError(_overflow("inbound-ray map", at, terms))
+def _differential_steps(a, c2, r_prime, t_prime, dr_prime, dt_prime):
+    a_tp, a_rp = a * t_prime, a * r_prime
+    dr_scaled, a_rp_dtp = dr_prime * (1.0 - a_tp), a_rp * dt_prime
+    shift = _shift_steps(a, r_prime, t_prime, c2)
+    t = t_prime - shift[-1]
+    a_t = a * t
+    dt_scaled, a_rp_drp_c2 = dt_prime * (1.0 - a_t), a_rp * dr_prime / c2
+    return (a_tp, dr_scaled, a_rp, a_rp_dtp, dr_scaled - a_rp_dtp, *shift,
+            t, a_t, dt_scaled, a_rp_drp_c2, dt_scaled - a_rp_drp_c2)
 
 
 def inbound_ray_differentials(
@@ -94,39 +92,16 @@ def inbound_ray_differentials(
     _require_inbound(r_prime, t_prime)
     _require_finite("dr_prime", dr_prime)
     _require_finite("dt_prime", dt_prime)
-    a = p.alpha
-    c2 = p.c * p.c
-    t = t_prime - _hill_time_shift(a, r_prime, t_prime, c2)
-    dr = dr_prime * (1.0 - a * t_prime) - a * r_prime * dt_prime
-    dt = dt_prime * (1.0 - a * t) - a * r_prime * dr_prime / c2
-    if not (math.isfinite(dr) and math.isfinite(dt)):
-        _refuse_inbound_differentials(a, c2, r_prime, t_prime, dr_prime, dt_prime)
-    return dr, dt
+    steps = _differential_steps(p.alpha, p.c * p.c, r_prime, t_prime, dr_prime, dt_prime)
+    inputs = (("r'", r_prime), ("t'", t_prime), ("dr'", dr_prime), ("dt'", dt_prime))
+    return _image("inbound-ray differential map", p, inputs, _DIFFERENTIAL_STEPS, steps, 4, -1)
 
 
-def _refuse_inbound_differentials(a, c2, r_prime, t_prime, dr_prime, dt_prime) -> None:
-    # inbound_ray_differentials' image of these finite floats is not finite
-    r2c2 = r_prime * r_prime / c2
-    shift = _hill_time_shift(a, r_prime, t_prime, c2)
-    t = t_prime - shift
-    at = f"(r'={r_prime}, t'={t_prime}, dr'={dr_prime}, dt'={dt_prime}) for alpha={a}"
-    raise ConfdopError(_overflow("inbound-ray differential map", at, (
-        ("alpha*t'", a * t_prime),
-        ("dr'*(1 - alpha*t')", dr_prime * (1.0 - a * t_prime)),
-        ("alpha*r'", a * r_prime),
-        ("alpha*r'*dt'", a * r_prime * dt_prime),
-        ("dr", dr_prime * (1.0 - a * t_prime) - a * r_prime * dt_prime),
-        ("r'^2", r_prime * r_prime),
-        ("r'^2/c^2", r2c2),
-        ("t'^2", t_prime * t_prime),
-        ("r'^2/c^2 + t'^2", r2c2 + t_prime * t_prime),
-        ("alpha*(r'^2/c^2 + t'^2)/2", shift),
-        ("t", t),
-        ("alpha*t", a * t),
-        ("dt'*(1 - alpha*t)", dt_prime * (1.0 - a * t)),
-        ("alpha*r'*dr'/c^2", a * r_prime * dr_prime / c2),
-        ("dt", dt_prime * (1.0 - a * t) - a * r_prime * dr_prime / c2),
-    )))
+def _wavelength_steps(a, c, lambda_primed, r_prime, t_prime):
+    r_c = r_prime / c
+    delay = abs(t_prime) + r_c
+    stretch = a * delay
+    return a, r_c, delay, stretch, lambda_primed * (1.0 + stretch)
 
 
 def wavelength_map(
@@ -138,7 +113,8 @@ def wavelength_map(
 
     The factor is >= 1 for alpha > 0 on the past cone and tends to 1 as
     the sample approaches the origin, where both wavelengths agree with
-    the measured one.  A non-finite input is refused by name.
+    the measured one.  A non-finite input is refused by name, and an
+    image that is not finite as by inbound_ray_coords.
     """
     _require_finite("lambda_primed", lambda_primed)
     _require_finite("r_prime", r_prime)
@@ -147,7 +123,9 @@ def wavelength_map(
         raise NotPastCone(
             f"wave sample must lie on the past cone, got (r'={r_prime}, t'={t_prime})"
         )
-    return lambda_primed * (1.0 + p.alpha * (abs(t_prime) + r_prime / p.c))
+    steps = _wavelength_steps(p.alpha, p.c, lambda_primed, r_prime, t_prime)
+    inputs = (("lambda'", lambda_primed), ("r'", r_prime), ("t'", t_prime))
+    return _image("wavelength map", p, inputs, _WAVELENGTH_STEPS, steps, -1)[0]
 
 
 def doppler_model_conformal(p: GroupParameter, r, v):

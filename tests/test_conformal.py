@@ -26,6 +26,7 @@ from confdop import (
     conformal_factor,
     differential_map,
     flow_oracle,
+    hill_differentials,
     hill_transform,
     hill_velocity,
     interval_scale,
@@ -496,6 +497,12 @@ class TestHill:
         d1, d2 = deviation(1e-4), deviation(5e-5)
         assert d1 / d2 == pytest.approx(4.0, rel=0.10)
 
+    def test_velocity_map_value(self):
+        # v' = v + alpha*r*(1 - v^2/c^2), with the operations in this order
+        c = SPEED_OF_LIGHT
+        p = GroupParameter.from_alpha(1e-3)
+        assert hill_velocity(p, 1e9, 1e4) == 1e4 + p.alpha * 1e9 * (1.0 - 1e4 * 1e4 / (c * c))
+
     def test_light_speed_preserved_by_velocity_map(self):
         c = SPEED_OF_LIGHT
         p = GroupParameter.from_alpha(1e-3)
@@ -529,6 +536,55 @@ class TestHill:
             hill_transform(p, math.nan, 1.0)
         with pytest.raises(ConfdopError, match="^t must be finite, got inf$"):
             hill_transform(p, np.array([1.0, 1.0]), np.array([0.0, math.inf]))
+
+    @pytest.mark.parametrize("beta4, args, refusal", [
+        # (inf, inf) was returned
+        (1e-200, (1e300, 1e200, 1e300, 1.0),
+         "Hill differential map overflows at (r=1e+300, t=1e+200, dr=1e+300, dt=1.0) "
+         "for alpha=5.99584916e-192: dr*(1 + alpha*t) = inf"),
+        (0.0, (1.0, 1.0, math.inf, 1.0), "dr must be finite, got inf"),
+    ], ids=["overflow", "dr_inf"])
+    def test_differentials_that_are_not_finite_are_refused(self, beta4, args, refusal):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfdopError) as exc:
+                hill_differentials(GroupParameter(beta4), *args)
+        assert type(exc.value) is ConfdopError
+        assert str(exc.value) == refusal
+
+    @pytest.mark.parametrize("beta4, r, v, refusal", [
+        # -inf and nan were returned
+        (1e-200, 1e300, 1e200,
+         "Hill velocity map overflows at (r=1e+300, v=1e+200) for alpha=5.99584916e-192: v^2 = inf"),
+        (0.0, 1.0, math.nan, "v must be finite, got nan"),
+    ], ids=["overflow", "v_nan"])
+    def test_velocity_that_is_not_finite_is_refused(self, beta4, r, v, refusal):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfdopError) as exc:
+                hill_velocity(GroupParameter(beta4), r, v)
+        assert type(exc.value) is ConfdopError
+        assert str(exc.value) == refusal
+
+
+def test_each_step_of_a_map_has_one_name():
+    # the refusals zip names with steps, so a step without a name, or an
+    # extra name, would name the wrong overflow or none
+    from confdop import conformal, wave
+
+    p = GroupParameter.from_alpha(1e-3)
+    a, c2 = p.alpha, p.c * p.c
+    pairs = [
+        (conformal._DENOM_STEPS, conformal._finite_map(0.1, 1.0, 0.5, lambda *args: args[3])[3]),
+        (conformal._HILL_STEPS, conformal._hill_steps(a, c2, 1e8, -12.0)),
+        (conformal._HILL_DIFFERENTIAL_STEPS, conformal._hill_differential_steps(a, c2, 1e8, -12.0, 1.0, 1.0)),
+        (conformal._HILL_VELOCITY_STEPS, conformal._hill_velocity_steps(a, c2, 1e8, 1e4)),
+        (wave._COORDS_STEPS, wave._coords_steps(a, c2, 1e8, -12.0)),
+        (wave._DIFFERENTIAL_STEPS, wave._differential_steps(a, c2, 1e8, -12.0, 1.0, 1.0)),
+        (wave._WAVELENGTH_STEPS, wave._wavelength_steps(a, p.c, 0.13, 1e8, -12.0)),
+    ]
+    assert [len(names) for names, _ in pairs] == [len(steps) for _, steps in pairs]
+    assert all(len(set(names)) == len(names) for names, _ in pairs)
 
 
 class TestFlowOracle:

@@ -4,12 +4,15 @@ raise the error of a loop of scalar calls outside it; and the array RK4
 oracle returns the bits, or raises the error, that a loop
 of scalar flow_oracle calls does, inside the domain and outside it; and
 the half-slope flow_oracle returns those of the full-slope loop it
-replaced.
+replaced; and each first-order map, the Hill maps and the inbound-ray and
+wavelength maps of confdop.wave, returns finite values or raises
+ConfdopError over the whole double range.
 
 Kept apart from test_conformal.py so that those tests do not depend on
 hypothesis being installed.
 """
 
+import math
 import sys
 import warnings
 
@@ -28,10 +31,16 @@ from confdop import (
     conformal_factor,
     differential_map,
     flow_oracle,
+    hill_differentials,
     hill_transform,
+    hill_velocity,
+    inbound_ray_coords,
+    inbound_ray_differentials,
     transform_finite,
+    wavelength_map,
 )
 from confdop.checks import run_oracle_suite, run_suite
+from confdop.constants import SPEED_OF_LIGHT
 from confdop.conformal import (
     FLOW_DIVERGENCE_BOUND,
     conformal_factor_array,
@@ -136,13 +145,72 @@ def test_array_kernels_return_or_raise_as_a_scalar_loop_does(batch):
         assert returned_or_raised(lambda: np.ravel(array_call())) == expected
 
 
-@given(st.one_of(st.floats(-1.0, 1.0), signed_magnitudes()),
-       st.lists(st.tuples(signed_magnitudes(), signed_magnitudes()), min_size=1, max_size=8))
+def signed_doubles():
+    """Signed log-uniform magnitudes over the whole double range, from the
+    smallest subnormal to the largest double, and 0.0."""
+    magnitude = st.builds(math.ldexp, st.floats(1.0, 2.0, exclude_max=True), st.integers(-1074, 1023))
+    return st.builds(lambda m, negative: -m if negative else m,
+                     st.one_of(st.just(0.0), magnitude), st.booleans())
+
+
+def group_parameters():
+    """beta4 from signed_doubles, and c light speed or any c whose square is a normal float."""
+    c = st.builds(math.ldexp, st.floats(1.0, 2.0, exclude_max=True), st.integers(-510, 510))
+    return st.builds(GroupParameter, signed_doubles(), st.one_of(st.just(SPEED_OF_LIGHT), c))
+
+
+def assert_finite_or_refused(call):
+    """call() returns only finite floats or raises ConfdopError, and nothing warns."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            out = call()
+        except ConfdopError:
+            return
+    assert np.isfinite(out).all(), out
+
+
+@given(st.one_of(st.floats(-1.0, 1.0), signed_magnitudes(), signed_doubles()),
+       st.lists(st.tuples(*[st.one_of(signed_magnitudes(), signed_doubles())] * 2),
+                min_size=1, max_size=8))
 def test_hill_transform_on_arrays_returns_or_raises_as_a_scalar_loop_does(beta4, cases):
     p = GroupParameter(beta4)
     r, t = (np.array(col) for col in zip(*cases))
+    for case in cases:
+        assert_finite_or_refused(lambda: hill_transform(p, *case))
     expected = returned_or_raised(lambda: np.array([hill_transform(p, *c) for c in cases]).T)
     assert returned_or_raised(lambda: hill_transform(p, r, t)) == expected
+
+
+@given(group_parameters(), *[signed_doubles()] * 4)
+def test_hill_differentials_are_finite_or_refused(p, r, t, dr, dt):
+    assert_finite_or_refused(lambda: hill_differentials(p, r, t, dr, dt))
+
+
+@given(group_parameters(), signed_doubles(), signed_doubles())
+def test_hill_velocity_is_finite_or_refused(p, r, v):
+    assert_finite_or_refused(lambda: hill_velocity(p, r, v))
+
+
+# The inbound-ray and wavelength maps take a sample on the past cone, so
+# each is called at the drawn (r', t') and at (|r'|, -|t'|)
+
+@given(group_parameters(), signed_doubles(), signed_doubles())
+def test_inbound_ray_coords_are_finite_or_refused(p, rp, tp):
+    for args in ((rp, tp), (abs(rp), -abs(tp))):
+        assert_finite_or_refused(lambda: inbound_ray_coords(p, *args))
+
+
+@given(group_parameters(), *[signed_doubles()] * 4)
+def test_inbound_ray_differentials_are_finite_or_refused(p, rp, tp, drp, dtp):
+    for args in ((rp, tp), (abs(rp), -abs(tp))):
+        assert_finite_or_refused(lambda: inbound_ray_differentials(p, *args, drp, dtp))
+
+
+@given(group_parameters(), *[signed_doubles()] * 3)
+def test_wavelength_map_is_finite_or_refused(p, lam, rp, tp):
+    for args in ((rp, tp), (abs(rp), -abs(tp))):
+        assert_finite_or_refused(lambda: wavelength_map(p, lam, *args))
 
 
 def oracle_batches():

@@ -18,9 +18,12 @@ from confdop import (
     decide_metric,
     fit_alpha,
     flow_oracle,
+    hill_differentials,
+    hill_velocity,
     inbound_ray_coords,
     read_records_csv,
     simulate,
+    wavelength_map,
 )
 from confdop.checks import run_suite
 from confdop.conformal import flow_oracle_array, transform_finite_array
@@ -44,6 +47,11 @@ REFUSALS = {
     "scalar steps < 1": lambda: flow_oracle(GroupParameter(0.1), Event(1.0, 0.0), steps=0),
     "array steps < 1": lambda: flow_oracle_array(0.1, 1.0, 0.0, 0),
     "inbound r' < 0": lambda: inbound_ray_coords(GroupParameter(0.0), -1.0, -1.0),
+    "Hill differentials overflow": lambda: hill_differentials(
+        GroupParameter(1e-200), 1e300, 1e200, 1e300, 1.0),
+    "Hill velocity overflow": lambda: hill_velocity(GroupParameter(1e-200), 1e300, 1e200),
+    "Hill velocity v not finite": lambda: hill_velocity(GroupParameter(0.0), 1.0, NAN),
+    "wavelength overflow": lambda: wavelength_map(GroupParameter.from_alpha(1e-3), 1e308, 1e9, -1e6),
     "too few resamples": lambda: bootstrap_alpha(table(), 99, 0),
     "bootstrap seed < 0": lambda: bootstrap_alpha(table(), 100, -1),
     "z_threshold not finite": lambda: decide_metric(fit_alpha(table()), NAN),

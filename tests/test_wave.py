@@ -23,6 +23,16 @@ from confdop.constants import HUBBLE_RATE, PIONEER_ANOMALY_RATE, SPEED_OF_LIGHT
 
 C = SPEED_OF_LIGHT
 
+# (r', t') of the round trips through the Hill maps, which the inbound-ray
+# maps invert to first order: each misses the identity by O(alpha^2)
+ROUND_TRIP_POINTS = [(rp, tp) for rp in (1e7, 1e8, 1e9) for tp in (-30.0, -1.0)]
+
+
+def orders_per_halving(residual):
+    """log2 of the ratio of successive residuals over 4 halvings of alpha from 1e-3."""
+    residuals = [residual(1e-3 / 2**k) for k in range(5)]
+    return [float(np.log2(a / b)) for a, b in zip(residuals, residuals[1:])]
+
 
 class TestInboundRayCoords:
     def test_identity_parameter(self):
@@ -52,17 +62,16 @@ class TestInboundRayCoords:
             assert abs(res_r) < alpha**2 * rp * scale * 10
 
     def test_round_trip_with_hill_is_second_order(self):
-        rp, tp = 4e8, -12.0
-
-        def residual(alpha):
+        # hill_transform inverts inbound_ray_coords to first order in alpha
+        def residual(alpha, rp, tp):
             p = GroupParameter.from_alpha(alpha)
             r, t = inbound_ray_coords(p, rp, tp)
             rp_back, tp_back = hill_transform(p, r, t)
             return max(abs(rp_back - rp) / rp, abs(tp_back - tp) / abs(tp))
 
-        r1, r2 = residual(1e-3), residual(5e-4)
-        order = np.log2(r1 / r2)
-        assert order >= 1.9
+        for rp, tp in ROUND_TRIP_POINTS:
+            orders = orders_per_halving(lambda alpha: residual(alpha, rp, tp))
+            assert min(orders) >= 1.9, (rp, tp, orders)
 
     def test_rejects_future_time(self):
         with pytest.raises(NotPastCone):
@@ -94,6 +103,12 @@ class TestInboundRayCoords:
         with pytest.raises(ConfdopError, match=r"overflows at .*: r\^2 \(pass 2\) = inf$") as exc:
             inbound_ray_coords(p, 1.0, -1e154)
         assert "singular" not in str(exc.value) and "must be finite" not in str(exc.value)
+
+    def test_overflow_of_alpha_times_abs_t_is_named(self):
+        # at r' = 0 the time shift alpha/2 is finite, but alpha*|t| is about alpha^2/2
+        p = GroupParameter.from_alpha(1e155)
+        with pytest.raises(ConfdopError, match=r"overflows at .*: alpha\*\|t\| \(pass 1\) = inf$"):
+            inbound_ray_coords(p, 0.0, -1.0)
 
     @pytest.mark.parametrize("rp, tp, name", [
         (1.0, math.nan, "t_prime"), (1.0, -math.inf, "t_prime"), (math.nan, -1.0, "r_prime"),
@@ -158,19 +173,19 @@ class TestInboundRayDifferentials:
         assert str(differentials.value) == str(coords.value)
 
     def test_round_trip_with_hill_differentials_is_second_order(self):
-        rp, tp = 4e8, -12.0
         dt_p = 1e-6
         dr_p = -C * dt_p
 
-        def residual(alpha):
+        def residual(alpha, rp, tp):
             p = GroupParameter.from_alpha(alpha)
             r, t = inbound_ray_coords(p, rp, tp)
             dr, dt = inbound_ray_differentials(p, rp, tp, dr_p, dt_p)
             dr_back, dt_back = hill_differentials(p, r, t, dr, dt)
             return max(abs(dr_back - dr_p), C * abs(dt_back - dt_p)) / (abs(dr_p) + C * dt_p)
 
-        r1, r2 = residual(1e-3), residual(5e-4)
-        assert np.log2(r1 / r2) >= 1.9
+        for rp, tp in ROUND_TRIP_POINTS:
+            orders = orders_per_halving(lambda alpha: residual(alpha, rp, tp))
+            assert min(orders) >= 1.9, (rp, tp, orders)
 
 
 class TestWavelengthMap:
@@ -208,6 +223,19 @@ class TestWavelengthMap:
         # a nan t' passed the past-cone test, and nan was returned
         with pytest.raises(ConfdopError, match=f"^{name} must be finite, got "):
             wavelength_map(GroupParameter(0.0), *args)
+
+    def test_overflowing_image_is_refused_naming_the_overflow(self):
+        # lambda' * 1001 overflows: inf was returned
+        p = GroupParameter.from_alpha(1e-3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfdopError) as exc:
+                wavelength_map(p, 1e308, 1e9, -1e6)
+        assert type(exc.value) is ConfdopError
+        assert str(exc.value) == (
+            "wavelength map overflows at (lambda'=1e+308, r'=1000000000.0, t'=-1000000.0) "
+            f"for alpha={p.alpha}: lambda = inf"
+        )
 
     def test_origin_sample_at_zero_time_allowed(self):
         # the observer's own event is on the cone, with no stretch
