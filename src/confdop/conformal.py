@@ -389,15 +389,18 @@ def interval_scale(p: GroupParameter, e: Event) -> float:
     return g * g
 
 
-def _image(what: str, p: GroupParameter, inputs, names, steps, *image) -> tuple:
-    """The `steps` at the indices `image` of a first-order map of the (name, value) `inputs`;
-    if one is not finite, raises ConfdopError naming a non-finite input, else step."""
+def _image(what: str, p: GroupParameter | None, inputs, names, steps, *image) -> tuple:
+    """The `steps` at the indices `image` of a map of the (name, value) `inputs`; if
+    one is not finite, raises ConfdopError naming a non-finite input, else step.
+    The message names p's alpha, unless p is None (the Hubble relations)."""
     values = tuple(steps[i] for i in image)
     if not all(map(math.isfinite, values)):
         for name, value in inputs:
             _require_finite(name, value)
-        at = ", ".join(f"{name}={value}" for name, value in inputs)
-        raise ConfdopError(_overflow(what, f"({at}) for alpha={p.alpha}", zip(names, steps)))
+        at = "(" + ", ".join(f"{name}={value}" for name, value in inputs) + ")"
+        if p is not None:
+            at += f" for alpha={p.alpha}"
+        raise ConfdopError(_overflow(what, at, zip(names, steps)))
     return values
 
 
@@ -424,9 +427,14 @@ def hill_transform(p: GroupParameter, r: float, t: float) -> tuple[float, float]
     broadcast.  Raises ConfdopError for a non-finite r or t, and where r'
     or t' is not finite, naming the first value it computes that overflowed.
     An array call raises the error of its first such element in C order,
-    with no numpy warning.
+    with no numpy warning.  On plain floats the steps run once, without
+    numpy, as in the other first-order maps.
     """
     a, c2 = p.alpha, p.c * p.c
+    # Python float arithmetic overflows without a warning; numpy scalars
+    # (float subclasses) and arrays take the errstate path
+    if type(r) is type(t) is type(a) is type(c2) is float:
+        return _image("Hill map", p, (("r", r), ("t", t)), _HILL_STEPS, _hill_steps(a, c2, r, t), 2, -1)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
         steps = _hill_steps(a, c2, r, t)
     bad = ~(np.isfinite(steps[2]) & np.isfinite(steps[-1]))

@@ -65,9 +65,12 @@ def _strict_json(doc: dict, sort_keys: bool = False) -> str:
 
 def _append_json(value, field: str, newline: str, sort_keys: bool, parts: list[str]) -> None:
     """Append value's JSON text to parts; newline is a line break plus the
-    indent of value's own line.  Types are tested in json.encoder's order,
-    so a float subclass (np.float64) is written as a float."""
-    if isinstance(value, str):
+    indent of value's own line.  A finite plain float, alone or as a dict
+    item, is written in one step; other types are tested in json.encoder's
+    order, so a float subclass (np.float64) is written as a float."""
+    if type(value) is float and value - value == 0.0:  # finite
+        parts.append(float.__repr__(value))
+    elif isinstance(value, str):
         parts.append(_encode_str(value))
     elif value is None:
         parts.append("null")
@@ -95,8 +98,11 @@ def _append_json(value, field: str, newline: str, sort_keys: bool, parts: list[s
         for key, item in sorted(value.items()) if sort_keys else value.items():
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            parts.append(f"{sep}{_encode_str(key)}: ")
-            _append_json(item, f"{field}.{key}" if field else key, inner, sort_keys, parts)
+            if type(item) is float and item - item == 0.0:
+                parts.append(f"{sep}{_encode_str(key)}: {float.__repr__(item)}")
+            else:
+                parts.append(f"{sep}{_encode_str(key)}: ")
+                _append_json(item, f"{field}.{key}" if field else key, inner, sort_keys, parts)
             sep = "," + inner
         parts.append(newline + "}" if value else "{}")
     else:

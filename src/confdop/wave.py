@@ -19,6 +19,7 @@ _DIFFERENTIAL_STEPS = ("alpha*t'", "dr'*(1 - alpha*t')", "alpha*r'", "alpha*r'*d
                        "r'^2", "r'^2/c^2", "t'^2", "r'^2/c^2 + t'^2", "alpha*(r'^2/c^2 + t'^2)/2",
                        "t", "alpha*t", "dt'*(1 - alpha*t)", "alpha*r'*dr'/c^2", "dt")
 _WAVELENGTH_STEPS = ("alpha", "r'/c", "|t'| + r'/c", "alpha*(|t'| + r'/c)", "lambda")
+_HUBBLE_STEPS = ("H0*R", "V + H0*R")
 
 
 def _require_inbound(r_prime: float, t_prime: float) -> None:
@@ -136,23 +137,30 @@ def doppler_model_conformal(p: GroupParameter, r, v):
     the plain shift-equals-velocity relation.  Accepts scalars or numpy
     arrays for r and v.
     """
-    return _shift_velocity(v, p.alpha, r)
+    return _shift_velocity(v, p.alpha, r)[-1]
 
 
 def hubble_prediction(V: float, R: float, H0: float) -> float:
     """Velocity-equivalent shift V + H0*R of the distance-velocity relation.
 
     The same relation as doppler_model_conformal under
-    (V, H0, R) <-> (v, alpha, r).
+    (V, H0, R) <-> (v, alpha, r).  A non-finite input is refused by name,
+    and a result that is not finite names the first step that overflowed.
     """
-    return _shift_velocity(V, H0, R)
+    inputs = (("V", V), ("R", R), ("H0", H0))
+    return _image("Hubble relation", None, inputs, _HUBBLE_STEPS, _shift_velocity(V, H0, R), -1)[0]
 
 
 def _shift_velocity(v, rate, r):
-    """Velocity-equivalent shift v + rate*r: a velocity plus a rate times a range."""
-    return v + rate * r
+    """Steps of the velocity-equivalent shift v + rate*r: a velocity plus a rate times a range."""
+    rate_r = rate * r
+    return rate_r, v + rate_r
 
 
 def hubble_alpha_correction(H0: float, alpha: float) -> float:
-    """Rate left for dynamics once the kinematic part is removed: H0 - alpha."""
-    return H0 - alpha
+    """Rate left for dynamics once the kinematic part is removed: H0 - alpha.
+
+    Refuses a non-finite input by name, and a difference that overflows.
+    """
+    inputs = (("H0", H0), ("alpha", alpha))
+    return _image("Hubble rate correction", None, inputs, ("H0 - alpha",), (H0 - alpha,), 0)[0]

@@ -52,6 +52,31 @@ def write_config(tmp_path, **overrides):
     return path
 
 
+# stdout of `transform --alpha 1e-5 --r 1e8 --t 3 --hill`, written by the
+# numpy path of hill_transform before its float path existed
+TRANSFORM_HILL_OUT = """\
+{
+  "beta4": 1.6678204759907605e-14,
+  "alpha": 1e-05,
+  "c": 299792458.0,
+  "r": 100000000.0,
+  "x4": 899377374.0,
+  "t": 3.0,
+  "r_prime": 100003000.06777954,
+  "x4_prime": 899391031.652526,
+  "t_prime": 3.0000455570250737,
+  "gamma": 1.0000300006777953,
+  "s2": 7.988796608631359e+17,
+  "s2_over_r": 7988796608.631359,
+  "hill": {
+    "r_prime": 100003000.0,
+    "t_prime": 3.000045556325028,
+    "x4_prime": 899391031.4426576
+  }
+}
+"""
+
+
 class TestTransform:
     def test_identity(self, capsys):
         code, out, _ = run(capsys, "transform", "--alpha", "0", "--r", "1", "--t", "-10")
@@ -86,6 +111,18 @@ class TestTransform:
         assert code == 0
         assert doc["hill"]["r_prime"] == pytest.approx(doc["r_prime"], rel=1e-6)
         assert doc["hill"]["t_prime"] == pytest.approx(doc["t_prime"], rel=1e-6)
+
+    def test_hill_on_floats_needs_no_numpy(self, capsys, monkeypatch):
+        # one transform --hill touches no array: any use of numpy in conformal fails
+        class NoNumpy:
+            def __getattr__(self, name):
+                raise AssertionError(f"numpy used: np.{name}")
+
+        monkeypatch.setattr(confdop.conformal, "np", NoNumpy())
+        code, out, err = run(capsys, "transform", "--alpha", "1e-5", "--r", "1e8", "--t", "3",
+                             "--hill")
+        assert (code, err) == (0, "")
+        assert out == TRANSFORM_HILL_OUT
 
     def test_singular_input_exits_one(self, capsys):
         code, _, err = run(capsys, "transform", "--beta4", "1", "--r", "0", "--x4", "1")
@@ -612,6 +649,15 @@ class TestReport:
         # --hubble nan used to print "magnitude_ratio: nan" and exit 0
         code, out, err = run(capsys, "report", flag, value)
         assert (code, out, err) == (1, "", f"error: {flag[2:]} must be finite, got {float(value)}\n")
+
+    def test_overflowing_corrected_rate_is_refused(self, capsys, tmp_path):
+        # hubble_alpha_correction names the overflow ("corrected_hubble_rate_per_s
+        # must be finite, got inf" was report's own check)
+        fit_path = tmp_path / "fit.json"
+        fit_path.write_text(json.dumps({"alpha_hat": -1.7e308}))
+        code, out, err = run(capsys, "report", "--fit", str(fit_path), "--hubble", "1.7e308")
+        assert (code, out, err) == (1, "", "error: Hubble rate correction overflows at "
+                                    "(H0=1.7e+308, alpha=-1.7e+308): H0 - alpha = inf\n")
 
     def test_zero_hubble_rate_is_refused(self, capsys):
         code, out, err = run(capsys, "report", "--hubble", "0")

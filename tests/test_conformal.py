@@ -530,6 +530,21 @@ class TestHill:
                 messages.add(str(exc.value))
         assert messages == {f"Hill map overflows at (r={r}, t={t}) for alpha={p.alpha}: t^2 = inf"}
 
+    def test_floats_in_python_floats_out(self):
+        p = GroupParameter.from_alpha(1e-5)
+        image = hill_transform(p, 1e8, 3.0)
+        assert [type(v) for v in image] == [float, float]
+        assert image == (100003000.0, 3.000045556325028)
+
+    def test_float_subclass_takes_the_array_path(self):
+        # np.float64 arithmetic would warn of t^2 = inf; the errstate path does not
+        p = GroupParameter(0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfdopError) as exc:
+                hill_transform(p, np.float64(0.0), np.float64(1e160))
+        assert str(exc.value) == "Hill map overflows at (r=0.0, t=1e+160) for alpha=0.0: t^2 = inf"
+
     def test_non_finite_input_is_refused(self):
         p = GroupParameter.from_alpha(1e-5)
         with pytest.raises(ConfdopError, match="^r must be finite, got nan$"):

@@ -20,6 +20,8 @@ from confdop import (
     flow_oracle,
     hill_differentials,
     hill_velocity,
+    hubble_alpha_correction,
+    hubble_prediction,
     inbound_ray_coords,
     read_records_csv,
     simulate,
@@ -52,6 +54,8 @@ REFUSALS = {
     "Hill velocity overflow": lambda: hill_velocity(GroupParameter(1e-200), 1e300, 1e200),
     "Hill velocity v not finite": lambda: hill_velocity(GroupParameter(0.0), 1.0, NAN),
     "wavelength overflow": lambda: wavelength_map(GroupParameter.from_alpha(1e-3), 1e308, 1e9, -1e6),
+    "Hubble relation overflow": lambda: hubble_prediction(V=0.0, R=1e308, H0=10.0),
+    "Hubble correction overflow": lambda: hubble_alpha_correction(1e308, -1e308),
     "too few resamples": lambda: bootstrap_alpha(table(), 99, 0),
     "bootstrap seed < 0": lambda: bootstrap_alpha(table(), 100, -1),
     "z_threshold not finite": lambda: decide_metric(fit_alpha(table()), NAN),

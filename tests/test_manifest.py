@@ -146,6 +146,15 @@ def test_output_that_is_not_a_file_is_a_mismatch(manifest_path, entry):
 
 
 FLOAT_EDGES = [-0.0, 5e-324, -5e-324, sys.float_info.min, sys.float_info.max, -sys.float_info.max]
+
+
+class ReprFloat(float):
+    """A float subclass whose own repr json.dumps ignores: it writes float.__repr__."""
+
+    def __repr__(self):
+        return "ReprFloat"
+
+
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
 scalars = st.one_of(
     st.none(),
@@ -155,7 +164,10 @@ scalars = st.one_of(
     st.integers(-(2**1100), -(2**1024)),
     finite_floats,
     finite_floats.map(np.float64),  # a float subclass
+    finite_floats.map(ReprFloat),
     st.sampled_from(FLOAT_EDGES),
+    st.sampled_from(FLOAT_EDGES).map(np.float64),
+    st.sampled_from(FLOAT_EDGES).map(ReprFloat),
     st.text(),  # non-ASCII, and characters that need escaping
     st.sampled_from(['"', "\\", "\n\t\x00\x1f\x7f", "é☃𝄞", "\u2028"]),
 )
@@ -167,11 +179,23 @@ json_values = st.recursive(
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
-@given(st.dictionaries(st.text(), json_values, max_size=5), st.booleans())
-def test_strict_json_writes_json_dumps_bytes(doc, sort_keys):
+@given(
+    st.dictionaries(st.text(), json_values, max_size=5),
+    st.booleans(),
+    st.none() | st.sampled_from([math.nan, math.inf, -math.inf, np.float64(math.nan)]),
+)
+def test_strict_json_writes_json_dumps_bytes(doc, sort_keys, bad):
     assert _strict_json(doc, sort_keys) == json.dumps(
         doc, indent=2, sort_keys=sort_keys, allow_nan=False
     )
+    if bad is not None:
+        # the only non-finite float, two dicts deep, beside a finite one
+        doc = {**doc, "a": {"0": 1.5, "b": bad}}
+        with pytest.raises(ValueError):
+            json.dumps(doc, indent=2, sort_keys=sort_keys, allow_nan=False)
+        with pytest.raises(ConfdopError) as excinfo:
+            _strict_json(doc, sort_keys)
+        assert str(excinfo.value) == f"a.b is not finite ({bad}); strict JSON cannot hold it"
 
 
 @pytest.mark.parametrize("doc, field, shown", [

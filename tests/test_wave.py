@@ -299,3 +299,20 @@ class TestHubbleRelations:
         out = hubble_alpha_correction(HUBBLE_RATE, PIONEER_ANOMALY_RATE)
         assert out == 2.19e-18 - (-2.80e-18)
         assert out == pytest.approx(4.99e-18, rel=1e-12)
+
+    @pytest.mark.parametrize("call, message", [
+        # both returned inf
+        (lambda: hubble_prediction(V=0.0, R=1e308, H0=10.0),
+         "Hubble relation overflows at (V=0.0, R=1e+308, H0=10.0): H0*R = inf"),
+        (lambda: hubble_prediction(V=1e308, R=1e308, H0=1.0),
+         "Hubble relation overflows at (V=1e+308, R=1e+308, H0=1.0): V + H0*R = inf"),
+        (lambda: hubble_alpha_correction(1e308, -1e308),
+         "Hubble rate correction overflows at (H0=1e+308, alpha=-1e+308): H0 - alpha = inf"),
+        (lambda: hubble_prediction(V=math.nan, R=1.0, H0=1.0), "V must be finite, got nan"),
+        (lambda: hubble_prediction(V=0.0, R=math.inf, H0=0.0), "R must be finite, got inf"),
+        (lambda: hubble_alpha_correction(1.0, -math.inf), "alpha must be finite, got -inf"),
+    ], ids=["H0*R", "V + H0*R", "H0 - alpha", "V nan", "R inf", "alpha -inf"])
+    def test_result_that_is_not_finite_is_refused_by_name(self, call, message):
+        with pytest.raises(ConfdopError) as exc:
+            call()
+        assert str(exc.value) == message
