@@ -52,8 +52,8 @@ def write_config(tmp_path, **overrides):
     return path
 
 
-# stdout of `transform --alpha 1e-5 --r 1e8 --t 3 --hill`, written by the
-# numpy path of hill_transform before its float path existed
+# stdout of `transform --alpha 1e-5 --r 1e8 --t 3 --hill` as hill_transform's
+# numpy path writes it; its float path must write the same bytes
 TRANSFORM_HILL_OUT = """\
 {
   "beta4": 1.6678204759907605e-14,
