@@ -92,6 +92,30 @@ def _require_finite(name: str, value: float) -> None:
         raise ConfdopError(f"{name} must be finite, got {value}")
 
 
+def _real(name: str, value) -> float:
+    """value as a float: a float, an int, a numpy scalar or 0-d array, and an
+    int past the float range as +-inf, so that it is refused as not finite.
+    Raises TypeError naming `name` for text, which float() would parse, and
+    for anything else float() does not take, such as an array of more than
+    one element."""
+    if type(value) is float:
+        return value
+    if isinstance(value, (str, bytes, bytearray)):
+        raise TypeError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an int past the float range
+        return _INF if value > 0 else -_INF
+    except TypeError:
+        raise TypeError(f"{name} must be a real number, got {value!r}") from None
+
+
+def _store_floats(obj, *names) -> None:
+    """Store each named field of the frozen dataclass obj as _real's float."""
+    for name in names:
+        object.__setattr__(obj, name, _real(name, getattr(obj, name)))
+
+
 def _require_c(c: float) -> None:
     # c*c divides the Hill and inbound-ray maps, so it must be a normal float
     if not (c > 0.0 and _C2_MIN <= c * c < _INF):
@@ -106,18 +130,22 @@ class Event:
     """A point (r, x4) in an observer's light-cone coordinates.
 
     r is the radial distance (length, >= 0, finite) and x4 = c*t the time
-    coordinate (length, signed, finite).
+    coordinate (length, signed, finite).  Both are stored as floats (see
+    _real for what is taken).
     """
 
     r: float
     x4: float
 
     def __post_init__(self):
-        # one chained test on the hot path; the slow path names the field
-        if not (0.0 <= self.r < _INF and -_INF < self.x4 < _INF):
+        # one chained test on the hot path; the slow path converts and names the field
+        if not (type(self.r) is type(self.x4) is float
+                and 0.0 <= self.r < _INF and -_INF < self.x4 < _INF):
+            _store_floats(self, "r", "x4")
             _require_finite("r", self.r)
             _require_finite("x4", self.x4)
-            raise ConfdopError(f"r must be >= 0, got {self.r}")
+            if not self.r >= 0.0:
+                raise ConfdopError(f"r must be >= 0, got {self.r}")
 
 
 @dataclass(frozen=True)
@@ -126,19 +154,23 @@ class GroupParameter:
 
     beta4 is stored; the inverse-time form alpha = 2*c*beta4 is derived,
     so the pair always satisfies the relation exactly.  c must be positive
-    with c*c a normal float (at least sys.float_info.min, below inf).
+    with c*c a normal float (at least sys.float_info.min, below inf).  Both
+    fields are stored as floats (see _real for what is taken).
     """
 
     beta4: float
     c: float = SPEED_OF_LIGHT
 
     def __post_init__(self):
+        if not type(self.beta4) is type(self.c) is float:
+            _store_floats(self, "beta4", "c")
         _require_c(self.c)
         _require_finite("beta4", self.beta4)
 
     @classmethod
     def from_alpha(cls, alpha: float, c: float = SPEED_OF_LIGHT) -> "GroupParameter":
         """Build from the inverse-time parameter, beta4 = alpha / (2c)."""
+        alpha, c = _real("alpha", alpha), _real("c", c)
         _require_c(c)
         _require_finite("alpha", alpha)
         return cls(beta4=alpha / (2.0 * c), c=c)
@@ -201,12 +233,6 @@ def _finite_map_array(b, r, x4):
     return g, r_out, x4_out, fine
 
 
-def _first(bad, *arrays):
-    """The Python values of `arrays`, broadcast to bad's shape, at its first true element."""
-    i = int(np.argmax(bad))
-    return (np.broadcast_to(a, bad.shape).flat[i].item() for a in arrays)
-
-
 def _raise_first(fine, kernel, b, r, x4, *rest) -> None:
     """Unless `fine` is true throughout, run the scalar `kernel` on the first
     element of (beta4, r, x4, *rest) in C order where it is false.  `fine`
@@ -214,7 +240,8 @@ def _raise_first(fine, kernel, b, r, x4, *rest) -> None:
     a loop of scalar calls would."""
     bad = ~fine
     if bad.any():
-        b, r, x4, *rest = _first(bad, b, r, x4, *rest)
+        i = int(np.argmax(bad))
+        b, r, x4, *rest = (np.broadcast_to(a, bad.shape).flat[i].item() for a in (b, r, x4, *rest))
         kernel(GroupParameter(b), Event(r, x4), *rest)
 
 
@@ -423,25 +450,14 @@ def hill_transform(p: GroupParameter, r: float, t: float) -> tuple[float, float]
 
     r' = (1 + alpha*t) * r,  t' = t + alpha*(r^2/c^2 + t^2) / 2.
 
-    Intended for |alpha*t| << 1.  r and t are floats, or numpy arrays that
-    broadcast.  Raises ConfdopError for a non-finite r or t, and where r'
+    Intended for |alpha*t| << 1.  r and t are real numbers (see _real), and
+    the image is two floats; an array of more than one element raises
+    TypeError.  Raises ConfdopError for a non-finite r or t, and where r'
     or t' is not finite, naming the first value it computes that overflowed.
-    An array call raises the error of its first such element in C order,
-    with no numpy warning.  On plain floats the steps run once, without
-    numpy, as in the other first-order maps.
     """
-    a, c2 = p.alpha, p.c * p.c
-    # Python float arithmetic overflows without a warning; numpy scalars
-    # (float subclasses) and arrays take the errstate path
-    if type(r) is type(t) is type(a) is type(c2) is float:
-        return _image("Hill map", p, (("r", r), ("t", t)), _HILL_STEPS, _hill_steps(a, c2, r, t), 2, -1)
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
-        steps = _hill_steps(a, c2, r, t)
-    bad = ~(np.isfinite(steps[2]) & np.isfinite(steps[-1]))
-    if bad.any():
-        r, t = (float(v) for v in _first(bad, r, t))
-        _image("Hill map", p, (("r", r), ("t", t)), _HILL_STEPS, _hill_steps(a, c2, r, t), 2, -1)
-    return steps[2], steps[-1]
+    r, t = _real("r", r), _real("t", t)
+    steps = _hill_steps(p.alpha, p.c * p.c, r, t)
+    return _image("Hill map", p, (("r", r), ("t", t)), _HILL_STEPS, steps, 2, -1)
 
 
 def _hill_differential_steps(a, c2, r, t, dr, dt):

@@ -17,7 +17,7 @@ from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
-from .conformal import GroupParameter, _require_c
+from .conformal import GroupParameter, _real, _require_c
 from .constants import SPEED_OF_LIGHT
 from .errors import ConfdopError, ConfigInvalid, MalformedCsv, ZeroRange
 from .wave import doppler_model_conformal
@@ -71,10 +71,7 @@ class SimConfig:
             elif not isinstance(value, (int, float)):
                 raise ConfigInvalid(f"{f.name}: must be a number, got {value!r}")
             else:
-                try:
-                    value = float(value)
-                except OverflowError:  # an integer past the float range
-                    value = math.inf if value > 0 else -math.inf
+                value = _real(f.name, value)  # an integer past the float range is inf
                 if not math.isfinite(value):
                     raise ConfigInvalid(f"{f.name}: must be finite, got {value}")
             object.__setattr__(self, f.name, value)
@@ -377,24 +374,32 @@ def _e17_tables():
     return hi, np.array(lo), hi_high, hi_low, pairs, exps
 
 
+def _e17_product(x, m):
+    """x * 10**(m + _E17_POW_MIN) for float64 x and table indices m, as
+    (p, s, hi, lo): p = x*hi rounded, and s = err + x*lo, where Dekker's
+    two-product gives err = x*hi - p exactly.  p + s is within about
+    2**-100 of the product, relative; hi and lo are the table's entries."""
+    hi, lo, hi_high, hi_low = (t.take(m) for t in _e17_tables()[:4])
+    p = x * hi
+    x_high, x_low = _split(x)
+    s = x_high * hi_high  # in place: err, then s = err + x*lo
+    s -= p
+    s += x_high * hi_low
+    s += x_low * hi_high
+    s += x_low * hi_low
+    s += x * lo
+    return p, s, hi, lo
+
+
 def _e17_count(a, k):
     """floor(a * 10**(17-k)), that product rounded half to even, and where
     the rounding is undecided, for float64 a in [_E17_MIN, _E17_MAX).
 
-    The product is Dekker's two-product of a and the table's hi, exact as
-    p + err, plus a*lo: about 2**-100 relative error.  Where lo is 0 it is
-    exact, so an exact tie rounds half to even; elsewhere a fraction within
-    1e-6 of 1/2 is undecided.
+    The product is _e17_product's p + s.  Where lo is 0 it is exact, so an
+    exact tie rounds half to even; elsewhere a fraction within 1e-6 of 1/2
+    is undecided.
     """
-    hi, lo, hi_high, hi_low = (t[17 - _E17_POW_MIN - k] for t in _e17_tables()[:4])
-    p = a * hi
-    a_high, a_low = _split(a)
-    s = a_high * hi_high  # in place: Dekker's err = a*hi - p, exact, then s = err + a*lo
-    s -= p
-    s += a_high * hi_low
-    s += a_low * hi_high
-    s += a_low * hi_low
-    s += a * lo
+    p, s, _, lo = _e17_product(a, 17 - _E17_POW_MIN - k)
     whole = np.floor(s)
     frac = s - whole
     floor = p.astype(np.int64) + whole.astype(np.int64)
@@ -596,17 +601,9 @@ def _e17_parse(a: np.ndarray):
     e = np.where(signs == ord("-") << 8 | ord("e"), -e, e)
     m = e - 17 - _E17_POW_MIN  # the table index of 10**(e-17)
     clipped = m.clip(0, _E17_POW_MAX - _E17_POW_MIN)
-    hi, lo, hi_high, hi_low = (t.take(clipped) for t in _e17_tables()[:4])
     mf = count.astype(np.float64)
     rest = (count - mf.astype(np.int64)).astype(np.float64)  # M - mf, exact
-    p = mf * hi
-    m_high, m_low = _split(mf)
-    s = m_high * hi_high  # in place: Dekker's err = mf*hi - p, exact, then the small terms
-    s -= p
-    s += m_high * hi_low
-    s += m_low * hi_high
-    s += m_low * hi_low
-    s += mf * lo
+    p, s, hi, _ = _e17_product(mf, clipped)
     s += rest * hi
     band = p * _ROUNDING_BAND
     below = p + (s - band)

@@ -1,11 +1,12 @@
 """The check suites' summary lines, pinned from the per-case loops they replaced.
 
-The group, hill and metric suites run as batched array passes that must
+The group and metric suites run as batched array passes that must
 reproduce the per-case loop bit for bit: same Generator stream, same
 arithmetic, same first-worst case.  These lines were recorded from the
 loop implementation; any drift in a draw, an operation order or the
-worst-case pick changes them.  The hill suite takes neither a seed nor a
-case count, so it is pinned once.
+worst-case pick changes them.  The hill suite is a per-case loop of the
+scalar maps; it takes neither a seed nor a case count, so it is
+pinned once.
 """
 
 import re
@@ -114,3 +115,11 @@ def test_largest_sizable_cases_reach_the_suite(monkeypatch, suite):
     monkeypatch.setattr(confdop.checks, f"run_{suite}_suite", lambda *args: args)
     assert run_suite(suite, None, 0, MAX_CASES) == (MAX_CASES, DEFAULT_TOLERANCES[suite], 0)
 
+
+def test_hill_suite_calls_the_finite_map_once_per_point_and_alpha(monkeypatch):
+    # perfbench counts transform_finite calls through this name
+    calls = []
+    finite = confdop.checks.transform_finite
+    monkeypatch.setattr(confdop.checks, "transform_finite", lambda *a: calls.append(a) or finite(*a))
+    assert run_suite("hill", None, 0, None).summary() == PINNED["hill", 0, None]
+    assert len(calls) == 4 * len(confdop.checks.hill_grid()) == 64

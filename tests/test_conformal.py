@@ -113,6 +113,43 @@ class TestEventAndParameter:
         with pytest.raises(ValueError, match=f"^{field} must be finite, got {bad}$"):
             build(bad)
 
+    @pytest.mark.parametrize(
+        "field, build",
+        [
+            ("r", lambda v: transform_finite(GroupParameter(0.0), Event(v, 0.0))),
+            ("x4", lambda v: Event(r=1.0, x4=-v)),
+            ("beta4", lambda v: GroupParameter(beta4=v)),
+            ("c", lambda v: GroupParameter(beta4=1e-3, c=v)),
+            ("alpha", lambda v: GroupParameter.from_alpha(v)),
+        ],
+    )
+    def test_int_past_the_float_range_is_refused_as_not_finite(self, field, build):
+        # each ended in OverflowError; c = 10**400 was accepted, as c*c
+        # compared as an exact int, and then alpha raised OverflowError
+        with pytest.raises(ConfdopError, match=f"^{field} must be finite, got -?inf$"):
+            build(10**400)
+
+    def test_fields_are_stored_as_floats(self):
+        e = Event(np.int64(2), np.float64(-3.0))
+        p = GroupParameter(np.float64(1e-3), c=299_792_458)
+        q = GroupParameter.from_alpha(np.float32(0.5), c=np.array(2.0))
+        assert [type(v) for v in (e.r, e.x4, p.beta4, p.c, q.beta4, q.c)] == [float] * 6
+        assert (e, p, q) == (Event(2.0, -3.0), GroupParameter(1e-3), GroupParameter(0.125, c=2.0))
+
+    @pytest.mark.parametrize(
+        "field, build",
+        [
+            ("r", lambda: Event(r="1", x4=0.0)),
+            ("x4", lambda: Event(r=1.0, x4=b"0")),
+            ("beta4", lambda: GroupParameter(beta4="1e-3")),
+            ("c", lambda: GroupParameter(beta4=0.0, c="3e8")),
+            ("alpha", lambda: GroupParameter.from_alpha("1e-3")),
+        ],
+    )
+    def test_text_is_refused_though_float_would_parse_it(self, field, build):
+        with pytest.raises(TypeError, match=f"^{field} must be a real number, got "):
+            build()
+
 
 class TestConformalFactor:
     def test_identity_parameter(self):
@@ -513,22 +550,14 @@ class TestHill:
         "beta4, r, t", [(0.0, 0.0, 1e160), (1e-200, 1.0, 1e200)], ids=["alpha_0", "alpha_6e-192"]
     )
     def test_overflowing_map_is_refused_naming_the_overflow(self, beta4, r, t):
-        # t^2 overflows: (0.0, nan) and (599584917.0, inf) were returned; the
-        # scalar and the array call refuse with one message and no warning
+        # t^2 overflows: (0.0, nan) and (599584917.0, inf) were returned
         p = GroupParameter(beta4)
-        calls = [
-            lambda: hill_transform(p, r, t),
-            lambda: hill_transform(p, np.array([1e8, r]), np.array([3.0, t])),
-        ]
-        messages = set()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for call in calls:
-                with pytest.raises(ConfdopError) as exc:
-                    call()
-                assert type(exc.value) is ConfdopError
-                messages.add(str(exc.value))
-        assert messages == {f"Hill map overflows at (r={r}, t={t}) for alpha={p.alpha}: t^2 = inf"}
+            with pytest.raises(ConfdopError) as exc:
+                hill_transform(p, r, t)
+        assert type(exc.value) is ConfdopError
+        assert str(exc.value) == f"Hill map overflows at (r={r}, t={t}) for alpha={p.alpha}: t^2 = inf"
 
     def test_floats_in_python_floats_out(self):
         p = GroupParameter.from_alpha(1e-5)
@@ -536,8 +565,8 @@ class TestHill:
         assert [type(v) for v in image] == [float, float]
         assert image == (100003000.0, 3.000045556325028)
 
-    def test_float_subclass_takes_the_array_path(self):
-        # np.float64 arithmetic would warn of t^2 = inf; the errstate path does not
+    def test_float_subclass_is_mapped_as_its_float(self):
+        # np.float64 arithmetic would warn of t^2 = inf; float arithmetic does not
         p = GroupParameter(0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -550,7 +579,28 @@ class TestHill:
         with pytest.raises(ConfdopError, match="^r must be finite, got nan$"):
             hill_transform(p, math.nan, 1.0)
         with pytest.raises(ConfdopError, match="^t must be finite, got inf$"):
-            hill_transform(p, np.array([1.0, 1.0]), np.array([0.0, math.inf]))
+            hill_transform(p, 1.0, math.inf)
+
+    def test_array_of_two_elements_is_not_a_real_number(self):
+        p = GroupParameter.from_alpha(1e-5)
+        with pytest.raises(TypeError, match=r"^r must be a real number, got array\(\[1\., 2\.\]\)$"):
+            hill_transform(p, np.array([1.0, 2.0]), 3.0)
+        assert hill_transform(p, np.array(1e8), np.int64(3)) == (100003000.0, 3.000045556325028)
+
+    @pytest.mark.parametrize("call, refusal", [
+        (lambda p: hill_transform(p, 1e300, 1e200),
+         "Hill map overflows at (r=1e+300, t=1e+200) for alpha=5.99584916e-192: r' = inf"),
+        (lambda p: hill_differentials(p, 1e300, 1e200, 1e300, 1.0),
+         "Hill differential map overflows at (r=1e+300, t=1e+200, dr=1e+300, dt=1.0) "
+         "for alpha=5.99584916e-192: dr*(1 + alpha*t) = inf"),
+    ], ids=["map", "differentials"])
+    def test_numpy_scalar_parameter_refuses_without_a_warning(self, call, refusal):
+        # beta4 was stored as np.float64, whose arithmetic warned before the refusal
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfdopError) as exc:
+                call(GroupParameter(np.float64(1e-200)))
+        assert str(exc.value) == refusal
 
     @pytest.mark.parametrize("beta4, args, refusal", [
         # (inf, inf) was returned
