@@ -35,7 +35,7 @@ from .conformal import (
 from .constants import HUBBLE_RATE, PIONEER_ANOMALY_RATE, SPEED_OF_LIGHT
 from .errors import ConfdopError
 from .estimator import MetricDecision, bootstrap_alpha, decide_metric, fit_alpha
-from .manifest import _read_json, _strict_json, build_manifest, write_manifest
+from .manifest import _read_json, _strict_json, _write_json, build_manifest, write_manifest
 from .tracking import (
     RNG_ALGORITHM,
     SimConfig,
@@ -216,7 +216,7 @@ def cmd_fit(args) -> int:
     doc["decision"] = decision.value
     if args.bootstrap is not None:
         doc["alpha_stderr_boot"] = bootstrap_alpha(table, args.bootstrap, args.seed, c=args.c)
-    Path(args.out).write_text(_strict_json(doc) + "\n")
+    _write_json(doc, args.out)
     print(
         f"alpha_hat={fit.alpha_hat:.6e} 1/s  stderr={fit.alpha_stderr:.6e}  "
         f"z={fit.z_score_alpha_zero:.3f}  decision={decision.value}"

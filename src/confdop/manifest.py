@@ -7,6 +7,7 @@ import functools
 import hashlib
 import json
 import math
+import os
 import typing
 from dataclasses import asdict, dataclass
 from json.encoder import encode_basestring_ascii as _encode_str
@@ -114,9 +115,45 @@ def config_digest(config: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+# Bytes read and hashed at a time: a digest holds one chunk, not the file.
+_DIGEST_CHUNK = 1 << 20
+
+
 def _file_digest(path: Path) -> tuple[str, int]:
-    data = path.read_bytes()
-    return hashlib.sha256(data).hexdigest(), len(data)
+    """The SHA-256 of a file and its size, read a chunk at a time
+    (hashlib.file_digest needs Python 3.11)."""
+    h, size = hashlib.sha256(), 0
+    with open(path, "rb") as f:
+        while chunk := f.read(_DIGEST_CHUNK):
+            h.update(chunk)
+            size += len(chunk)
+    return h.hexdigest(), size
+
+
+def _write_over(path, chunks) -> None:
+    """Write the byte strings of chunks to path, from its first byte over
+    the old ones, and cut the file at the written length where it was
+    longer, so it holds exactly the written bytes, as after a truncating
+    open.  Opening without O_TRUNC spares the file system freeing the old
+    blocks and starting their writeback at close; like a truncating open,
+    it leaves no copy of the old bytes and makes nothing durable (no
+    fsync).  The file is cut even when writing stops on an exception."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "wb") as f:
+        size, written = os.fstat(fd).st_size, 0
+        try:
+            for chunk in chunks:
+                written += f.write(chunk)
+                del chunk  # not held while the next one is made
+        finally:
+            if size > written:  # never for a pipe or a device, whose size is 0
+                f.truncate(written)
+
+
+def _write_json(doc: dict, path, sort_keys: bool = False) -> None:
+    """Write _strict_json's text of doc and a newline to path.  The text is
+    built before the file is opened, so a refused document writes nothing."""
+    _write_over(path, [(_strict_json(doc, sort_keys) + "\n").encode()])
 
 
 def build_manifest(
@@ -149,7 +186,7 @@ def build_manifest(
 
 
 def write_manifest(manifest: RunManifest, path) -> None:
-    Path(path).write_text(_strict_json(asdict(manifest), sort_keys=True) + "\n")
+    _write_json(asdict(manifest), path, sort_keys=True)
 
 
 # Each record's annotations, evaluated once per process rather than per load.

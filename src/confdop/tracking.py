@@ -11,6 +11,7 @@ generator keyed by the seed, so reruns are byte-identical.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import os
 from dataclasses import MISSING, asdict, dataclass, fields
@@ -20,6 +21,7 @@ import numpy as np
 from .conformal import GroupParameter, _real, _require_c
 from .constants import SPEED_OF_LIGHT
 from .errors import ConfdopError, ConfigInvalid, MalformedCsv, ZeroRange
+from .manifest import _write_over
 from .wave import doppler_model_conformal
 
 CSV_HEADER = "epoch_s,range_m,range_rate_mps,range_meas_m,doppler_frac,sigma_frac"
@@ -286,43 +288,65 @@ def write_records_csv(table: TrackingTable, path) -> None:
     The bytes are those of formatting every value with %.17e.  A column
     whose values are all bit-for-bit equal is formatted once and baked
     into the row template.  The other columns are formatted a chunk of
-    rows at a time by _e17_kernel, in numpy, into fixed NUL-padded slots
-    of a uint8 matrix of the chunk's rows; the NULs are dropped as the
-    chunk is written.  The few cells the kernel cannot decide go to
+    rows at a time by _e17_kernel, in numpy, into the cells of
+    _e17_cells: a sign byte, then the digits from byte 1, NUL-padded to
+    _E17_WIDTH bytes.  Each column's slot in the chunk's uint8 row matrix
+    is sized to the bytes its cells use there: byte 0 only if some cell
+    is negative, the last byte only if some exponent has three digits.
+    So a chunk holds NULs only where a slot's cells differ in width, and
+    those are dropped as the chunk is written; in a simulated reference
+    table there are none.  The few cells the kernel cannot decide go to
     Python's %.17e: zero, nan and inf, |x| outside [1e-250, 1e250),
     values within 1e-6 of a tie of the 18th digit where the scaling by a
     power of ten is inexact, and 18-digit counts out of range after one
     retry.  A varying column bit-for-bit equal to an earlier one (as
     range_meas is to range_true when sigma_range is 0) shares its cells.
     Both tests compare int64 views, so -0.0 and 0.0, or two NaN payloads,
-    count as different values.
+    count as different values.  The file is written over in place and
+    cut at the written length (manifest._write_over).
     """
-    row, slots, varying = b"", [], []  # the row template; per varying cell, its slot and column
+    cells, varying = [], []  # per column, its constant cell or its index in varying
     for name in _COLUMNS:
         col = getattr(table, name)
         bits = col.view(np.int64)
         if col.size and (bits == bits[0]).all():  # int64 view: -0.0 and 0.0 differ
-            row += ("%.17e," % col[0]).encode()
+            cells.append(("%.17e" % col[0]).encode())
             continue
         j = next((j for j, v in enumerate(varying) if (v.view(np.int64) == bits).all()),
                  len(varying))
         if j == len(varying):
             varying.append(col)
-        slots.append((len(row), j))
-        row += bytes(_E17_WIDTH) + b","
+        cells.append(j)
+    chunks = (_csv_rows(cells, varying, start, min(start + _CSV_CHUNK_ROWS, len(table)))
+              for start in range(0, len(table), _CSV_CHUNK_ROWS))
+    _write_over(path, itertools.chain([CSV_HEADER.encode() + b"\n"], chunks))
+
+
+def _csv_rows(cells, varying, start: int, stop: int) -> bytes:
+    """The CSV text of rows start:stop; cells holds, per column, its
+    constant cell's bytes or its index in the list of varying columns.
+    The chunk's matrix and cells are freed when this returns."""
+    if varying:
+        text = _e17_cells(np.concatenate([col[start:stop] for col in varying]))
+        text = text.reshape(len(varying), stop - start, _E17_WIDTH)
+        used = [  # per varying column, the first and last-plus-one bytes its cells use
+            (0 if t[:, 0].any() else 1, _E17_WIDTH if t[:, -1].any() else _E17_WIDTH - 1)
+            for t in text
+        ]
+    row, slots = b"", []  # the chunk's row template; per varying cell, its slot
+    for cell in cells:
+        if isinstance(cell, bytes):
+            row += cell + b","
+            continue
+        lo, hi = used[cell]
+        slots.append((len(row), cell, lo, hi))
+        row += bytes(hi - lo) + b","
     template = np.frombuffer(row[:-1] + b"\n", np.uint8)
-    with open(path, "wb") as f:
-        f.write(CSV_HEADER.encode() + b"\n")
-        for start in range(0, len(table), _CSV_CHUNK_ROWS):
-            stop = min(start + _CSV_CHUNK_ROWS, len(table))
-            rows = np.empty((stop - start, template.size), np.uint8)
-            rows[:] = template
-            if varying:
-                text = _e17_cells(np.concatenate([col[start:stop] for col in varying]))
-                text = text.reshape(len(varying), stop - start, _E17_WIDTH)
-                for at, j in slots:
-                    rows[:, at : at + _E17_WIDTH] = text[j]
-            f.write(rows.tobytes().replace(b"\0", b""))
+    rows = np.empty((stop - start, template.size), np.uint8)
+    rows[:] = template
+    for at, j, lo, hi in slots:
+        rows[:, at : at + hi - lo] = text[j, :, lo:hi]
+    return rows.tobytes().replace(b"\0", b"")
 
 
 # A %.17e cell: sign, digit, '.', 17 digits, 'e', sign and 2 or 3 digits.
@@ -444,12 +468,16 @@ def _e17_kernel(x: np.ndarray):
 
 
 def _e17_cells(x: np.ndarray) -> np.ndarray:
-    """_e17_kernel's cells, with the undecided ones formatted by Python."""
+    """_e17_kernel's cells, with the undecided ones formatted by Python's
+    %.17e and placed in the kernel's layout: '-' or NUL at byte 0, the
+    first digit (or the n of nan, the i of inf) at byte 1, NUL padding
+    after the text.  Byte 24 is used only by a 3-digit exponent."""
     cells, undecided = _e17_kernel(x)
     for i, v in zip(undecided.tolist(), x[undecided].tolist()):
         text = ("%.17e" % v).encode()
+        at = 0 if text.startswith(b"-") else 1
         cells[i] = 0
-        cells[i, : len(text)] = np.frombuffer(text, np.uint8)
+        cells[i, at : at + len(text)] = np.frombuffer(text, np.uint8)
     return cells
 
 

@@ -492,6 +492,23 @@ class TestFit:
         assert "JSON" in err
         assert not fit_path.exists()
 
+    def test_refused_fit_leaves_an_old_fit_json_untouched(self, capsys, tmp_path, monkeypatch):
+        # the text is built before the file is opened
+        cfg = write_config(tmp_path, sigma_frac=1e-12)
+        csv_path = tmp_path / "run.csv"
+        fit_path = tmp_path / "fit.json"
+        run(capsys, "simulate", "--config", str(cfg), "--out", str(csv_path))
+        assert run(capsys, "fit", "--input", str(csv_path), "--out", str(fit_path))[0] == 0
+        old = fit_path.read_bytes()
+        nan_fit = confdop.FitResult(
+            alpha_hat=float("nan"), alpha_stderr=1.0, chi2=0.0, dof=39,
+            z_score_alpha_zero=float("nan"), n_used=40,
+        )
+        monkeypatch.setattr(confdop.cli, "fit_alpha", lambda table, c: nan_fit)
+        code, _, err = run(capsys, "fit", "--input", str(csv_path), "--out", str(fit_path))
+        assert code == 1 and "alpha_hat is not finite" in err
+        assert fit_path.read_bytes() == old
+
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_design_exits_one_without_fit_json(self, capsys, tmp_path):
         csv_path = tmp_path / "big.csv"
@@ -594,6 +611,20 @@ class TestFit:
         assert err == (f"error: n_resamples must be <= {limit}, so that numpy can size "
                        f"the float64 estimates, got {2**62}\n")
         assert not fit_path.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "fit"])
+def test_output_path_that_is_a_directory_exits_one(capsys, tmp_path, command):
+    cfg = write_config(tmp_path)
+    csv_path = tmp_path / "run.csv"
+    assert run(capsys, "simulate", "--config", str(cfg), "--out", str(csv_path))[0] == 0
+    out = tmp_path / "dir"
+    out.mkdir()
+    inputs = {"simulate": ["--config", str(cfg)], "fit": ["--input", str(csv_path)]}
+    code, stdout, err = run(capsys, command, *inputs[command], "--out", str(out))
+    assert (code, stdout) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Is a directory" in err
+    assert list(out.iterdir()) == []
 
 
 class TestReport:

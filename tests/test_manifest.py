@@ -1,8 +1,11 @@
 """Tests for reading and writing run manifests as strict JSON."""
 
+import hashlib
 import json
 import math
+import os
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +15,7 @@ from hypothesis import strategies as st
 import confdop
 from confdop import ConfdopError, ManifestMismatch, verify_manifest
 from confdop.cli import main
-from confdop.manifest import _strict_json
+from confdop.manifest import _file_digest, _strict_json, _write_over
 
 MISSION = {"r0": 4.5e12, "v_radial": 12200.0, "t_start": 0.0, "t_end": 1e8, "n_obs": 20}
 
@@ -77,6 +80,60 @@ def test_write_manifest_names_the_non_finite_config_field(manifest_path):
     with pytest.raises(ConfdopError, match=r"^config\.r0 is not finite \(nan\); strict JSON"):
         confdop.write_manifest(bad, path)
     assert not path.exists()
+
+
+def test_refused_manifest_leaves_an_existing_file_untouched(manifest_path):
+    # the text is built before the file is opened
+    old = manifest_path.read_bytes()
+    manifest = confdop.load_manifest(manifest_path)
+    bad = confdop.RunManifest(**{**vars(manifest), "config": {**manifest.config, "r0": math.nan}})
+    with pytest.raises(ConfdopError, match=r"^config\.r0 is not finite"):
+        confdop.write_manifest(bad, manifest_path)
+    assert manifest_path.read_bytes() == old
+
+
+def test_simulate_twice_to_one_out_leaves_a_verified_manifest(tmp_path):
+    # the second, shorter run is written over the first and cut at its length
+    for name, runs in [("again", (200, 20)), ("fresh", (20,))]:
+        (tmp_path / name).mkdir()
+        for n_obs in runs:
+            config = tmp_path / name / "mission.json"
+            config.write_text(json.dumps({**MISSION, "n_obs": n_obs}))
+            out = tmp_path / name / "run.csv"
+            assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+    assert verify_manifest(tmp_path / "again" / "run.csv.manifest.json").config["n_obs"] == 20
+    for file in ("run.csv", "run.csv.manifest.json"):
+        assert (tmp_path / "again" / file).read_bytes() == (tmp_path / "fresh" / file).read_bytes()
+
+
+def test_file_digest_holds_one_chunk(tmp_path):
+    path = tmp_path / "big.bin"
+    data = np.random.default_rng(9).integers(0, 256, 20 * 2**20, dtype=np.uint8).tobytes()
+    path.write_bytes(data)
+    expected = (hashlib.sha256(data).hexdigest(), len(data))
+    del data
+    tracemalloc.start()
+    try:
+        digest = _file_digest(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert digest == expected
+    assert peak < 4 * 2**20
+
+
+def test_write_over_cuts_the_file_where_writing_stopped(tmp_path):
+    path = tmp_path / "out.bin"
+    path.write_bytes(b"x" * 100)
+
+    def chunks():
+        yield b"abc"
+        raise RuntimeError("stopped")
+
+    with pytest.raises(RuntimeError, match="stopped"):
+        _write_over(path, chunks())
+    assert path.read_bytes() == b"abc"
+    _write_over(os.devnull, [b"abc"])  # a device is written, never cut
 
 
 @pytest.mark.parametrize("r0, token", [(math.nan, "NaN"), (math.inf, "Infinity"),

@@ -37,6 +37,7 @@ from confdop.tracking import (
     _CSV_CHUNK_ROWS,
     _E17_POW_MAX,
     _E17_POW_MIN,
+    _E17_WIDTH,
     CSV_HEADER,
     _e17_cells,
     _e17_kernel,
@@ -464,6 +465,42 @@ class TestCsv:
         lines = [CSV_HEADER] + [",".join(f"{v:.17e}" for v in row) for row in zip(*cols)]
         assert path.read_text() == "\n".join(lines) + "\n"
 
+    def test_rewrite_over_a_longer_or_shorter_file_is_a_fresh_write(self, tmp_path):
+        # the file is written over in place, then cut at the written length
+        tables = {n: simulate(noiseless_cfg(sigma_frac=1e-12, n_obs=n, seed=n))
+                  for n in (200, 10_000)}
+        fresh = {}
+        for n, table in tables.items():
+            write_records_csv(table, tmp_path / "fresh.csv")
+            fresh[n] = (tmp_path / "fresh.csv").read_bytes()
+        assert len(fresh[200]) < len(fresh[10_000])
+        for first, second in [(10_000, 200), (200, 10_000)]:
+            path = tmp_path / f"{first}-then-{second}.csv"
+            write_records_csv(tables[first], path)
+            write_records_csv(tables[second], path)
+            assert path.read_bytes() == fresh[second]
+
+    def test_chunks_whose_cells_use_different_widths(self, tmp_path):
+        # each varying slot is sized per chunk: byte 0 for a negative cell,
+        # byte 24 for a 3-digit exponent; Python's cells sit at chunk starts
+        k = _CSV_CHUNK_ROWS
+        n = 3 * k + 17
+        rng = np.random.default_rng(26)
+        positive = rng.uniform(1.0, 10.0, n) * 10.0 ** rng.integers(-99, 100, n)
+        epoch = np.linspace(1.0, 9e8, n)
+        epoch[[0, k, 2 * k]] = [0.0, -0.0, 5e-324]  # Python's %.17e cells
+        ranges = positive.copy()  # chunk 0 all positive with 2-digit exponents
+        ranges[k + 5] = -ranges[k + 5]  # chunk 1: one negative cell
+        ranges[2 * k + 9] = 1.2345e-150  # chunk 2: one 3-digit exponent
+        mixed = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        cols = [epoch, ranges, np.full(n, 12200.0), ranges.copy(), mixed, -positive]
+        assert [(c[:k] < 0).any() for c in (epoch, ranges)] == [False, False]
+        path = tmp_path / "run.csv"
+        write_records_csv(TrackingTable(*cols), path)
+        lines = [CSV_HEADER.encode()] + [b",".join(row) for row in zip(*map(percent_e17, cols))]
+        assert path.read_bytes() == b"\n".join(lines) + b"\n"
+        assert_tables_bitwise_equal(read_records_csv(path), TrackingTable(*cols))
+
     @pytest.mark.parametrize(
         "n", [0, 1, 2, _CSV_CHUNK_ROWS - 1, _CSV_CHUNK_ROWS, _CSV_CHUNK_ROWS + 1]
     )
@@ -693,6 +730,25 @@ class TestE17Kernel:
         write_records_csv(TrackingTable(*cols), path)
         lines = [CSV_HEADER.encode()] + [b",".join(row) for row in zip(*map(percent_e17, cols))]
         assert path.read_bytes() == b"\n".join(lines) + b"\n"
+
+    def test_python_cells_take_the_kernel_layout(self):
+        # a sign byte, then the text from byte 1, as the kernel writes a cell
+        values = [0.0, -0.0, 5e-324, -5e-324, 1e-300, math.nan, math.inf, -math.inf]
+        assert _e17_kernel(np.array(values))[1].tolist() == list(range(len(values)))
+        for cell, text in zip(_e17_cells(np.array(values)), percent_e17(values)):
+            signed = text if text.startswith(b"-") else b"\0" + text
+            assert cell.tobytes() == signed.ljust(_E17_WIDTH, b"\0"), text
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_reference_table_cells_leave_the_sign_and_last_bytes_unused(self, seed):
+        # so the writer's slots hold no NUL, and its NUL drop only scans
+        table = simulate(SimConfig(**REFERENCE_MISSION, seed=seed))
+        for name in _COLUMNS:
+            col = getattr(table, name)
+            if (col == col[0]).all():  # a constant column is baked into the row
+                continue
+            cells = _e17_cells(col)
+            assert not cells[:, 0].any() and not cells[:, -1].any(), name
 
     @pytest.mark.parametrize("seed", sorted(FIXED_POINTS))
     def test_only_the_zero_epoch_falls_back_on_a_reference_table(self, seed):
