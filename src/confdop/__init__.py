@@ -45,20 +45,20 @@ from .estimator import FitResult, MetricDecision, bootstrap_alpha, decide_metric
 from .manifest import RunManifest, build_manifest, load_manifest, verify_manifest, write_manifest
 from .tracking import (
     AnomalyResidual,
-    SignComparison,
     SimConfig,
     TrackingTable,
     anomaly_residuals,
     read_records_csv,
-    sign_comparison_report,
     simulate,
     write_records_csv,
 )
 from .wave import (
+    SignComparison,
     doppler_model_conformal,
     hubble_alpha_correction,
     hubble_prediction,
     inbound_ray_coords,
     inbound_ray_differentials,
+    sign_comparison_report,
     wavelength_map,
 )

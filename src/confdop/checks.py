@@ -5,17 +5,18 @@ approaches the singular surface), measures the worst violation of the
 property it guards, and reports pass/fail against a tolerance.
 
 The group and metric suites are one batched pass each through the array
-kernels of `confdop.conformal`.  Every suite that samples draws its
+kernels of `confdop.conformal_array`.  Every suite that samples draws its
 whole Generator stream as one `rng.random` block, in the order a
 per-case loop of `rng.uniform` calls would consume it;
 `low + (high - low) * u` is what `Generator.uniform` computes.  So every
 summary line equals that of the per-case loop.  The hill suite samples
 nothing: at each of its 4 alphas it calls the scalar `transform_finite`
-and `hill_transform` on each of its 16 grid points, 64 calls of each a
-pass.  The oracle suite
-integrates the RK4 flow of all its cases with one `flow_oracle_array`
-call, which returns the bits, or raises the error, of a loop of scalar
-`flow_oracle` calls.
+and `hill_transform` of `confdop.conformal` on each of its 16 grid
+points, 64 calls of each a pass.  The oracle suite integrates the RK4
+flow of all its cases with one `flow_oracle_array` call, which returns
+the bits, or raises the error, of a loop of scalar `flow_oracle` calls.
+Its row buffer, `_RK4_ROWS` values a case, is the widest array of any
+suite, so it sets the case limit.
 """
 
 from __future__ import annotations
@@ -29,16 +30,19 @@ from .conformal import (
     Event,
     GroupParameter,
     _require_finite,
-    conformal_factor_array,
-    differential_map_array,
-    flow_oracle_array,
     hill_transform,
     line_element_squared,
     transform_finite,
+)
+from .conformal_array import (
+    _RK4_ROWS,
+    _max_rows,
+    conformal_factor_array,
+    differential_map_array,
+    flow_oracle_array,
     transform_finite_array,
 )
 from .errors import ConfdopError
-from .tracking import _max_rows
 
 SUITES = ("group", "oracle", "hill", "metric")
 
@@ -53,8 +57,8 @@ DEFAULT_CASES = {"group": 10_000, "oracle": 100, "metric": 10_000}
 
 ORACLE_STEPS = 5000  # RK4 steps per oracle case
 # Largest case count every suite's arrays can be sized for; the widest is
-# the oracle's (14, cases) RK4 row buffer, 14 float64 values per case.
-_MAX_CASES = _max_rows(14)
+# the oracle's RK4 row buffer.
+_MAX_CASES = _max_rows(_RK4_ROWS)
 HILL_ALPHA0 = 1e-4  # largest alpha of the hill suite's halving sequence, 1/s
 
 

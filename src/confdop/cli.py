@@ -40,11 +40,10 @@ from .tracking import (
     RNG_ALGORITHM,
     SimConfig,
     read_records_csv,
-    sign_comparison_report,
     simulate,
     write_records_csv,
 )
-from .wave import hubble_alpha_correction
+from .wave import hubble_alpha_correction, sign_comparison_report
 
 ENV_SEED = "CONFDOP_SEED"
 EX_SOFTWARE = 70  # sysexits.h: internal software error

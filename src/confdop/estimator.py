@@ -18,7 +18,8 @@ import numpy as np
 from .conformal import _require_c
 from .constants import SPEED_OF_LIGHT
 from .errors import ConfdopError, DegenerateDesign, ZeroSigma
-from .tracking import TrackingTable, _max_rows, _require_finite_columns, _residual_velocity
+from .conformal_array import _max_rows
+from .tracking import TrackingTable, _require_finite_columns, _residual_velocity
 
 
 @dataclass(frozen=True)

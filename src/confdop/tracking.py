@@ -19,6 +19,7 @@ from dataclasses import MISSING, asdict, dataclass, fields
 import numpy as np
 
 from .conformal import GroupParameter, _real, _require_c
+from .conformal_array import _max_rows
 from .constants import SPEED_OF_LIGHT
 from .errors import ConfdopError, ConfigInvalid, MalformedCsv, ZeroRange
 from .manifest import _write_over
@@ -32,13 +33,6 @@ _CSV_CHUNK_ROWS = 4096
 # keyed by the config seed, two standard normals per record in epoch order
 # (doppler first, then range).
 RNG_ALGORITHM = "numpy.random.Philox(key=seed); Generator.standard_normal (n_obs, 2)"
-
-
-def _max_rows(width: int) -> int:
-    """Largest row count whose (rows, width) float64 array numpy can size:
-    at most np.iinfo(np.intp).max bytes.  Fewer rows may still not fit in
-    memory."""
-    return np.iinfo(np.intp).max // (width * np.dtype(np.float64).itemsize)
 
 
 # Largest n_obs whose (n_obs, 2) float64 noise draws numpy can size.
@@ -172,24 +166,6 @@ class AnomalyResidual:
     residual_rate: np.ndarray
 
 
-@dataclass(frozen=True)
-class SignComparison:
-    """Side-by-side comparison of an anomaly rate against a Hubble-like rate."""
-
-    anomaly_rate: float
-    hubble_rate: float
-    magnitude_ratio: float
-    opposite_sign: bool
-    caveat: str
-
-
-_TIME_COORDINATE_CAVEAT = (
-    "two-way links mix emission-side and reception-side time coordinates; "
-    "whether t or t' enters the shift bookkeeping can flip the sign of the "
-    "inferred rate, and this comparison does not model that."
-)
-
-
 def _coast_range(cfg: SimConfig, epoch):
     """Range of the linear coast at an epoch or an array of epochs."""
     return cfg.r0 + cfg.v_radial * (epoch - cfg.t_start)
@@ -262,23 +238,6 @@ def anomaly_residuals(table: TrackingTable, c: float = SPEED_OF_LIGHT) -> Anomal
         epoch=table.epoch,
         residual_velocity=resid_v,
         residual_rate=resid_v / table.range_true,
-    )
-
-
-def sign_comparison_report(anomaly_rate: float, hubble_rate: float) -> SignComparison:
-    """Compare magnitudes and signs of an anomaly rate and a Hubble-like rate."""
-    if anomaly_rate == 0.0:
-        ratio = 0.0
-    elif hubble_rate == 0.0:
-        ratio = math.inf
-    else:
-        ratio = abs(anomaly_rate) / abs(hubble_rate)
-    return SignComparison(
-        anomaly_rate=anomaly_rate,
-        hubble_rate=hubble_rate,
-        magnitude_ratio=ratio,
-        opposite_sign=(anomaly_rate * hubble_rate) < 0.0,
-        caveat=_TIME_COORDINATE_CAVEAT,
     )
 
 

@@ -5,12 +5,16 @@ the origin in both coordinate systems.  The conformal map stretches the
 wavelength measured in the unprimed system relative to the primed one by
 a factor that depends on emission epoch and range; at the origin the two
 agree, which is why a received shift can be read either as pure source
-velocity or as velocity plus an alpha*r kinematic term.
+velocity or as velocity plus an alpha*r kinematic term.  A sign
+comparison sets an anomaly rate beside a Hubble-like rate.
 """
 
 from __future__ import annotations
 
-from .conformal import GroupParameter, _SHIFT_STEPS, _image, _require_finite, _shift_steps
+import math
+from dataclasses import dataclass
+
+from .conformal import GroupParameter, _SHIFT_STEPS, _image, _real, _require_finite, _shift_steps
 from .errors import ConfdopError, NotPastCone
 
 _COORDS_STEPS = tuple(f"{name} (pass {n})" for n in (1, 2)
@@ -53,10 +57,12 @@ def inbound_ray_coords(p: GroupParameter, r_prime: float, t_prime: float) -> tup
 
     by a fixed-point pass seeded at (r', t') plus one refinement, which
     is adequate at second order in alpha.  For alpha > 0 the outputs
-    satisfy r >= r' and |t| >= |t'|.  A non-finite r' or t' is refused by
-    name; an image that is not finite raises ConfdopError naming the
-    first quantity of the two passes that overflowed.
+    satisfy r >= r' and |t| >= |t'|.  r' and t' are real numbers (see
+    conformal._real), and the image is two floats.  A non-finite r' or t'
+    is refused by name; an image that is not finite raises ConfdopError
+    naming the first quantity of the two passes that overflowed.
     """
+    r_prime, t_prime = _real("r_prime", r_prime), _real("t_prime", t_prime)
     _require_inbound(r_prime, t_prime)
     steps = _coords_steps(p.alpha, p.c * p.c, r_prime, t_prime)
     inputs = (("r'", r_prime), ("t'", t_prime))
@@ -86,10 +92,13 @@ def inbound_ray_differentials(
     The dt relation carries the unprimed time t of the same point, here
     evaluated at first order from (r', t').  During inbound flight
     dr' < 0 and dt' > 0, and for small alpha the signs are preserved.
-    A point that inbound_ray_coords refuses is refused with the same
-    error, and a non-finite dr' or dt' by name; an image that is not
-    finite raises ConfdopError naming the first quantity that overflowed.
+    The inputs are taken as inbound_ray_coords takes them.  A point that
+    inbound_ray_coords refuses is refused with the same error, and a
+    non-finite dr' or dt' by name; an image that is not finite raises
+    ConfdopError naming the first quantity that overflowed.
     """
+    r_prime, t_prime = _real("r_prime", r_prime), _real("t_prime", t_prime)
+    dr_prime, dt_prime = _real("dr_prime", dr_prime), _real("dt_prime", dt_prime)
     _require_inbound(r_prime, t_prime)
     _require_finite("dr_prime", dr_prime)
     _require_finite("dt_prime", dt_prime)
@@ -114,9 +123,12 @@ def wavelength_map(
 
     The factor is >= 1 for alpha > 0 on the past cone and tends to 1 as
     the sample approaches the origin, where both wavelengths agree with
-    the measured one.  A non-finite input is refused by name, and an
-    image that is not finite as by inbound_ray_coords.
+    the measured one.  The inputs are real numbers (see conformal._real).
+    A non-finite input is refused by name, and an image that is not
+    finite as by inbound_ray_coords.
     """
+    lambda_primed = _real("lambda_primed", lambda_primed)
+    r_prime, t_prime = _real("r_prime", r_prime), _real("t_prime", t_prime)
     _require_finite("lambda_primed", lambda_primed)
     _require_finite("r_prime", r_prime)
     _require_finite("t_prime", t_prime)
@@ -164,3 +176,38 @@ def hubble_alpha_correction(H0: float, alpha: float) -> float:
     """
     inputs = (("H0", H0), ("alpha", alpha))
     return _image("Hubble rate correction", None, inputs, ("H0 - alpha",), (H0 - alpha,), 0)[0]
+
+
+@dataclass(frozen=True)
+class SignComparison:
+    """Side-by-side comparison of an anomaly rate against a Hubble-like rate."""
+
+    anomaly_rate: float
+    hubble_rate: float
+    magnitude_ratio: float
+    opposite_sign: bool
+    caveat: str
+
+
+_TIME_COORDINATE_CAVEAT = (
+    "two-way links mix emission-side and reception-side time coordinates; "
+    "whether t or t' enters the shift bookkeeping can flip the sign of the "
+    "inferred rate, and this comparison does not model that."
+)
+
+
+def sign_comparison_report(anomaly_rate: float, hubble_rate: float) -> SignComparison:
+    """Compare magnitudes and signs of an anomaly rate and a Hubble-like rate."""
+    if anomaly_rate == 0.0:
+        ratio = 0.0
+    elif hubble_rate == 0.0:
+        ratio = math.inf
+    else:
+        ratio = abs(anomaly_rate) / abs(hubble_rate)
+    return SignComparison(
+        anomaly_rate=anomaly_rate,
+        hubble_rate=hubble_rate,
+        magnitude_ratio=ratio,
+        opposite_sign=(anomaly_rate * hubble_rate) < 0.0,
+        caveat=_TIME_COORDINATE_CAVEAT,
+    )

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import confdop.checks
-import confdop.conformal
+import confdop.conformal_array
 from confdop.checks import DEFAULT_TOLERANCES, run_suite
 from confdop.errors import ConfdopError
 
@@ -80,13 +80,13 @@ def test_summary_matches_pinned_line(suite, seed, cases):
 
 @pytest.mark.parametrize(
     "seed, cases", [(seed, cases) for suite, seed, cases in PINNED if suite == "oracle"
-                    and cases is not None and cases < confdop.conformal._FLOW_ARRAY_MIN_ELEMENTS],
+                    and cases is not None and cases < confdop.conformal_array._FLOW_ARRAY_MIN_ELEMENTS],
 )
 def test_small_oracle_lines_match_on_the_array_path(monkeypatch, seed, cases):
     # flow_oracle_array runs these counts through its flow_oracle loop by
     # default, and the 100- and 300-case lines (recorded from that loop)
     # through its array pass
-    monkeypatch.setattr(confdop.conformal, "_FLOW_ARRAY_MIN_ELEMENTS", 1)
+    monkeypatch.setattr(confdop.conformal_array, "_FLOW_ARRAY_MIN_ELEMENTS", 1)
     assert run_suite("oracle", None, seed, cases).summary() == PINNED["oracle", seed, cases]
 
 

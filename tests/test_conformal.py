@@ -29,6 +29,8 @@ from confdop import (
     hill_differentials,
     hill_transform,
     hill_velocity,
+    inbound_ray_coords,
+    inbound_ray_differentials,
     interval_scale,
     interval_squared,
     invariant_ratio,
@@ -36,8 +38,9 @@ from confdop import (
     slope_transform,
     transform_finite,
     transform_inverse_finite,
+    wavelength_map,
 )
-from confdop.conformal import (
+from confdop.conformal_array import (
     conformal_factor_array,
     differential_map_array,
     flow_oracle_array,
@@ -630,6 +633,71 @@ class TestHill:
                 hill_velocity(GroupParameter(beta4), r, v)
         assert type(exc.value) is ConfdopError
         assert str(exc.value) == refusal
+
+
+def outcome(call):
+    """call()'s image as (type, bits) pairs, or its error's type and message,
+    with warnings as errors."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            image = call()
+        except (ConfdopError, TypeError) as exc:
+            return type(exc), str(exc)
+    return [(type(v), float.hex(v)) for v in (image if isinstance(image, tuple) else (image,))]
+
+
+# (map, its argument names after p, beta4, a point): for each map one point
+# it maps and one whose image overflows
+FIRST_ORDER_POINTS = [
+    (hill_differentials, ("r", "t", "dr", "dt"), 1e-14, (1e8, 3.0, 1.0, 2.0)),
+    (hill_differentials, ("r", "t", "dr", "dt"), 1e-200, (1e300, 1e200, 1e300, 1.0)),
+    (hill_velocity, ("r", "v"), 1e-14, (1e8, 1e4)),
+    (hill_velocity, ("r", "v"), 1e-200, (1e300, 1e200)),
+    (inbound_ray_coords, ("r_prime", "t_prime"), 1e-14, (1e8, -3.0)),
+    (inbound_ray_coords, ("r_prime", "t_prime"), 0.0, (0.0, -1e160)),
+    (inbound_ray_differentials, ("r_prime", "t_prime", "dr_prime", "dt_prime"), 1e-14,
+     (1e8, -3.0, -1.0, 1.0)),
+    (inbound_ray_differentials, ("r_prime", "t_prime", "dr_prime", "dt_prime"), 0.0,
+     (0.0, -1e160, -1.0, 1.0)),
+    (wavelength_map, ("lambda_primed", "r_prime", "t_prime"), 1e-14, (0.2, 1e8, -3.0)),
+    (wavelength_map, ("lambda_primed", "r_prime", "t_prime"), 1e-200, (1e300, 1e300, -1e300)),
+]
+
+
+@pytest.mark.parametrize("kernel, names, beta4, args", FIRST_ORDER_POINTS,
+                         ids=[f"{k.__name__}-{'maps' if i % 2 == 0 else 'overflows'}"
+                              for i, (k, *_) in enumerate(FIRST_ORDER_POINTS)])
+def test_first_order_maps_take_real_numbers(kernel, names, beta4, args):
+    # a numpy scalar or 0-d array gives the plain-float call's bits as floats,
+    # or its refusal; whatever float() does not take is a TypeError naming it
+    p = GroupParameter(beta4)
+    expected = outcome(lambda: kernel(p, *args))
+    for i, name in enumerate(names):
+        def call(value):
+            return outcome(lambda: kernel(p, *args[:i], value, *args[i + 1:]))
+
+        for value in (np.float64(args[i]), np.array(args[i])):
+            assert call(value) == expected, (name, value)
+        for value in (np.array([args[i], args[i]]), str(args[i])):
+            assert call(value) == (TypeError, f"{name} must be a real number, got {value!r}")
+        assert call(10**400) == (ConfdopError, f"{name} must be finite, got inf")
+
+
+@pytest.mark.parametrize("call, refusal", [
+    (lambda: hill_differentials(GroupParameter(1e-200), np.float64(1e300), 1e200, 1e300, 1.0),
+     (ConfdopError, "Hill differential map overflows at (r=1e+300, t=1e+200, dr=1e+300, dt=1.0) "
+                    "for alpha=5.99584916e-192: dr*(1 + alpha*t) = inf")),
+    (lambda: inbound_ray_coords(GroupParameter(0.0), np.float64(0.0), -1e160),
+     (ConfdopError, "inbound-ray map overflows at (r'=0.0, t'=-1e+160) for alpha=0.0: "
+                    "t^2 (pass 1) = inf")),
+    (lambda: hill_velocity(GroupParameter(1e-3), np.array([1.0, 2.0]), 3.0),
+     (TypeError, "r must be a real number, got array([1., 2.])")),
+], ids=["hill_differentials", "inbound_ray_coords", "hill_velocity"])
+def test_numpy_argument_is_refused_by_name_without_a_warning(call, refusal):
+    # numpy's scalar arithmetic warned before the refusal, or its conversion
+    # error named no argument
+    assert outcome(call) == refusal
 
 
 def test_each_step_of_a_map_has_one_name():

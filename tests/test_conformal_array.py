@@ -1,5 +1,5 @@
-"""Property tests: the array kernels of confdop.conformal agree with the
-scalar kernels bit for bit, element by element, inside the domain, and
+"""Property tests: the array kernels of confdop.conformal_array agree with
+the scalar kernels bit for bit, element by element, inside the domain, and
 raise the error of a loop of scalar calls outside it; and the array RK4
 oracle returns the bits, or raises the error, that a loop
 of scalar flow_oracle calls does, inside the domain and outside it; and
@@ -22,7 +22,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import confdop.checks
-import confdop.conformal
+import confdop.conformal_array
 from confdop import (
     Event,
     GroupParameter,
@@ -41,8 +41,8 @@ from confdop import (
 )
 from confdop.checks import run_oracle_suite, run_suite
 from confdop.constants import SPEED_OF_LIGHT
-from confdop.conformal import (
-    FLOW_DIVERGENCE_BOUND,
+from confdop.conformal import FLOW_DIVERGENCE_BOUND
+from confdop.conformal_array import (
     conformal_factor_array,
     differential_map_array,
     flow_oracle_array,
@@ -50,7 +50,7 @@ from confdop.conformal import (
 )
 
 # moving elements from which flow_oracle_array makes an array pass
-FLOW_ARRAY_MIN_ELEMENTS = confdop.conformal._FLOW_ARRAY_MIN_ELEMENTS
+FLOW_ARRAY_MIN_ELEMENTS = confdop.conformal_array._FLOW_ARRAY_MIN_ELEMENTS
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -59,7 +59,7 @@ def array_pass_at_every_count():
     the properties compare it, not the flow_oracle loop, with the loop.
     Module-scoped, since hypothesis refuses function-scoped fixtures."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(confdop.conformal, "_FLOW_ARRAY_MIN_ELEMENTS", 1)
+        mp.setattr(confdop.conformal_array, "_FLOW_ARRAY_MIN_ELEMENTS", 1)
         yield
 
 
@@ -479,7 +479,7 @@ def step_passes(monkeypatch):
     """Every array pass flow_oracle_array makes, as ("array", elements),
     and every element it runs again, as ("scalar", beta4, r, x4), in order."""
     passes = []
-    run, scalar = confdop.conformal._rk4_array_steps, confdop.conformal.flow_oracle
+    run, scalar = confdop.conformal_array._rk4_array_steps, confdop.conformal_array.flow_oracle
 
     def array_spy(y0, h, steps):
         passes.append(("array", y0.shape[1]))
@@ -489,8 +489,8 @@ def step_passes(monkeypatch):
         passes.append(("scalar", p.beta4, e.r, e.x4))
         return scalar(p, e, steps)
 
-    monkeypatch.setattr(confdop.conformal, "_rk4_array_steps", array_spy)
-    monkeypatch.setattr(confdop.conformal, "flow_oracle", scalar_spy)
+    monkeypatch.setattr(confdop.conformal_array, "_rk4_array_steps", array_spy)
+    monkeypatch.setattr(confdop.conformal_array, "flow_oracle", scalar_spy)
     return passes
 
 
@@ -506,7 +506,7 @@ def test_flow_oracle_array_past_half_the_bound_reruns_only_that_element(step_pas
 def test_flow_oracle_array_loops_below_its_threshold_and_passes_from_it(
         monkeypatch, step_passes, offset):
     # the default threshold, in place of the module fixture's 1
-    monkeypatch.setattr(confdop.conformal, "_FLOW_ARRAY_MIN_ELEMENTS", FLOW_ARRAY_MIN_ELEMENTS)
+    monkeypatch.setattr(confdop.conformal_array, "_FLOW_ARRAY_MIN_ELEMENTS", FLOW_ARRAY_MIN_ELEMENTS)
     n = FLOW_ARRAY_MIN_ELEMENTS + offset
     rng = confdop.checks._rng(5)
     u_r, u_x4, u_b = confdop.checks._draws(rng, n, 3)
@@ -539,5 +539,5 @@ def test_default_oracle_suite_runs_no_scalar_kernel(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("scalar kernel called")
 
-    monkeypatch.setattr(confdop.conformal, "flow_oracle", refuse)
+    monkeypatch.setattr(confdop.conformal_array, "flow_oracle", refuse)
     assert run_oracle_suite(confdop.checks.DEFAULT_CASES["oracle"], 1e-9, 0).passed

@@ -28,7 +28,7 @@ from confdop import (
     wavelength_map,
 )
 from confdop.checks import run_suite
-from confdop.conformal import flow_oracle_array, transform_finite_array
+from confdop.conformal_array import flow_oracle_array, transform_finite_array
 from confdop.tracking import CSV_HEADER
 
 NAN = math.nan

@@ -1,5 +1,6 @@
 """The package parses as Python 3.10, the oldest version it supports, and
-uses no standard-library name that only 3.11 or later provides."""
+uses no standard-library name that only 3.11 or later provides; and its
+scalar core names no numpy."""
 
 import ast
 from pathlib import Path
@@ -73,3 +74,17 @@ def test_module_uses_no_stdlib_name_newer_than_3_10(module):
 ])
 def test_newer_name_is_found(source, name):
     assert name in dotted_names(source) & NEWER_THAN_3_10
+
+
+# modules that compute in Python floats only: none may name numpy, or import
+# a confdop module outside this set
+NUMPY_FREE = {"conformal", "wave", "manifest", "constants", "errors"}
+
+
+@pytest.mark.parametrize("module", sorted(NUMPY_FREE))
+def test_scalar_core_is_numpy_free(module):
+    source = (MODULES[0].parent / f"{module}.py").read_text(encoding="utf-8")
+    heads = {name.removeprefix("confdop.").partition(".")[0] for name in dotted_names(source)}
+    assert "numpy" not in heads, f"{module}.py names numpy"
+    package = {m.stem for m in MODULES}
+    assert heads & package <= NUMPY_FREE, f"{module}.py imports {sorted(heads & package - NUMPY_FREE)}"
