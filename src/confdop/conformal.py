@@ -265,10 +265,12 @@ def differential_map(p: GroupParameter, e: Event, dr: float, dx4: float) -> tupl
     dr' = gamma^2 * (A dr + B dx4),  dx4' = gamma^2 * (B dr + A dx4),
 
     with A = 1 - 2*beta4*x4 + beta4^2*(r^2 + x4^2) and
-    B = 2*beta4*r*(1 - beta4*x4).  Raises as conformal_factor does, and
+    B = 2*beta4*r*(1 - beta4*x4).  dr and dx4 are real numbers (see _real),
+    and the image is two floats.  Raises as conformal_factor does, and
     ConfdopError for a non-finite dr or dx4, or where r^2 + x4^2, A, B,
     dr' or dx4' overflows, naming the first of these that did.
     """
+    dr, dx4 = _real("dr", dr), _real("dx4", dx4)
     _require_finite("dr", dr)
     _require_finite("dx4", dx4)
     b, r, x4 = p.beta4, e.r, e.x4
@@ -285,12 +287,14 @@ def slope_transform(p: GroupParameter, e: Event, slope: float) -> float:
     slope' = (A*slope + B) / (B*slope + A),
 
     with A and B as in differential_map.  Slopes +1 and -1 (light speed)
-    are fixed points.  Raises as conformal_factor does for an event
-    outside the domain, SlopeSingular when the denominator is within
-    EPS_SINGULAR of zero, and ConfdopError for a non-finite slope, or
-    where r^2 + x4^2, A, B, the denominator or slope' overflows, naming
-    the first of these that did.
+    are fixed points.  slope is a real number (see _real), and slope' a
+    float.  Raises as conformal_factor does for an event outside the
+    domain, SlopeSingular when the denominator is within EPS_SINGULAR of
+    zero, and ConfdopError for a non-finite slope, or where r^2 + x4^2, A,
+    B, the denominator or slope' overflows, naming the first of these
+    that did.
     """
+    slope = _real("slope", slope)
     _require_finite("slope", slope)
     b, r, x4 = p.beta4, e.r, e.x4
     _finite_map(b, r, x4, _refuse)

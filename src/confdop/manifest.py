@@ -131,13 +131,14 @@ def _file_digest(path: Path) -> tuple[str, int]:
 
 
 def _write_over(path, chunks) -> None:
-    """Write the byte strings of chunks to path, from its first byte over
-    the old ones, and cut the file at the written length where it was
-    longer, so it holds exactly the written bytes, as after a truncating
-    open.  Opening without O_TRUNC spares the file system freeing the old
-    blocks and starting their writeback at close; like a truncating open,
-    it leaves no copy of the old bytes and makes nothing durable (no
-    fsync).  The file is cut even when writing stops on an exception."""
+    """Write the bytes-like chunks (bytes, or any C-contiguous buffer,
+    such as a row matrix) to path, from its first byte over the old ones,
+    and cut the file at the written length where it was longer, so it
+    holds exactly the written bytes, as after a truncating open.  Opening
+    without O_TRUNC spares the file system freeing the old blocks and
+    starting their writeback at close; like a truncating open, it leaves
+    no copy of the old bytes and makes nothing durable (no fsync).  The
+    file is cut even when writing stops on an exception."""
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     with open(fd, "wb") as f:
         size, written = os.fstat(fd).st_size, 0

@@ -247,14 +247,16 @@ def write_records_csv(table: TrackingTable, path) -> None:
     The bytes are those of formatting every value with %.17e.  A column
     whose values are all bit-for-bit equal is formatted once and baked
     into the row template.  The other columns are formatted a chunk of
-    rows at a time by _e17_kernel, in numpy, into the cells of
-    _e17_cells: a sign byte, then the digits from byte 1, NUL-padded to
-    _E17_WIDTH bytes.  Each column's slot in the chunk's uint8 row matrix
-    is sized to the bytes its cells use there: byte 0 only if some cell
-    is negative, the last byte only if some exponent has three digits.
-    So a chunk holds NULs only where a slot's cells differ in width, and
-    those are dropped as the chunk is written; in a simulated reference
-    table there are none.  The few cells the kernel cannot decide go to
+    rows at a time by _e17_kernel, in numpy, four digits to a word, into
+    the word-aligned cells of _e17_cells: a sign byte, then the digits
+    from byte 1, NUL-padded to _E17_ROW bytes.
+    Each column's slot in the chunk's uint8 row matrix is sized to the
+    bytes its cells use there: byte 0 only if some cell is negative, byte
+    24 only if some exponent has three digits.  So a chunk holds NULs
+    only where a slot's cells differ in width or hold a short nan or inf
+    (see _csv_rows).  A chunk without them, as every chunk of a simulated
+    reference table, is written from its row matrix; any other is copied
+    with its NULs dropped.  The few cells the kernel cannot decide go to
     Python's %.17e: zero, nan and inf, |x| outside [1e-250, 1e250),
     values within 1e-6 of a tie of the 18th digit where the scaling by a
     power of ten is inexact, and 18-digit counts out of range after one
@@ -281,17 +283,26 @@ def write_records_csv(table: TrackingTable, path) -> None:
     _write_over(path, itertools.chain([CSV_HEADER.encode() + b"\n"], chunks))
 
 
-def _csv_rows(cells, varying, start: int, stop: int) -> bytes:
-    """The CSV text of rows start:stop; cells holds, per column, its
-    constant cell's bytes or its index in the list of varying columns.
-    The chunk's matrix and cells are freed when this returns."""
+def _csv_rows(cells, varying, start: int, stop: int):
+    """The CSV text of rows start:stop as a bytes-like object; cells holds,
+    per column, its constant cell's bytes or its index in the list of
+    varying columns.
+
+    A varying column's slot spans the bytes its cells use in the chunk.
+    Where no slot can hold a NUL (in each varying column, byte 0 set in
+    all cells or none, byte 24 in all or none, and byte 23 in all, which
+    Python's short nan and inf cells leave NUL), the (rows, width) uint8
+    row matrix itself is returned; any other chunk is returned as bytes
+    with its NULs dropped.  The cells are freed when this returns."""
+    n, nul_free = stop - start, True
     if varying:
         text = _e17_cells(np.concatenate([col[start:stop] for col in varying]))
-        text = text.reshape(len(varying), stop - start, _E17_WIDTH)
-        used = [  # per varying column, the first and last-plus-one bytes its cells use
-            (0 if t[:, 0].any() else 1, _E17_WIDTH if t[:, -1].any() else _E17_WIDTH - 1)
-            for t in text
-        ]
+        text = text.reshape(len(varying), n, _E17_ROW)
+        used = []  # per varying column, the first and last-plus-one bytes its cells use
+        for t in text:
+            signed, long, full = map(np.count_nonzero, (t[:, 0], t[:, 24], t[:, 23]))
+            used.append((0 if signed else 1, _E17_WIDTH if long else _E17_WIDTH - 1))
+            nul_free &= signed in (0, n) and long in (0, n) and full == n
     row, slots = b"", []  # the chunk's row template; per varying cell, its slot
     for cell in cells:
         if isinstance(cell, bytes):
@@ -301,15 +312,18 @@ def _csv_rows(cells, varying, start: int, stop: int) -> bytes:
         slots.append((len(row), cell, lo, hi))
         row += bytes(hi - lo) + b","
     template = np.frombuffer(row[:-1] + b"\n", np.uint8)
-    rows = np.empty((stop - start, template.size), np.uint8)
+    rows = np.empty((n, template.size), np.uint8)
     rows[:] = template
     for at, j, lo, hi in slots:
         rows[:, at : at + hi - lo] = text[j, :, lo:hi]
-    return rows.tobytes().replace(b"\0", b"")
+    return rows if nul_free else rows.tobytes().replace(b"\0", b"")
 
 
 # A %.17e cell: sign, digit, '.', 17 digits, 'e', sign and 2 or 3 digits.
 _E17_WIDTH = 25
+# A kernel cell: seven 4-byte words, the text in bytes 0 to 24 and the
+# exponent field in the last 8 bytes.
+_E17_ROW = 28
 # The kernel formats |x| in [_E17_MIN, _E17_MAX): no product it forms there
 # overflows or leaves the normal range.
 _E17_MIN, _E17_MAX = 1e-250, 1e250
@@ -336,9 +350,11 @@ def _e17_tables():
     10**m for m in [_E17_POW_MIN, _E17_POW_MAX] as a double-double:
     hi is 10**m correctly rounded (an int division for m < 0), with its
     Veltkamp halves, and lo is the rounded remainder 10**m - hi, so lo is
-    0 exactly where 10**m is a float64 (0 <= m <= 22).  Also the ASCII
-    digit pairs 00-99, and the exponent fields e-300 ... e+300, each
-    NUL-padded to 8 bytes.
+    0 exactly where 10**m is a float64 (0 <= m <= 22).  Also the kernel's
+    words, as byte strings viewed as uint32: the 4-digit groups 0000-9999;
+    the 200 lead words, NUL or '-' then d.d for a count's first two digits
+    i % 100, with the '-' for i >= 100; and the exponent fields e-300 ...
+    e+300, each NUL-padded to 8 bytes, as two words.
     """
     hi, lo = [], []
     for m in range(_E17_POW_MIN, _E17_POW_MAX + 1):
@@ -349,12 +365,14 @@ def _e17_tables():
         lo.append((num * q - p * den) / (den * q))
     hi = np.array(hi)
     hi_high, hi_low = _split(hi)
-    # byte strings viewed as uint16 and uint64, so one take gathers a field
-    pairs = np.frombuffer(b"".join(b"%02d" % i for i in range(100)), np.uint16)
+    quads = np.frombuffer(b"".join(b"%04d" % i for i in range(10000)), np.uint32)
+    leads = np.frombuffer(b"".join(
+        (b"-" if i >= 100 else b"\0") + b"%d.%d" % divmod(i % 100, 10) for i in range(200)
+    ), np.uint32)
     exps = np.frombuffer(b"".join(
         (b"e%+03d" % e).ljust(8, b"\0") for e in range(-_E17_EXP_MAX, _E17_EXP_MAX + 1)
-    ), np.uint64)
-    return hi, np.array(lo), hi_high, hi_low, pairs, exps
+    ), np.uint32).reshape(-1, 2)
+    return hi, np.array(lo), hi_high, hi_low, quads, leads, exps
 
 
 def _e17_product(x, m):
@@ -386,17 +404,26 @@ def _e17_count(a, k):
     whole = np.floor(s)
     frac = s - whole
     floor = p.astype(np.int64) + whole.astype(np.int64)
-    up = (frac > 0.5) | ((frac == 0.5) & (floor % 2 == 1))
+    up = (frac > 0.5) | ((frac == 0.5) & ((floor & 1) == 1))
     return floor, floor + up, (lo != 0.0) & (np.abs(frac - 0.5) < 1e-6)
 
 
 def _e17_kernel(x: np.ndarray):
-    """The %.17e text of each float64 of x as an (n, _E17_WIDTH) uint8
-    matrix of NUL-padded cells, and the indices of the cells it leaves
+    """The %.17e text of each float64 of x as an (n, _E17_ROW) uint8 matrix
+    of word-aligned cells, and the indices of the cells it leaves
     undecided, whose bytes are not set: zero, nan, inf, |x| outside
     [_E17_MIN, _E17_MAX), near-ties of an inexact scaling, and counts that
-    are not 18 digits after one retry at the next lower exponent."""
-    *_, pairs, exps = _e17_tables()
+    are not 18 digits after one retry at the next lower exponent.
+
+    A cell is seven 4-byte words: the lead word (the sign byte or NUL, the
+    first digit, '.', the second digit), four words of 4 digits each, and
+    the exponent field, NUL-padded to 8 bytes.  Four divisions of the
+    18-digit count by 10000 give the 4-digit groups, and the 2-digit
+    quotient left, offset by 100 for a negative x, indexes the lead words.
+    Every word is copied from a table of bytes, so the cells do not
+    depend on the host's byte order.
+    """
+    *_, quads, leads, exps = _e17_tables()
     a = np.abs(x)
     fine = (a >= _E17_MIN) & (a < _E17_MAX)  # false for 0, nan and inf
     a = np.where(fine, a, 1.0)
@@ -412,25 +439,23 @@ def _e17_kernel(x: np.ndarray):
     k += carry
     count[undecided] = _E17  # keeps the table lookups below in range
     k[undecided] = 0
-    text = np.empty((x.size, 9), np.uint16)  # the count's 9 digit pairs, as ASCII
-    for i in range(8, -1, -1):
-        count, pair = np.divmod(count, 100)
-        text[:, i] = pairs.take(pair)
-    text = text.view(np.uint8)
-    cells = np.empty((x.size, _E17_WIDTH), np.uint8)
-    cells[:, 0] = np.where(np.signbit(x), ord("-"), 0)
-    cells[:, 1] = text[:, 0]
-    cells[:, 2] = ord(".")
-    cells[:, 3:20] = text[:, 1:]
-    cells[:, 20:] = exps.take(k + _E17_EXP_MAX).view(np.uint8).reshape(-1, 8)[:, :5]
-    return cells, np.flatnonzero(undecided)
+    words = np.empty((x.size, _E17_ROW // 4), np.uint32)
+    for i in range(4, 0, -1):  # the last 16 digits, 4 at a time
+        high = count // 10000
+        words[:, i] = quads.take(count - high * 10000)
+        count = high
+    count += 100 * np.signbit(x)
+    words[:, 0] = leads.take(count)
+    words[:, 5:] = exps.take(k + _E17_EXP_MAX, axis=0)
+    return words.view(np.uint8), np.flatnonzero(undecided)
 
 
 def _e17_cells(x: np.ndarray) -> np.ndarray:
     """_e17_kernel's cells, with the undecided ones formatted by Python's
     %.17e and placed in the kernel's layout: '-' or NUL at byte 0, the
     first digit (or the n of nan, the i of inf) at byte 1, NUL padding
-    after the text.  Byte 24 is used only by a 3-digit exponent."""
+    after the text.  Byte 24 is used only by a 3-digit exponent, and
+    bytes 25 to 27 never."""
     cells, undecided = _e17_kernel(x)
     for i, v in zip(undecided.tolist(), x[undecided].tolist()):
         text = ("%.17e" % v).encode()

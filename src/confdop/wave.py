@@ -147,7 +147,8 @@ def doppler_model_conformal(p: GroupParameter, r, v):
     Terms of order alpha*v^2/c^2 are dropped; hill_velocity in the
     transform module keeps them for cross-checks.  At alpha = 0 this is
     the plain shift-equals-velocity relation.  Accepts scalars or numpy
-    arrays for r and v.
+    arrays for r and v, so, unlike the scalar maps, it does not convert
+    them with conformal._real.
     """
     return _shift_velocity(v, p.alpha, r)[-1]
 
@@ -156,9 +157,12 @@ def hubble_prediction(V: float, R: float, H0: float) -> float:
     """Velocity-equivalent shift V + H0*R of the distance-velocity relation.
 
     The same relation as doppler_model_conformal under
-    (V, H0, R) <-> (v, alpha, r).  A non-finite input is refused by name,
-    and a result that is not finite names the first step that overflowed.
+    (V, H0, R) <-> (v, alpha, r).  The inputs are real numbers (see
+    conformal._real), and the result is a float.  A non-finite input is
+    refused by name, and a result that is not finite names the first step
+    that overflowed.
     """
+    V, R, H0 = _real("V", V), _real("R", R), _real("H0", H0)
     inputs = (("V", V), ("R", R), ("H0", H0))
     return _image("Hubble relation", None, inputs, _HUBBLE_STEPS, _shift_velocity(V, H0, R), -1)[0]
 
@@ -172,8 +176,11 @@ def _shift_velocity(v, rate, r):
 def hubble_alpha_correction(H0: float, alpha: float) -> float:
     """Rate left for dynamics once the kinematic part is removed: H0 - alpha.
 
-    Refuses a non-finite input by name, and a difference that overflows.
+    The inputs are real numbers (see conformal._real), and the result is a
+    float.  Refuses a non-finite input by name, and a difference that
+    overflows.
     """
+    H0, alpha = _real("H0", H0), _real("alpha", alpha)
     inputs = (("H0", H0), ("alpha", alpha))
     return _image("Hubble rate correction", None, inputs, ("H0 - alpha",), (H0 - alpha,), 0)[0]
 
@@ -197,7 +204,12 @@ _TIME_COORDINATE_CAVEAT = (
 
 
 def sign_comparison_report(anomaly_rate: float, hubble_rate: float) -> SignComparison:
-    """Compare magnitudes and signs of an anomaly rate and a Hubble-like rate."""
+    """Compare magnitudes and signs of an anomaly rate and a Hubble-like rate.
+
+    The rates are real numbers (see conformal._real), stored as floats.
+    """
+    anomaly_rate = _real("anomaly_rate", anomaly_rate)
+    hubble_rate = _real("hubble_rate", hubble_rate)
     if anomaly_rate == 0.0:
         ratio = 0.0
     elif hubble_rate == 0.0:

@@ -6,6 +6,7 @@ Jacobian coefficients, and parameter-halving (Richardson) experiments
 for the first-order maps.
 """
 
+import functools
 import math
 import re
 import sys
@@ -29,12 +30,15 @@ from confdop import (
     hill_differentials,
     hill_transform,
     hill_velocity,
+    hubble_alpha_correction,
+    hubble_prediction,
     inbound_ray_coords,
     inbound_ray_differentials,
     interval_scale,
     interval_squared,
     invariant_ratio,
     line_element_squared,
+    sign_comparison_report,
     slope_transform,
     transform_finite,
     transform_inverse_finite,
@@ -693,11 +697,69 @@ def test_first_order_maps_take_real_numbers(kernel, names, beta4, args):
                     "t^2 (pass 1) = inf")),
     (lambda: hill_velocity(GroupParameter(1e-3), np.array([1.0, 2.0]), 3.0),
      (TypeError, "r must be a real number, got array([1., 2.])")),
-], ids=["hill_differentials", "inbound_ray_coords", "hill_velocity"])
+    (lambda: hubble_alpha_correction(np.float64(1e308), -1e308),
+     (ConfdopError, "Hubble rate correction overflows at (H0=1e+308, alpha=-1e+308): "
+                    "H0 - alpha = inf")),
+    (lambda: hubble_prediction(np.float64(0.0), np.float64(1e308), 10.0),
+     (ConfdopError, "Hubble relation overflows at (V=0.0, R=1e+308, H0=10.0): H0*R = inf")),
+    (lambda: sign_comparison_report(np.array([1.0, 2.0]), 1.0),
+     (TypeError, "anomaly_rate must be a real number, got array([1., 2.])")),
+    (lambda: slope_transform(GroupParameter(1e-3), Event(1.0, 2.0), np.array([1.0, 2.0])),
+     (TypeError, "slope must be a real number, got array([1., 2.])")),
+], ids=["hill_differentials", "inbound_ray_coords", "hill_velocity", "hubble_alpha_correction",
+        "hubble_prediction", "sign_comparison_report", "slope_transform"])
 def test_numpy_argument_is_refused_by_name_without_a_warning(call, refusal):
     # numpy's scalar arithmetic warned before the refusal, or its conversion
     # error named no argument
     assert outcome(call) == refusal
+
+
+def sign_comparison_rates(anomaly_rate, hubble_rate):
+    """sign_comparison_report's three rates; its sign flag must be a bool."""
+    report = sign_comparison_report(anomaly_rate, hubble_rate)
+    assert type(report.opposite_sign) is bool
+    return report.anomaly_rate, report.hubble_rate, report.magnitude_ratio
+
+
+_MAX = sys.float_info.max
+# (entry point with its leading arguments bound, its scalar argument names,
+# a point): for each, one point it maps and one whose image overflows (for
+# the sign comparison, one whose magnitude ratio is inf)
+SCALAR_ENTRY_POINTS = [
+    (functools.partial(differential_map, GroupParameter(1e-3), Event(1.0, 2.0)), ("dr", "dx4"),
+     (1.0, 2.0)),
+    (functools.partial(differential_map, GroupParameter(1e-3), Event(1.0, 2.0)), ("dr", "dx4"),
+     (_MAX, 1.0)),
+    (functools.partial(slope_transform, GroupParameter(1e-3), Event(1.0, -2.0)), ("slope",),
+     (0.5,)),
+    (functools.partial(slope_transform, GroupParameter(1e-3), Event(1.0, -2.0)), ("slope",),
+     (_MAX,)),
+    (hubble_prediction, ("V", "R", "H0"), (12200.0, 3e12, 2.3e-18)),
+    (hubble_prediction, ("V", "R", "H0"), (0.0, 1e308, 10.0)),
+    (hubble_alpha_correction, ("H0", "alpha"), (2.3e-18, 2.19e-18)),
+    (hubble_alpha_correction, ("H0", "alpha"), (1e308, -1e308)),
+    (sign_comparison_rates, ("anomaly_rate", "hubble_rate"), (-2.9e-18, 2.3e-18)),
+    (sign_comparison_rates, ("anomaly_rate", "hubble_rate"), (1.0, 0.0)),
+]
+
+
+@pytest.mark.parametrize("call, names, args", SCALAR_ENTRY_POINTS,
+                         ids=[f"{getattr(c, 'func', c).__name__}-{'overflows' if i % 2 else 'maps'}"
+                              for i, (c, *_) in enumerate(SCALAR_ENTRY_POINTS)])
+def test_scalar_entry_points_take_real_numbers(call, names, args):
+    # as test_first_order_maps_take_real_numbers, for the differential and
+    # slope maps, the Hubble relations and the sign comparison; an int past
+    # the float range is taken as inf, and refused where inf is
+    expected = outcome(lambda: call(*args))
+    for i, name in enumerate(names):
+        def substituted(value):
+            return outcome(lambda: call(*args[:i], value, *args[i + 1:]))
+
+        for value in (np.float64(args[i]), np.array(args[i])):
+            assert substituted(value) == expected, (name, value)
+        for value in (np.array([args[i], args[i]]), str(args[i])):
+            assert substituted(value) == (TypeError, f"{name} must be a real number, got {value!r}")
+        assert substituted(10**400) == substituted(math.inf), name
 
 
 def test_each_step_of_a_map_has_one_name():

@@ -37,6 +37,7 @@ from confdop.tracking import (
     _CSV_CHUNK_ROWS,
     _E17_POW_MAX,
     _E17_POW_MIN,
+    _E17_ROW,
     _E17_WIDTH,
     CSV_HEADER,
     _e17_cells,
@@ -732,12 +733,16 @@ class TestE17Kernel:
         assert path.read_bytes() == b"\n".join(lines) + b"\n"
 
     def test_python_cells_take_the_kernel_layout(self):
-        # a sign byte, then the text from byte 1, as the kernel writes a cell
+        # a sign byte, then the text from byte 1, as the kernel writes a cell;
+        # the bytes past the text's 25 are the exponent word's padding
         values = [0.0, -0.0, 5e-324, -5e-324, 1e-300, math.nan, math.inf, -math.inf]
         assert _e17_kernel(np.array(values))[1].tolist() == list(range(len(values)))
-        for cell, text in zip(_e17_cells(np.array(values)), percent_e17(values)):
+        cells = _e17_cells(np.array(values))
+        assert cells.shape == (len(values), _E17_ROW)
+        for cell, text in zip(cells, percent_e17(values)):
             signed = text if text.startswith(b"-") else b"\0" + text
-            assert cell.tobytes() == signed.ljust(_E17_WIDTH, b"\0"), text
+            assert cell[:_E17_WIDTH].tobytes() == signed.ljust(_E17_WIDTH, b"\0"), text
+            assert not cell[_E17_WIDTH:].any(), text
 
     @pytest.mark.parametrize("seed", range(4))
     def test_reference_table_cells_leave_the_sign_and_last_bytes_unused(self, seed):
@@ -748,7 +753,38 @@ class TestE17Kernel:
             if (col == col[0]).all():  # a constant column is baked into the row
                 continue
             cells = _e17_cells(col)
-            assert not cells[:, 0].any() and not cells[:, -1].any(), name
+            assert not cells[:, 0].any() and not cells[:, _E17_WIDTH - 1].any(), name
+
+    @pytest.mark.parametrize("seed", sorted(FIXED_POINTS))
+    def test_reference_table_chunks_are_written_from_their_row_matrix(self, monkeypatch, seed):
+        # a silent return to the copying NUL drop fails here, not only in the benchmark
+        written = []
+        monkeypatch.setattr(tracking, "_write_over", lambda path, chunks: written.extend(chunks))
+        write_records_csv(simulate(SimConfig(**REFERENCE_MISSION, seed=seed)), None)
+        header, *chunks = written
+        assert header == CSV_HEADER.encode() + b"\n"
+        assert len(chunks) == -(-REFERENCE_MISSION["n_obs"] // _CSV_CHUNK_ROWS)
+        assert all(type(chunk) is np.ndarray and chunk.dtype == np.uint8 for chunk in chunks)
+
+    def test_chunks_with_padded_cells_are_per_value_text(self, tmp_path, monkeypatch):
+        # one chunk each with a nan, a -inf, a negative cell and a 3-digit
+        # exponent among positive 2-digit-exponent cells, so that column's
+        # slot holds NULs in every chunk
+        k = _CSV_CHUNK_ROWS
+        rng = np.random.default_rng(28)
+        cols = [rng.uniform(1.0, 10.0, 4 * k) * 10.0 ** rng.integers(-99, 100, 4 * k)
+                for _ in _COLUMNS]
+        odd = cols[4]
+        odd[[5, k + 6, 2 * k + 7, 3 * k + 8]] = math.nan, -math.inf, -odd[2 * k + 7], 1e-150
+        table = TrackingTable(*cols)
+        path = tmp_path / "padded.csv"
+        write_records_csv(table, path)
+        lines = [CSV_HEADER.encode()] + [b",".join(row) for row in zip(*map(percent_e17, cols))]
+        assert path.read_bytes() == b"\n".join(lines) + b"\n"
+        written = []
+        monkeypatch.setattr(tracking, "_write_over", lambda path, chunks: written.extend(chunks))
+        write_records_csv(table, None)
+        assert [type(chunk) for chunk in written] == [bytes] * 5  # the NUL drop, every chunk
 
     @pytest.mark.parametrize("seed", sorted(FIXED_POINTS))
     def test_only_the_zero_epoch_falls_back_on_a_reference_table(self, seed):
