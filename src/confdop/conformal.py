@@ -70,12 +70,16 @@ def _require_finite(name: str, value: float) -> None:
 def _real(name: str, value) -> float:
     """value as a float: a float, an int, a numpy scalar or 0-d array, and an
     int past the float range as +-inf, so that it is refused as not finite.
-    Raises TypeError naming `name` for text, which float() would parse, and
-    for anything else float() does not take, such as an array of more than
-    one element."""
+    Raises TypeError naming `name` for text, which float() would parse; for
+    a bool, Python's or numpy's (a scalar or 0-d array, found by its dtype's
+    kind, so that this module names no numpy), as SimConfig refuses one;
+    and for anything else float() does not take, such as an array of more
+    than one element."""
     if type(value) is float:
         return value
-    if isinstance(value, (str, bytes, bytearray)):
+    if isinstance(value, (str, bytes, bytearray, bool)) or (
+        getattr(getattr(value, "dtype", None), "kind", None) == "b"
+    ):
         raise TypeError(f"{name} must be a real number, got {value!r}")
     try:
         return float(value)

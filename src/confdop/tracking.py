@@ -469,14 +469,18 @@ def read_records_csv(path) -> TrackingTable:
     """Parse a tracking CSV, validating the header and every line.
 
     A file in the writer's own layout (the header line, then rows of six
-    %.17e cells joined by ',' and each ended by '\\n') is parsed in numpy
-    by _e17_parse, a chunk of rows at a time, into six preallocated
-    columns.  The cells it cannot decide go to float(): those whose
-    10**(e-17) is outside the power table (|x| below 1e-223 or from
-    1e298 up, subnormals among them), and values within a rounding
-    error of a midpoint between two doubles (exact ties among them).
-    Every value is bit-for-bit float() of its cell's text.  Any other
-    file is read by _scan_rows, one float() per cell.
+    %.17e cells joined by ',' and each ended by '\\n') is parsed in numpy,
+    a chunk of rows at a time, into six preallocated columns.  A chunk
+    whose rows all have the first row's width and separators, as every
+    chunk of a simulated reference table, is read as a row matrix by
+    _e17_matrix, which parses each distinct column once; any other chunk
+    is located cell by cell by _e17_parse's separator scan.  Both hand
+    the cells to _e17_values.  The cells it cannot decide go to float():
+    those whose 10**(e-17) is outside the power table (|x| below 1e-223
+    or from 1e298 up, subnormals among them), and values within a
+    rounding error of a midpoint between two doubles (exact ties among
+    them).  Every value is bit-for-bit float() of its cell's text.  Any
+    other file is read by _scan_rows, one float() per cell.
 
     Blank lines are skipped.  A line without six numeric fields, or with a
     non-finite value, raises MalformedCsv naming its line number; text
@@ -498,13 +502,17 @@ _CSV_READ_ROWS = 1024
 # each followed by ',' or '\n'.
 _ROW_MIN, _ROW_MAX = 6 * 24, 6 * (_E17_WIDTH + 1)
 _SEPARATORS = np.frombuffer(b",,,,,\n", np.uint8)
+# Where each column's values are in a parse of whole rows: in row order.
+_ROW_ORDER = tuple(slice(j, None, len(_COLUMNS)) for j in range(len(_COLUMNS)))
 
 
 def _read_columns(path) -> np.ndarray | None:
     """The (6, n) columns of a file in the writer's layout, or None for
     any other file (whose bytes then go to _scan_rows).
 
-    The file is read a chunk of about _CSV_READ_ROWS rows at a time; the
+    The file is read a chunk of about _CSV_READ_ROWS rows at a time,
+    parsed by _e17_matrix or, where it declines, by _e17_parse; the
+    undecided cells are read by float() from their byte offsets.  The
     columns are sized from the file's length at the shortest row and
     returned as a view of their first n entries.
     """
@@ -518,20 +526,22 @@ def _read_columns(path) -> np.ndarray | None:
         while chunk := f.read(_CSV_READ_ROWS * _ROW_MAX):
             chunk = rest + chunk
             end = chunk.rfind(b"\n") + 1  # 0: a row longer than the writer's, or no '\n' at the end
-            parsed = _e17_parse(np.frombuffer(chunk, np.uint8, count=end)) if end else None
+            a = np.frombuffer(chunk, np.uint8, count=end)
+            parsed = (_e17_matrix(a) or _e17_parse(a)) if end else None
             if parsed is None:
                 return None
-            values, undecided, starts, stops = parsed
-            for i in undecided.tolist():
-                values[i] = float(chunk[starts[i] : stops[i]])
+            values, undecided, spans, rows, places = parsed
+            for i, (start, stop) in zip(undecided.tolist(), spans):
+                values[i] = float(chunk[start:stop])
             if not np.isfinite(values[undecided]).all():  # _scan_rows names its line
                 return None
-            rows = values.size // len(_COLUMNS)
             if n + rows > columns.shape[1]:  # the file grew as it was read
                 return None
-            columns[:, n : n + rows] = values.reshape(rows, len(_COLUMNS)).T
+            for column, place in zip(columns, places):
+                column[n : n + rows] = values[place]
             n += rows
             rest = chunk[end:]
+            del a, chunk  # not held while the next chunk is read and joined to rest
     if rest:  # the last row has no '\n'
         return None
     return columns[:, :n]
@@ -549,23 +559,80 @@ _ZEROS = 0x3030303030303030
 _ROUNDING_BAND = 2.0**-90
 
 
+def _e17_matrix(a: np.ndarray):
+    """Parse whole rows of the writer's layout in the uint8 array a, which
+    ends with a row's '\\n', as a (rows, width) row matrix.  Returns None
+    (and _e17_parse scans the chunk) unless every row has the first row's
+    width, with its six separators at the first row's offsets, and every
+    sign and cell byte is one of the layout's.
+
+    Each column's cells sit at one offset in every row, so the 24 bytes
+    from their first digit are one strided V24 view, copied out as bytes.
+    A column whose words are equal in every row is parsed from its first
+    cell; a column whose words, sign and width equal an earlier column's
+    takes that column's values; the other (distinct) columns are parsed
+    whole, their words joined into one (n, 3) uint64 array.  A negative
+    column has its '-' in every row.  So every byte is tested: each
+    separator and sign byte here, and each cell's text by _e17_values or
+    by its equality with a cell that _e17_values parsed.
+
+    Returns _e17_values' values and undecided indices for the distinct
+    cells, stacked column by column, the undecided cells' first and
+    last-plus-one byte offsets (row * width + the column's offsets), the
+    number of rows, and per column the slice of the values that holds it
+    (one value for a column parsed from its first cell).
+    """
+    head = a[:_ROW_MAX]
+    seps = np.flatnonzero((head == ord(",")) | (head == ord("\n")))[: len(_COLUMNS)]
+    if seps.size < len(_COLUMNS):
+        return None
+    width = int(seps[-1]) + 1
+    if a.size % width:
+        return None
+    matrix = a.reshape(-1, width)
+    rows = matrix.shape[0]
+    if (matrix[:, seps] != _SEPARATORS).any():
+        return None
+    distinct, places, count = [], [], 0  # per parsed column: key, slice, start, stop
+    for start, stop in zip([0, *(seps[:-1] + 1).tolist()], seps.tolist()):
+        negative = bool(a[start] == ord("-"))
+        if negative and (matrix[:, start] != ord("-")).any():
+            return None
+        long = stop - start - negative == 24
+        if not long and stop - start - negative != 23:
+            return None
+        cells = np.ndarray((rows,), "V24", a, start + negative, (width,)).tobytes()
+        if cells == cells[:24] * rows:
+            cells = cells[:24]
+        key = (cells, negative, long)
+        place = next((place for k, place, *_ in distinct if k == key), None)
+        if place is None:
+            place = slice(count, count + len(cells) // 24)
+            count = place.stop
+            distinct.append((key, place, start, stop))
+        places.append(place)
+    cells, negative, long = zip(*(key for key, *_ in distinct))
+    sizes = [place.stop - place.start for _, place, *_ in distinct]
+    words = np.frombuffer(b"".join(cells), "<u8").reshape(-1, 3)
+    parsed = _e17_values(words, np.repeat(negative, sizes), np.repeat(long, sizes))
+    if parsed is None:
+        return None
+    values, undecided = parsed
+    spans = []
+    for i in undecided.tolist():
+        _, place, start, stop = next(d for d in distinct if i < d[1].stop)
+        at = (i - place.start) * width
+        spans.append((at + start, at + stop))
+    return values, undecided, spans, rows, places
+
+
 def _e17_parse(a: np.ndarray):
     """Parse whole rows of the writer's layout in the uint8 array a, which
-    ends with a row's '\\n'.
+    ends with a row's '\\n', locating each cell by a scan for separators.
 
-    Returns the cells' values in row order, the indices of the cells it
-    leaves undecided (their values are meaningless), and every cell's first
-    and last-plus-one byte offsets; or None where a strays from the
-    layout.  A cell [-]d.ddddddddddddddddde(+|-)dd[d] is an 18-digit
-    count M and an exponent e.  M * 10**(e-17) is formed as a
-    double-double: M as a float64 plus its integer remainder, times the
-    writer's table entry hi + lo for 10**(e-17), with Dekker's
-    two-product.  A cell is decided where the product plus and minus
-    _ROUNDING_BAND of itself round to the same double (Ziv's rounding
-    test), which holds everywhere but within a rounding error of a
-    midpoint between two doubles, exact ties included.  A cell whose
-    e-17 is outside [_E17_POW_MIN, _E17_POW_MAX] is left undecided; the
-    table's range keeps every value it decides in the normal range.
+    Returns _e17_values' values, in row order, and undecided indices, the
+    undecided cells' first and last-plus-one byte offsets, the number of
+    rows and _ROW_ORDER; or None where a strays from the layout.
     """
     stops = np.flatnonzero((a == ord(",")) | (a == ord("\n")))
     if stops.size % len(_COLUMNS) or (a[stops].reshape(-1, len(_COLUMNS)) != _SEPARATORS).any():
@@ -579,9 +646,34 @@ def _e17_parse(a: np.ndarray):
     long = width == 24  # a 3-digit exponent
     if not (long | (width == 23)).all():
         return None
-    # The 24 bytes from each cell's first digit as three words; in byte
-    # order, d.dddddd dddddddd dddes + 3 exponent digits or 2 and a separator.
     words = np.ndarray((a.size - 23,), "V24", a, strides=(1,))[first].view("<u8").reshape(-1, 3)
+    parsed = _e17_values(words, negative, long)
+    if parsed is None:
+        return None
+    values, undecided = parsed
+    spans = list(zip(starts[undecided].tolist(), stops[undecided].tolist()))
+    return values, undecided, spans, values.size // len(_COLUMNS), _ROW_ORDER
+
+
+def _e17_values(words: np.ndarray, negative: np.ndarray, long: np.ndarray):
+    """The values of %.17e cells, given as the 24 bytes from each cell's
+    first digit in (n, 3) little-endian uint64 words, with whether each
+    cell has a '-' before them and a 3-digit exponent; and the indices of
+    the cells it leaves undecided (their values are meaningless).  None
+    where a byte of the words strays from the layout.
+
+    In byte order the words are d.dddddd dddddddd dddes + 3 exponent
+    digits, or 2 and a separator, which is not tested here.  A cell is an
+    18-digit count M and an exponent e.  M * 10**(e-17) is formed as a
+    double-double: M as a float64 plus its integer remainder, times the
+    writer's table entry hi + lo for 10**(e-17), with Dekker's
+    two-product.  A cell is decided where the product plus and minus
+    _ROUNDING_BAND of itself round to the same double (Ziv's rounding
+    test), which holds everywhere but within a rounding error of a
+    midpoint between two doubles, exact ties included.  A cell whose
+    e-17 is outside [_E17_POW_MIN, _E17_POW_MAX] is left undecided; the
+    table's range keeps every value it decides in the normal range.
+    """
     head, tail = words[:, 0], words[:, 2]
     signs = (tail >> 24) & 0xFFFF  # 'e' and the exponent's sign
     if ((head & 0xFF00) != ord(".") << 8).any() or (
@@ -623,7 +715,7 @@ def _e17_parse(a: np.ndarray):
     s += p  # the product rounded up by the band
     undecided = (m != clipped) | (below != s)
     np.negative(s, out=s, where=negative)
-    return s, np.flatnonzero(undecided), starts, stops
+    return s, np.flatnonzero(undecided)
 
 
 def _scan_rows(path) -> np.ndarray:

@@ -762,6 +762,31 @@ def test_scalar_entry_points_take_real_numbers(call, names, args):
         assert substituted(10**400) == substituted(math.inf), name
 
 
+# Every public scalar entry point with its leading arguments bound, its
+# real-number argument names and a point it maps.
+REAL_ENTRY_POINTS = [
+    (Event, ("r", "x4"), (1.0, 2.0)),
+    (GroupParameter, ("beta4", "c"), (1e-3, 2.0)),
+    (GroupParameter.from_alpha, ("alpha", "c"), (1e-3, 2.0)),
+    (functools.partial(hill_transform, GroupParameter(1e-14)), ("r", "t"), (1e8, 3.0)),
+    *[(functools.partial(kernel, GroupParameter(beta4)), names, args)
+      for kernel, names, beta4, args in FIRST_ORDER_POINTS[::2]],
+    *SCALAR_ENTRY_POINTS[::2],
+]
+
+
+@pytest.mark.parametrize("call, names, args", REAL_ENTRY_POINTS,
+                         ids=[getattr(c, "func", c).__name__ for c, *_ in REAL_ENTRY_POINTS])
+def test_bool_is_refused_by_name(call, names, args):
+    # a bool is not a real number here, as SimConfig refuses one; each was
+    # taken as 1.0 or 0.0
+    call(*args)
+    for i, name in enumerate(names):
+        for value in (True, False, np.True_, np.array(False)):
+            assert outcome(lambda: call(*args[:i], value, *args[i + 1:])) == (
+                TypeError, f"{name} must be a real number, got {value!r}"), (name, value)
+
+
 def test_each_step_of_a_map_has_one_name():
     # the refusals zip names with steps, so a step without a name, or an
     # extra name, would name the wrong overflow or none

@@ -42,6 +42,7 @@ from confdop.tracking import (
     CSV_HEADER,
     _e17_cells,
     _e17_kernel,
+    _e17_matrix,
     _e17_parse,
     _e17_tables,
     _read_columns,
@@ -876,6 +877,21 @@ def scan_only(path):
         raise MalformedCsv("not UTF-8") from None
 
 
+def row_matrix_read(monkeypatch, path):
+    """read_records_csv(path) with the separator scan switched off, and per
+    chunk the row-matrix path's (rows, cells parsed, cells left undecided)."""
+    chunks = []
+
+    def matrix(a):
+        parsed = _e17_matrix(a)
+        chunks.append(parsed and (parsed[3], parsed[0].size, parsed[1].size))
+        return parsed
+
+    monkeypatch.setattr(tracking, "_e17_matrix", matrix)
+    monkeypatch.setattr(tracking, "_e17_parse", None)
+    return read_records_csv(path), chunks
+
+
 class TestE17Reader:
     """read_records_csv reads every cell of the writer's layout as float()
     reads its text, and reads any other file as _scan_rows reads it."""
@@ -950,6 +966,98 @@ class TestE17Reader:
         path.write_bytes(bytes(text))
         assert outcome(read_records_csv, path) == outcome(scan_only, path)
 
+    @pytest.mark.parametrize("seed, sigma_range, distinct", [(7, 0.0, 3), (42, 0.0, 3), (7, 2.0, 4)])
+    def test_reference_chunks_parse_each_distinct_column_once(self, tmp_path, monkeypatch, seed,
+                                                              sigma_range, distinct):
+        # range_rate_true and sigma_frac are constant, one cell each, and
+        # range_meas repeats range_true's cells where sigma_range is 0
+        table = simulate(SimConfig(**REFERENCE_MISSION, sigma_range=sigma_range, seed=seed))
+        path = tmp_path / "run.csv"
+        write_records_csv(table, path)
+        read, chunks = row_matrix_read(monkeypatch, path)
+        assert_tables_bitwise_equal(read, table)
+        assert len(chunks) > 1 and sum(rows for rows, *_ in chunks) == len(table)
+        assert chunks == [(rows, distinct * rows + 2, 0) for rows, *_ in chunks]
+
+    def test_undecided_constant_and_repeated_cells_read_back(self, tmp_path, monkeypatch):
+        # e-300 is outside the power table: the constant column's one parsed
+        # cell and every cell of the column range_meas repeats go to float()
+        n = 3000
+        rng = np.random.default_rng(29)
+        tiny = rng.uniform(1.0, 9.0, n) * 1e-300
+        table = TrackingTable(np.linspace(1.0, 2.0, n), tiny, np.full(n, 1e-300), tiny,
+                              rng.uniform(1.0, 9.0, n) * 1e-8, np.full(n, -2.5))
+        path = tmp_path / "tiny.csv"
+        write_records_csv(table, path)
+        read, chunks = row_matrix_read(monkeypatch, path)
+        assert_tables_bitwise_equal(read, table)
+        assert len(chunks) > 1 and sum(rows for rows, *_ in chunks) == n
+        assert chunks == [(rows, 3 * rows + 2, rows + 1) for rows, *_ in chunks]
+
+    def test_a_negated_column_is_parsed_as_its_own(self, tmp_path, monkeypatch):
+        # -range_true's words equal range_true's; only the sign tells them apart
+        table = simulate(SimConfig(**REFERENCE_MISSION, seed=7))
+        table = dataclasses.replace(table, range_meas=-table.range_true)
+        path = tmp_path / "negated.csv"
+        write_records_csv(table, path)
+        read, chunks = row_matrix_read(monkeypatch, path)
+        assert_tables_bitwise_equal(read, table)
+        assert chunks == [(rows, 4 * rows + 2, 0) for rows, *_ in chunks]
+
+    @pytest.mark.parametrize("column, constant", [("range_rate_mps", 1), ("range_meas_m", 2)])
+    @pytest.mark.parametrize("digit", [True, False])
+    def test_one_byte_edit_in_row_700(self, tmp_path, monkeypatch, column, constant, digit):
+        # a constant column, and a column that repeats range_m: the edited
+        # cell is parsed as a distinct column of its chunk, or refused
+        path = tmp_path / "run.csv"
+        write_records_csv(simulate(SimConfig(**REFERENCE_MISSION, seed=7)), path)
+        lines = path.read_bytes().split(b"\n")
+        cells = lines[701].split(b",")  # row 700; lines[0] is the header
+        j = CSV_HEADER.split(",").index(column)
+        cell = bytearray(cells[j])
+        cell[10] = ord("0") + (cell[10] - ord("0") + 1) % 10 if digit else ord("x")
+        cells[j] = bytes(cell)
+        lines[701] = b",".join(cells)
+        path.write_bytes(b"\n".join(lines))
+        expected = outcome(scan_only, path)
+        if digit:
+            read, chunks = row_matrix_read(monkeypatch, path)
+            assert outcome(lambda _: read, path) == expected
+            rows = chunks[0][0]
+            assert rows > 700 and chunks[0] == (rows, 4 * rows + constant, 0)
+            assert all(parsed == 3 * k + 2 for k, parsed, _ in chunks[1:])
+        else:
+            assert isinstance(expected, str) and expected.startswith("line 702: ")
+            assert outcome(read_records_csv, path) == expected
+
+    def test_rows_of_other_widths_fall_back_to_the_separator_scan(self, tmp_path, monkeypatch):
+        # rows of 145, 144 and 146 bytes: the chunk's length is a multiple of
+        # its first row's width, but the second row's separators are not at
+        # the first row's offsets
+        one, minus = "1.00000000000000000e+00", "-2.00000000000000000e+00"
+        rows = [[minus] + [one] * 5, [one] * 6, [minus, minus] + [one] * 4]
+        body = "".join(",".join(row) + "\n" for row in rows).encode()
+        assert [len(",".join(row)) + 1 for row in rows] == [145, 144, 146]
+        path = tmp_path / "widths.csv"
+        path.write_bytes(CSV_HEADER.encode() + b"\n" + body)
+        matrices, scans = [], []
+        monkeypatch.setattr(tracking, "_e17_matrix", lambda a: matrices.append(_e17_matrix(a)))
+        monkeypatch.setattr(tracking, "_e17_parse", lambda a: scans.append(a.size) or _e17_parse(a))
+        assert outcome(read_records_csv, path) == outcome(scan_only, path)
+        assert matrices == [None] and scans == [len(body)]
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(data=st.data())
+    def test_edited_uniform_files_read_as_the_float_scan_reads_them(self, tmp_path_factory, data):
+        # each edit keeps every row's width, so the row-matrix path checks it
+        text = bytearray(UNIFORM_BASE)
+        for _ in range(data.draw(st.integers(1, 3))):
+            at = data.draw(st.integers(len(CSV_HEADER) + 1, len(text) - 1))
+            text[at] = data.draw(st.sampled_from(b"0159.eE+-,\n\r x\0\xff"))
+        path = tmp_path_factory.mktemp("edit") / "run.csv"
+        path.write_bytes(bytes(text))
+        assert outcome(read_records_csv, path) == outcome(scan_only, path)
+
     def test_read_peak_is_the_table_and_one_chunk(self, tmp_path):
         # the (n, 6) rows and their transposed copy were twice the table
         n = 100_000
@@ -972,4 +1080,15 @@ EDIT_BASE = (
     "-2.99195741000000000e+12,4.06946451818412447e-08,1.00000000000000000e-12\n"
     "6.13106000000000000e+08,2.99943731320000000e+12,1.22000000000000000e+04,"
     "2.99943731320000000e+12,-4.06946495741316203e-08,1.00000000000000000e-120\n"
+).encode()
+# Rows of one width: a constant negative column, range_meas_m repeating
+# range_m, and a constant sigma_frac outside the power table.
+UNIFORM_BASE = (
+    CSV_HEADER + "\n"
+    "0.00000000000000000e+00,2.99195741000000000e+12,-1.22000000000000000e+04,"
+    "2.99195741000000000e+12,4.06946451818412447e-08,1.00000000000000000e-300\n"
+    "6.13106000000000000e+08,2.99943731320000000e+12,-1.22000000000000000e+04,"
+    "2.99943731320000000e+12,4.06946495741316203e-08,1.00000000000000000e-300\n"
+    "1.22621200000000000e+09,3.00691721640000000e+12,-1.22000000000000000e+04,"
+    "3.00691721640000000e+12,4.06946539664220000e-08,1.00000000000000000e-300\n"
 ).encode()
