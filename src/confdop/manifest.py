@@ -87,15 +87,15 @@ def _append_json(value, field: str, newline: str, sort_keys: bool, parts: list[s
         parts.append(float.__repr__(value))
     elif isinstance(value, (list, tuple)):
         inner = newline + "  "
-        sep = "[" + inner
+        sep, comma = "[" + inner, "," + inner
         for i, item in enumerate(value):
             parts.append(sep)
             _append_json(item, f"{field}[{i}]", inner, sort_keys, parts)
-            sep = "," + inner
+            sep = comma
         parts.append(newline + "]" if value else "[]")
     elif isinstance(value, dict):
         inner = newline + "  "
-        sep = "{" + inner
+        sep, comma = "{" + inner, "," + inner
         for key, item in sorted(value.items()) if sort_keys else value.items():
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
@@ -104,7 +104,7 @@ def _append_json(value, field: str, newline: str, sort_keys: bool, parts: list[s
             else:
                 parts.append(f"{sep}{_encode_str(key)}: ")
                 _append_json(item, f"{field}.{key}" if field else key, inner, sort_keys, parts)
-            sep = "," + inner
+            sep = comma
         parts.append(newline + "}" if value else "{}")
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,8 +17,14 @@ from confdop import (
     GroupParameter,
     bootstrap_alpha,
     cli,
+    conformal,
+    conformal_factor,
     flow_oracle,
+    hill_transform,
+    interval_squared,
+    invariant_ratio,
     read_records_csv,
+    transform_finite,
     verify_manifest,
 )
 from confdop.checks import SUITES
@@ -77,6 +84,22 @@ TRANSFORM_HILL_OUT = """\
 """
 
 
+def library_transform_text(p: GroupParameter, e: Event, hill: bool) -> str:
+    """`transform` stdout for p and e as the library's public maps build it."""
+    c = p.c
+    out = transform_finite(p, e)
+    doc = {
+        "beta4": p.beta4, "alpha": p.alpha, "c": c, "r": e.r, "x4": e.x4, "t": e.x4 / c,
+        "r_prime": out.r, "x4_prime": out.x4, "t_prime": out.x4 / c,
+        "gamma": conformal_factor(p, e), "s2": interval_squared(e),
+        "s2_over_r": invariant_ratio(e) if e.r > 0.0 else None,
+    }
+    if hill:
+        hr, ht = hill_transform(p, e.r, e.x4 / c)
+        doc["hill"] = {"r_prime": hr, "t_prime": ht, "x4_prime": c * ht}
+    return json.dumps(doc, indent=2) + "\n"
+
+
 class TestTransform:
     def test_identity(self, capsys):
         code, out, _ = run(capsys, "transform", "--alpha", "0", "--r", "1", "--t", "-10")
@@ -118,6 +141,48 @@ class TestTransform:
                              "--hill")
         assert (code, err) == (0, "")
         assert out == TRANSFORM_HILL_OUT
+
+    @pytest.mark.parametrize("hill", [False, True], ids=["plain", "hill"])
+    @pytest.mark.parametrize("time", [("--x4", "-5"), ("--t", "3"), ("--t", "-2.5")],
+                             ids=["x4", "t", "negative_t"])
+    @pytest.mark.parametrize("r", ["0", "1e8"])
+    @pytest.mark.parametrize("param", [("--beta4", "1e-13"), ("--alpha", "-1e-5")],
+                             ids=["beta4", "alpha"])
+    def test_stdout_is_the_library_document(self, capsys, param, r, time, hill):
+        (name, value), (time_flag, time_value) = param, time
+        make = GroupParameter if name == "--beta4" else GroupParameter.from_alpha
+        p = make(float(value))
+        x4 = float(time_value) if time_flag == "--x4" else C * float(time_value)
+        argv = [name, value, "--r", r, time_flag, time_value, *(["--hill"] if hill else [])]
+        code, out, err = run(capsys, "transform", *argv)
+        assert (code, err) == (0, "")
+        assert out == library_transform_text(p, Event(float(r), x4), hill)
+
+    def test_evaluates_the_finite_map_once(self, capsys):
+        spy = mock.patch.object(conformal, "_finite_map", wraps=conformal._finite_map)
+        with spy as finite_map:
+            code, out, _ = run(capsys, "transform", "--alpha", "1e-5", "--r", "1e8", "--t", "3",
+                               "--hill")
+        assert (code, out) == (0, TRANSFORM_HILL_OUT)
+        assert finite_map.call_count == 1
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_t_names_t(self, capsys, value):
+        code, out, err = run(capsys, "transform", "--alpha", "0", "--r", "1", f"--t={value}")
+        assert (code, out, err) == (1, "", f"error: t must be finite, got {float(value)}\n")
+
+    def test_non_finite_r_is_named_before_t(self, capsys):
+        code, out, err = run(capsys, "transform", "--alpha", "0", "--r", "nan", "--t", "nan")
+        assert (code, out, err) == (1, "", "error: r must be finite, got nan\n")
+
+    @pytest.mark.parametrize("t", ["1e300", "-1e300"])
+    def test_overflowing_c_times_t_names_the_overflow(self, capsys, t):
+        code, out, err = run(capsys, "transform", "--alpha", "0", "--r", "1", f"--t={t}")
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: x4 overflows at (t={float(t)}, c={C}): c*t = {C * float(t)}\n"
+        )
+        assert "must be finite" not in err
 
     def test_singular_input_exits_one(self, capsys):
         code, _, err = run(capsys, "transform", "--beta4", "1", "--r", "0", "--x4", "1")

@@ -224,12 +224,15 @@ def test_report(fit_text, hubble, anomaly):
 
 # every option of every command, abbreviations and --opt=value forms, junk
 # options (--=x is an ambiguous --help/--version to the top-level parser),
-# negative numbers, plain values, --, -h and --version
+# tokens holding --= after their first character (cli._parse_args sends any
+# argv whose joined tokens hold --= to the top-level parser), negative
+# numbers, plain values, --, -h and --version
 ARGV_TOKENS = st.sampled_from([
     "--beta4", "--alpha", "--r", "--x4", "--t", "--c", "--hill", "--suite", "--tol",
     "--seed", "--cases", "--config", "--out", "--input", "--bootstrap", "--z-threshold",
     "--fit", "--hubble", "--anomaly", "--al", "--s", "--h", "--ver", "--alpha=-1e-5",
     "--suite=group", "--cases=0", "--bogus", "--bogus=1", "-x", "-hx", "--=x", "--=", "-",
+    "x--=y", "--r=--=1", "=1",
     "---", "-1", "-2.80e-18", "-.5", "-1e3", "1", "0", "1e8", "group", "hill", "nan", "x y",
     "", "--", "-h", "--help", "--version",
 ])
