@@ -178,8 +178,7 @@ def _resample_indices(n: int, n_resamples: int, seed: int):
 
     def products(words):
         halves = bitgen.random_raw(words).astype("<u8", copy=False).view("<u4")
-        # uint64 by dtype: numpy 1.x would type halves * n64 from n's value
-        return np.multiply(halves, n64, dtype=np.uint64)
+        return halves * n64
 
     for i in range(n_resamples):
         counter[:] = (0, i, 0, 0)

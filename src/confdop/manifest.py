@@ -115,19 +115,10 @@ def config_digest(config: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-# Bytes read and hashed at a time: a digest holds one chunk, not the file.
-_DIGEST_CHUNK = 1 << 20
-
-
 def _file_digest(path: Path) -> tuple[str, int]:
-    """The SHA-256 of a file and its size, read a chunk at a time
-    (hashlib.file_digest needs Python 3.11)."""
-    h, size = hashlib.sha256(), 0
+    """The SHA-256 of a file and its size, read a chunk at a time."""
     with open(path, "rb") as f:
-        while chunk := f.read(_DIGEST_CHUNK):
-            h.update(chunk)
-            size += len(chunk)
-    return h.hexdigest(), size
+        return hashlib.file_digest(f, "sha256").hexdigest(), f.tell()
 
 
 def _write_over(path, chunks) -> None:

@@ -520,7 +520,7 @@ def _read_columns(path) -> np.ndarray | None:
     with open(path, "rb") as f:
         if f.read(len(header)) != header:
             return None
-        size = os.fstat(f.fileno()).st_size - len(header)
+        size = max(os.fstat(f.fileno()).st_size - len(header), 0)  # 0 if cut since the read
         columns = np.empty((len(_COLUMNS), size // _ROW_MIN))
         n, rest = 0, b""
         while chunk := f.read(_CSV_READ_ROWS * _ROW_MAX):

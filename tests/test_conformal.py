@@ -11,6 +11,7 @@ import math
 import re
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -941,3 +942,101 @@ class TestArrayKernel:
             kernel(*columns)
         assert str(loop.value) == message
         assert (type(array.value), str(array.value)) == (type(loop.value), message)
+
+
+# conformal.EPS_SINGULAR, written out so that a change to it fails the tests below
+EDGE = 1e-12
+# how far from the edge, relative, the band tests place an event: far beyond
+# the few ulps of rounding in the kernel's denominator
+NEAR = 0.01
+
+
+def band_event(b, v, ratio):
+    """The event at which the finite map's denominator D, relative to its
+    terms (|D| / (1 + |linear| + |quadratic|)), is `ratio` for beta4 = b.
+
+    D = (1 - b*(x4 + r)) * (1 - b*(x4 - r)).  One null factor is set to
+    v and the other to the small s that gives the ratio: D = s*v, linear =
+    2*b*x4 = 2 - s - v and quadratic = b^2*(x4^2 - r^2) = (1 - s)*(1 - v).
+    The factor at b*(x4 + r) is the small one for b > 0, so that r >= 0.
+    """
+    s = ratio
+    for _ in range(3):  # the terms move with s by about s, so each pass cuts the error by ~ratio
+        s = ratio * (1.0 + abs(2.0 - s - v) + abs((1.0 - s) * (1.0 - v))) / v
+    u, w = (s, v) if b > 0 else (v, s)
+    return Event(r=(w - u) / (2.0 * b), x4=(2.0 - u - w) / (2.0 * b))
+
+
+def exact_band_ratio(b, e):
+    """|D| / (1 + |linear| + |quadratic|) of the float inputs, in rationals."""
+    b, r, x4 = Fraction(b), Fraction(e.r), Fraction(e.x4)
+    linear, quadratic = 2 * b * x4, b * b * (x4 * x4 - r * r)
+    return abs(1 - linear + quadratic) / (1 + abs(linear) + abs(quadratic))
+
+
+def exact_slope_coefficients(b, e):
+    """The slope map's A and B of the float inputs, in rationals."""
+    b, r, x4 = Fraction(b), Fraction(e.r), Fraction(e.x4)
+    return 1 - 2 * b * x4 + b * b * (r * r + x4 * x4), 2 * b * r * (1 - b * x4)
+
+
+def band_calls(b, e):
+    """Each kernel that runs the finite map's regularity test, on (b, e)."""
+    p = GroupParameter(b)
+    return {
+        "conformal_factor": lambda: conformal_factor(p, e),
+        "transform_finite": lambda: transform_finite(p, e),
+        "differential_map": lambda: differential_map(p, e, 1.0, 0.5),
+        "conformal_factor_array": lambda: conformal_factor_array([b], [e.r], [e.x4]),
+        "transform_finite_array": lambda: transform_finite_array([b], [e.r], [e.x4]),
+        "differential_map_array": lambda: differential_map_array([b], [e.r], [e.x4], 1.0, 0.5),
+        "slope_transform": lambda: slope_transform(p, e, 0.3),
+    }
+
+
+class TestSingularBandEdge:
+    """The singular band's edge, EPS_SINGULAR, pinned from both sides: an
+    event just outside the band is admitted, one just inside refused."""
+
+    # (beta4, the larger null factor): null factors on both sides of 1 (so
+    # x4 on both sides of 0, and s2 of either sign), a negative beta4, and
+    # the scale of the Pioneer mission's group rate
+    CASES = [(1.0, 0.5), (1.0, 1.0), (0.25, 3.0), (-2.0, 1.5), (3.6e-27, 0.7), (-1e-13, 2.0)]
+
+    @pytest.mark.parametrize("b, v", CASES)
+    def test_finite_map_admits_just_outside_the_band(self, b, v):
+        e = band_event(b, v, EDGE * (1.0 + NEAR))
+        assert EDGE * (1 + NEAR / 2) < exact_band_ratio(b, e) < EDGE * (1 + 2 * NEAR)
+        for name, call in band_calls(b, e).items():
+            out = call()
+            if isinstance(out, Event):
+                out = out.r, out.x4
+            assert np.isfinite(np.asarray(out, dtype=float)).all(), name
+
+    @pytest.mark.parametrize("b, v", CASES)
+    def test_finite_map_refuses_just_inside_the_band(self, b, v):
+        e = band_event(b, v, EDGE * (1.0 - NEAR))
+        assert EDGE * (1 - 2 * NEAR) < exact_band_ratio(b, e) < EDGE * (1 - NEAR / 2)
+        for name, call in band_calls(b, e).items():
+            with pytest.raises(SingularTransform, match="conformal factor singular"):
+                call()
+                pytest.fail(f"{name} admitted the event")
+
+    # regular events whose slope-map coefficients A and B are of order 1
+    SLOPE_EVENTS = [(0.25, 1.0, 0.0), (1e-13, 3e12, 1e12), (-0.5, 0.5, -1.0)]
+
+    @pytest.mark.parametrize("b, r, x4", SLOPE_EVENTS)
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_slope_map_edge(self, b, r, x4, sign):
+        e = Event(r=r, x4=x4)
+        a_coeff, b_coeff = exact_slope_coefficients(b, e)
+        for side in (1.0 + NEAR, 1.0 - NEAR):
+            slope = float(-(a_coeff + Fraction(sign * EDGE * side)) / b_coeff)
+            # |B*slope + A| / EPS_SINGULAR, exactly, for the rounded slope
+            size = abs(b_coeff * Fraction(slope) + a_coeff) / Fraction(EDGE)
+            assert abs(size - Fraction(side)) < NEAR / 2
+            if side > 1.0:
+                assert math.isfinite(slope_transform(GroupParameter(b), e, slope))
+            else:
+                with pytest.raises(SlopeSingular):
+                    slope_transform(GroupParameter(b), e, slope)

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import re
 import tracemalloc
 from decimal import Decimal, localcontext
@@ -1057,6 +1058,29 @@ class TestE17Reader:
         path = tmp_path_factory.mktemp("edit") / "run.csv"
         path.write_bytes(bytes(text))
         assert outcome(read_records_csv, path) == outcome(scan_only, path)
+
+    @pytest.mark.parametrize("reported", ["nothing", "the header", "half the file"])
+    def test_a_file_longer_than_its_size_is_read_by_the_scan(self, tmp_path, monkeypatch, reported):
+        # os.fstat under-reports the size, as for a file that grew after it
+        # was sized: the columns are too short for the rows read, so the
+        # file goes to _scan_rows (on the first chunk, or, at half the file,
+        # on the second)
+        table = simulate(SimConfig(**{**REFERENCE_MISSION, "n_obs": 2500}, seed=7))
+        path = tmp_path / "run.csv"
+        write_records_csv(table, path)
+        size = {"nothing": 0, "the header": len(CSV_HEADER) + 1,
+                "half the file": path.stat().st_size // 2}[reported]
+        stat = os.fstat
+
+        def fstat(fd):
+            real = stat(fd)
+            return os.stat_result((*real[:6], size, *real[7:]))  # st_size is field 6
+
+        monkeypatch.setattr(os, "fstat", fstat)
+        scans = []
+        monkeypatch.setattr(tracking, "_scan_rows", lambda p: scans.append(p) or _scan_rows(p))
+        assert_tables_bitwise_equal(read_records_csv(path), table)
+        assert scans == [path]
 
     def test_read_peak_is_the_table_and_one_chunk(self, tmp_path):
         # the (n, 6) rows and their transposed copy were twice the table
