@@ -5,6 +5,8 @@ import json
 import os
 import subprocess
 import sys
+import tomllib
+from importlib.metadata import EntryPoint
 from pathlib import Path
 from unittest import mock
 
@@ -509,7 +511,9 @@ class TestFit:
             "--bootstrap", "120", "--seed", "5",
         )
         assert code == 0
-        assert "alpha_stderr_boot" in json.loads(fit_path.read_text())
+        text = fit_path.read_text()
+        assert "alpha_stderr_boot" in json.loads(text)
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
 
     def test_malformed_csv_reports_line(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -892,3 +896,11 @@ def test_entrypoint_exits_70_after_the_traceback_of_a_crash(monkeypatch, capsys)
     assert exc.value.code == cli.EX_SOFTWARE == 70
     assert err.startswith("Traceback (most recent call last):\n")
     assert err.endswith("RuntimeError: handler bug\n")
+
+
+def test_console_script_resolves_to_the_entrypoint():
+    # the `confdop` script an install makes runs this entry of pyproject.toml
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as f:
+        scripts = tomllib.load(f)["project"]["scripts"]
+    assert list(scripts) == ["confdop"]
+    assert EntryPoint("confdop", scripts["confdop"], "console_scripts").load() is cli.entrypoint

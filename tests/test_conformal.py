@@ -6,7 +6,6 @@ Jacobian coefficients, and parameter-halving (Richardson) experiments
 for the first-order maps.
 """
 
-import functools
 import math
 import re
 import sys
@@ -652,67 +651,15 @@ def outcome(call):
     return [(type(v), float.hex(v)) for v in (image if isinstance(image, tuple) else (image,))]
 
 
-# (map, its argument names after p, beta4, a point): for each map one point
-# it maps and one whose image overflows
-FIRST_ORDER_POINTS = [
-    (hill_differentials, ("r", "t", "dr", "dt"), 1e-14, (1e8, 3.0, 1.0, 2.0)),
-    (hill_differentials, ("r", "t", "dr", "dt"), 1e-200, (1e300, 1e200, 1e300, 1.0)),
-    (hill_velocity, ("r", "v"), 1e-14, (1e8, 1e4)),
-    (hill_velocity, ("r", "v"), 1e-200, (1e300, 1e200)),
-    (inbound_ray_coords, ("r_prime", "t_prime"), 1e-14, (1e8, -3.0)),
-    (inbound_ray_coords, ("r_prime", "t_prime"), 0.0, (0.0, -1e160)),
-    (inbound_ray_differentials, ("r_prime", "t_prime", "dr_prime", "dt_prime"), 1e-14,
-     (1e8, -3.0, -1.0, 1.0)),
-    (inbound_ray_differentials, ("r_prime", "t_prime", "dr_prime", "dt_prime"), 0.0,
-     (0.0, -1e160, -1.0, 1.0)),
-    (wavelength_map, ("lambda_primed", "r_prime", "t_prime"), 1e-14, (0.2, 1e8, -3.0)),
-    (wavelength_map, ("lambda_primed", "r_prime", "t_prime"), 1e-200, (1e300, 1e300, -1e300)),
-]
+def event_fields(r, x4):
+    """Event's stored fields."""
+    e = Event(r, x4)
+    return e.r, e.x4
 
 
-@pytest.mark.parametrize("kernel, names, beta4, args", FIRST_ORDER_POINTS,
-                         ids=[f"{k.__name__}-{'maps' if i % 2 == 0 else 'overflows'}"
-                              for i, (k, *_) in enumerate(FIRST_ORDER_POINTS)])
-def test_first_order_maps_take_real_numbers(kernel, names, beta4, args):
-    # a numpy scalar or 0-d array gives the plain-float call's bits as floats,
-    # or its refusal; whatever float() does not take is a TypeError naming it
-    p = GroupParameter(beta4)
-    expected = outcome(lambda: kernel(p, *args))
-    for i, name in enumerate(names):
-        def call(value):
-            return outcome(lambda: kernel(p, *args[:i], value, *args[i + 1:]))
-
-        for value in (np.float64(args[i]), np.array(args[i])):
-            assert call(value) == expected, (name, value)
-        for value in (np.array([args[i], args[i]]), str(args[i])):
-            assert call(value) == (TypeError, f"{name} must be a real number, got {value!r}")
-        assert call(10**400) == (ConfdopError, f"{name} must be finite, got inf")
-
-
-@pytest.mark.parametrize("call, refusal", [
-    (lambda: hill_differentials(GroupParameter(1e-200), np.float64(1e300), 1e200, 1e300, 1.0),
-     (ConfdopError, "Hill differential map overflows at (r=1e+300, t=1e+200, dr=1e+300, dt=1.0) "
-                    "for alpha=5.99584916e-192: dr*(1 + alpha*t) = inf")),
-    (lambda: inbound_ray_coords(GroupParameter(0.0), np.float64(0.0), -1e160),
-     (ConfdopError, "inbound-ray map overflows at (r'=0.0, t'=-1e+160) for alpha=0.0: "
-                    "t^2 (pass 1) = inf")),
-    (lambda: hill_velocity(GroupParameter(1e-3), np.array([1.0, 2.0]), 3.0),
-     (TypeError, "r must be a real number, got array([1., 2.])")),
-    (lambda: hubble_alpha_correction(np.float64(1e308), -1e308),
-     (ConfdopError, "Hubble rate correction overflows at (H0=1e+308, alpha=-1e+308): "
-                    "H0 - alpha = inf")),
-    (lambda: hubble_prediction(np.float64(0.0), np.float64(1e308), 10.0),
-     (ConfdopError, "Hubble relation overflows at (V=0.0, R=1e+308, H0=10.0): H0*R = inf")),
-    (lambda: sign_comparison_report(np.array([1.0, 2.0]), 1.0),
-     (TypeError, "anomaly_rate must be a real number, got array([1., 2.])")),
-    (lambda: slope_transform(GroupParameter(1e-3), Event(1.0, 2.0), np.array([1.0, 2.0])),
-     (TypeError, "slope must be a real number, got array([1., 2.])")),
-], ids=["hill_differentials", "inbound_ray_coords", "hill_velocity", "hubble_alpha_correction",
-        "hubble_prediction", "sign_comparison_report", "slope_transform"])
-def test_numpy_argument_is_refused_by_name_without_a_warning(call, refusal):
-    # numpy's scalar arithmetic warned before the refusal, or its conversion
-    # error named no argument
-    assert outcome(call) == refusal
+def parameter_fields(p):
+    """A GroupParameter's stored fields and the alpha = 2*c*beta4 they give."""
+    return p.beta4, p.c, p.alpha
 
 
 def sign_comparison_rates(anomaly_rate, hubble_rate):
@@ -723,69 +670,71 @@ def sign_comparison_rates(anomaly_rate, hubble_rate):
 
 
 _MAX = sys.float_info.max
-# (entry point with its leading arguments bound, its scalar argument names,
-# a point): for each, one point it maps and one whose image overflows (for
-# the sign comparison, one whose magnitude ratio is inf)
-SCALAR_ENTRY_POINTS = [
-    (functools.partial(differential_map, GroupParameter(1e-3), Event(1.0, 2.0)), ("dr", "dx4"),
-     (1.0, 2.0)),
-    (functools.partial(differential_map, GroupParameter(1e-3), Event(1.0, 2.0)), ("dr", "dx4"),
-     (_MAX, 1.0)),
-    (functools.partial(slope_transform, GroupParameter(1e-3), Event(1.0, -2.0)), ("slope",),
-     (0.5,)),
-    (functools.partial(slope_transform, GroupParameter(1e-3), Event(1.0, -2.0)), ("slope",),
-     (_MAX,)),
-    (hubble_prediction, ("V", "R", "H0"), (12200.0, 3e12, 2.3e-18)),
-    (hubble_prediction, ("V", "R", "H0"), (0.0, 1e308, 10.0)),
-    (hubble_alpha_correction, ("H0", "alpha"), (2.3e-18, 2.19e-18)),
-    (hubble_alpha_correction, ("H0", "alpha"), (1e308, -1e308)),
-    (sign_comparison_rates, ("anomaly_rate", "hubble_rate"), (-2.9e-18, 2.3e-18)),
-    (sign_comparison_rates, ("anomaly_rate", "hubble_rate"), (1.0, 0.0)),
+# Every public scalar entry point: its name, a call, the names of its
+# real-number arguments (the call's last ones), one point it maps and one
+# whose image overflows. Event's image is its fields, so its second point
+# is the float range's edge; GroupParameter's alpha overflows to inf (the
+# maps refuse it as their first step), and from_alpha's beta4 = alpha/(2c)
+# overflows and is refused; the sign comparison's ratio is inf.
+ENTRY_POINTS = [
+    ("Event", event_fields, ("r", "x4"), (1.0, 2.0), (_MAX, -_MAX)),
+    ("GroupParameter", lambda beta4, c: parameter_fields(GroupParameter(beta4, c)),
+     ("beta4", "c"), (1e-3, 2.0), (1e300, 1e10)),
+    ("from_alpha", lambda alpha, c: parameter_fields(GroupParameter.from_alpha(alpha, c)),
+     ("alpha", "c"), (1e-3, 2.0), (1e308, 0.25)),
+    ("hill_transform", hill_transform, ("r", "t"),
+     (GroupParameter(1e-14), 1e8, 3.0), (GroupParameter(0.0), 0.0, 1e160)),
+    ("hill_differentials", hill_differentials, ("r", "t", "dr", "dt"),
+     (GroupParameter(1e-14), 1e8, 3.0, 1.0, 2.0), (GroupParameter(1e-200), 1e300, 1e200, 1e300, 1.0)),
+    ("hill_velocity", hill_velocity, ("r", "v"),
+     (GroupParameter(1e-14), 1e8, 1e4), (GroupParameter(1e-200), 1e300, 1e200)),
+    ("inbound_ray_coords", inbound_ray_coords, ("r_prime", "t_prime"),
+     (GroupParameter(1e-14), 1e8, -3.0), (GroupParameter(0.0), 0.0, -1e160)),
+    ("inbound_ray_differentials", inbound_ray_differentials,
+     ("r_prime", "t_prime", "dr_prime", "dt_prime"),
+     (GroupParameter(1e-14), 1e8, -3.0, -1.0, 1.0), (GroupParameter(0.0), 0.0, -1e160, -1.0, 1.0)),
+    ("wavelength_map", wavelength_map, ("lambda_primed", "r_prime", "t_prime"),
+     (GroupParameter(1e-14), 0.2, 1e8, -3.0), (GroupParameter(1e-200), 1e300, 1e300, -1e300)),
+    ("differential_map", differential_map, ("dr", "dx4"),
+     (GroupParameter(1e-3), Event(1.0, 2.0), 1.0, 2.0),
+     (GroupParameter(1e-3), Event(1.0, 2.0), _MAX, 1.0)),
+    ("slope_transform", slope_transform, ("slope",),
+     (GroupParameter(1e-3), Event(1.0, -2.0), 0.5), (GroupParameter(1e-3), Event(1.0, -2.0), _MAX)),
+    ("hubble_prediction", hubble_prediction, ("V", "R", "H0"),
+     (12200.0, 3e12, 2.3e-18), (0.0, 1e308, 10.0)),
+    ("hubble_alpha_correction", hubble_alpha_correction, ("H0", "alpha"),
+     (2.3e-18, 2.19e-18), (1e308, -1e308)),
+    ("sign_comparison_report", sign_comparison_rates, ("anomaly_rate", "hubble_rate"),
+     (-2.9e-18, 2.3e-18), (1.0, 0.0)),
 ]
 
 
-@pytest.mark.parametrize("call, names, args", SCALAR_ENTRY_POINTS,
-                         ids=[f"{getattr(c, 'func', c).__name__}-{'overflows' if i % 2 else 'maps'}"
-                              for i, (c, *_) in enumerate(SCALAR_ENTRY_POINTS)])
+@pytest.mark.parametrize(
+    "call, names, args",
+    [(call, names, args) for _, call, names, *points in ENTRY_POINTS for args in points],
+    ids=[f"{name}-{kind}" for name, *_ in ENTRY_POINTS for kind in ("maps", "overflows")],
+)
 def test_scalar_entry_points_take_real_numbers(call, names, args):
-    # as test_first_order_maps_take_real_numbers, for the differential and
-    # slope maps, the Hubble relations and the sign comparison; an int past
-    # the float range is taken as inf, and refused where inf is
+    # a numpy scalar or 0-d array gives the plain-float call's bits as floats,
+    # or its refusal, without a numpy warning; whatever float() does not take,
+    # text, and a bool (Python's or numpy's, as SimConfig refuses one; each
+    # was taken as 1.0 or 0.0) are a TypeError naming the argument; an int
+    # past the float range is taken as inf, and refused by name where inf is
     expected = outcome(lambda: call(*args))
-    for i, name in enumerate(names):
+    for i, name in enumerate(names, len(args) - len(names)):
         def substituted(value):
             return outcome(lambda: call(*args[:i], value, *args[i + 1:]))
 
         for value in (np.float64(args[i]), np.array(args[i])):
             assert substituted(value) == expected, (name, value)
-        for value in (np.array([args[i], args[i]]), str(args[i])):
-            assert substituted(value) == (TypeError, f"{name} must be a real number, got {value!r}")
-        assert substituted(10**400) == substituted(math.inf), name
-
-
-# Every public scalar entry point with its leading arguments bound, its
-# real-number argument names and a point it maps.
-REAL_ENTRY_POINTS = [
-    (Event, ("r", "x4"), (1.0, 2.0)),
-    (GroupParameter, ("beta4", "c"), (1e-3, 2.0)),
-    (GroupParameter.from_alpha, ("alpha", "c"), (1e-3, 2.0)),
-    (functools.partial(hill_transform, GroupParameter(1e-14)), ("r", "t"), (1e8, 3.0)),
-    *[(functools.partial(kernel, GroupParameter(beta4)), names, args)
-      for kernel, names, beta4, args in FIRST_ORDER_POINTS[::2]],
-    *SCALAR_ENTRY_POINTS[::2],
-]
-
-
-@pytest.mark.parametrize("call, names, args", REAL_ENTRY_POINTS,
-                         ids=[getattr(c, "func", c).__name__ for c, *_ in REAL_ENTRY_POINTS])
-def test_bool_is_refused_by_name(call, names, args):
-    # a bool is not a real number here, as SimConfig refuses one; each was
-    # taken as 1.0 or 0.0
-    call(*args)
-    for i, name in enumerate(names):
-        for value in (True, False, np.True_, np.array(False)):
-            assert outcome(lambda: call(*args[:i], value, *args[i + 1:])) == (
+        for value in (np.array([args[i], args[i]]), str(args[i]), True, False, np.True_,
+                      np.array(False)):
+            assert substituted(value) == (
                 TypeError, f"{name} must be a real number, got {value!r}"), (name, value)
+        past_range = substituted(10**400)
+        assert past_range == substituted(math.inf), name
+        if call is not sign_comparison_rates:  # which takes inf
+            assert past_range == (ConfdopError, f"{name} must be finite, got inf")
 
 
 def test_each_step_of_a_map_has_one_name():
@@ -927,14 +876,23 @@ class TestArrayKernel:
              ([0.0, 1.0], [1.2e154, 0.5], [1.2e154, 1.0], [1.0, 1.0], [1.0, 1.0]),
              "differential map of (dr=1.0, dx4=1.0) overflows at (r=1.2e+154, x4=1.2e+154) "
              "for beta4=0.0: r^2 + x4^2 = inf"),
+            # r = 0 is admitted, so it must not be the element run through the scalar kernel
+            (conformal_factor_array, conformal_factor,
+             ([0.1, 0.1], [0.0, -1.0], [0.5, 0.0]), "r must be >= 0, got -1.0"),
+            (transform_finite_array, transform_finite,
+             ([0.1, 0.1], [0.0, -1.0], [0.5, 0.0]), "r must be >= 0, got -1.0"),
+            (differential_map_array, differential_map,
+             ([0.1, 0.1], [0.0, -1.0], [0.5, 0.0], [1.0, 1.0], [1.0, 1.0]),
+             "r must be >= 0, got -1.0"),
         ],
-        ids=["factor_input", "finite_input", "differential_overflow"],
+        ids=["factor_input", "finite_input", "differential_overflow", "factor_after_zero_radius",
+             "finite_after_zero_radius", "differential_after_zero_radius"],
     )
     def test_refusal_names_the_lowest_index_as_a_scalar_loop_does(
         self, kernel, scalar, columns, message
     ):
-        # element 1 is refused too (beta4 = nan, or past the singular
-        # surface), by a test the array kernels used to run first
+        # in the first three cases element 1 is refused too (beta4 = nan, or
+        # past the singular surface), by a test the array kernels used to run first
         with pytest.raises(ConfdopError) as loop:
             for b, r, x4, *rest in zip(*columns):
                 scalar(GroupParameter(b), Event(r=r, x4=x4), *rest)

@@ -136,6 +136,14 @@ def test_write_over_cuts_the_file_where_writing_stopped(tmp_path):
     _write_over(os.devnull, [b"abc"])  # a device is written, never cut
 
 
+@pytest.mark.parametrize("old", [b"abcd", b"xyz"], ids=["one_byte_longer", "same_size"])
+def test_write_over_leaves_exactly_the_written_bytes(tmp_path, old):
+    path = tmp_path / "out.bin"
+    path.write_bytes(old)
+    _write_over(path, [b"a", b"bc"])
+    assert path.read_bytes() == b"abc"
+
+
 @pytest.mark.parametrize("r0, token", [(math.nan, "NaN"), (math.inf, "Infinity"),
                                        (-math.inf, "-Infinity")])
 def test_manifest_strict_json_cannot_hold_is_a_mismatch(manifest_path, r0, token):
@@ -157,6 +165,8 @@ def test_manifest_round_trips_byte_for_byte(manifest_path, tmp_path):
     copy = tmp_path / "copy.json"
     confdop.write_manifest(confdop.load_manifest(manifest_path), copy)
     assert copy.read_bytes() == manifest_path.read_bytes()
+    text = manifest_path.read_text()
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
 
 def test_absolute_output_path_and_null_seed_verify(manifest_path):
@@ -189,6 +199,15 @@ def test_changed_config_value_is_a_digest_mismatch(manifest_path):
     assert str(excinfo.value) == (
         f"config digest mismatch: manifest says {doc['config_digest']}, recomputed {recomputed}"
     )
+
+
+def test_changed_output_size_is_a_mismatch(manifest_path):
+    # the file and its digest are unchanged; only the recorded size is wrong
+    doc = json.loads(manifest_path.read_text())
+    doc["outputs"][0]["size_bytes"] += 1
+    manifest_path.write_text(json.dumps(doc))
+    with pytest.raises(ManifestMismatch, match="^output file changed: run.csv "):
+        verify_manifest(manifest_path)
 
 
 @pytest.mark.parametrize("entry", ["", ".", "missing.csv"])

@@ -675,6 +675,44 @@ def tie_values(k, rng):
     return ties, [math.floor(c) for c in counts]
 
 
+def first_in_window(a, m, lo, hi):
+    """The smallest x >= 0 with lo <= a*x % m <= hi, for 0 <= lo <= hi < m,
+    or None, by a Euclid-like recursion on (a, m)."""
+    a %= m
+    if lo == 0:
+        return 0
+    if a == 0:
+        return None
+    if 2 * a > m:  # reflect, so that the modulus at least halves each level
+        return first_in_window(m - a, m, m - hi, m - lo)
+    x = -(-lo // a)
+    if a * x <= hi:
+        return x
+    # a*x wraps past m first: a*x - m*y in [lo, hi] needs -m*y % a in [lo % a, hi % a]
+    y = first_in_window(-m % a, a, lo % a, hi % a)
+    return None if y is None else -(-(lo + m * y) // a)
+
+
+def near_tie_doubles(k, widths):
+    """Doubles x in [10**k, 10**(k+1)) whose count x * 10**(17-k) lies within
+    w of an odd multiple of 1/2: per binary exponent e and width w, the least
+    mantissa M, x = M * 2**e, with (a*M) % b in a window around b/2, where
+    a/b = 2**e * 10**(17-k)."""
+    low, high = Fraction(10) ** k, Fraction(10) ** (k + 1)
+    found = []
+    for e in range(math.floor(math.log2(low)) - 53, math.floor(math.log2(high)) - 51):
+        a, b = 2 ** max(e, 0) * 10 ** max(17 - k, 0), 2 ** max(-e, 0) * 10 ** max(k - 17, 0)
+        first = max(2**52, math.ceil(low / Fraction(2) ** e))
+        stop = min(2**53, math.ceil(high / Fraction(2) ** e))
+        for w in widths:
+            lo = (b // 2 - math.floor(b * w) - a * first) % b
+            hi = lo + 2 * math.floor(b * w) + b % 2
+            m = 0 if lo == 0 or hi >= b else first_in_window(a, b, lo, hi)
+            if m is not None and first + m < stop:
+                found.append(math.ldexp(first + m, e))
+    return found
+
+
 class TestE17Kernel:
     """_e17_cells writes exactly the bytes of "%.17e" % x for every float64."""
 
@@ -719,6 +757,28 @@ class TestE17Kernel:
         assert ties
         assert kernel_e17(ties) == percent_e17(ties)
         assert _e17_kernel(np.array(ties))[1].size == len(ties)
+
+    def test_hard_cases_of_a_modular_search(self, tmp_path):
+        # the doubles nearest a tie of the 18th digit, found as Paxson finds
+        # hard cases ("A Program for Testing IEEE Decimal-Binary Conversion",
+        # 1991) and as Ryu's proof bounds them (Adams, "Ryu: Fast
+        # Float-to-String Conversion", PLDI 2018): a least multiplier whose
+        # remainder modulo a power of 2 and 10 falls near half of it
+        widths = [Fraction(1, 10**n) for n in (9, 12, 15, 17)] + [0]
+        scalings = (-240, -100, -23, -8, -7, -6, 8, 18, 19, 21, 40, 150, 249)
+        found = {(x, k) for k in scalings for x in near_tie_doubles(k, widths)}
+        distance = {x: abs(Fraction(x) * Fraction(10) ** (17 - k) % 1 - Fraction(1, 2))
+                    for x, k in found}
+        inexact = {x for x, k in found if not 0 <= 17 - k <= 22}  # 10**(17-k) is not a float64
+        assert max(distance.values()) < Fraction(1, 10**9)
+        assert sum(0 < distance[x] < Fraction(1, 10**15) for x in inexact) >= 30
+        assert sum(distance[x] == 0 for x in inexact) >= 10  # exact ties, at k = -8 to -6
+        x = np.array(sorted(distance) + [-v for v in sorted(distance)])
+        assert kernel_e17(x) == percent_e17(x)
+        table = TrackingTable(*[np.roll(x, j) for j in range(len(_COLUMNS))])
+        path = tmp_path / "hard.csv"
+        write_records_csv(table, path)
+        assert_tables_bitwise_equal(read_records_csv(path), table)
 
     def test_power_table_is_the_correctly_rounded_double_double(self):
         hi, lo, *_ = _e17_tables()
