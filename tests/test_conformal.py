@@ -704,37 +704,94 @@ ENTRY_POINTS = [
      (12200.0, 3e12, 2.3e-18), (0.0, 1e308, 10.0)),
     ("hubble_alpha_correction", hubble_alpha_correction, ("H0", "alpha"),
      (2.3e-18, 2.19e-18), (1e308, -1e308)),
-    ("sign_comparison_report", sign_comparison_rates, ("anomaly_rate", "hubble_rate"),
+    ("sign_comparison_rates", sign_comparison_rates, ("anomaly_rate", "hubble_rate"),
      (-2.9e-18, 2.3e-18), (1.0, 0.0)),
 ]
+FIRST_ORDER_MAPS = ("hill_differentials", "hill_velocity", "inbound_ray_coords",
+                    "inbound_ray_differentials", "wavelength_map")
 
 
-@pytest.mark.parametrize(
-    "call, names, args",
-    [(call, names, args) for _, call, names, *points in ENTRY_POINTS for args in points],
-    ids=[f"{name}-{kind}" for name, *_ in ENTRY_POINTS for kind in ("maps", "overflows")],
-)
-def test_scalar_entry_points_take_real_numbers(call, names, args):
+def each_point(first_order):
+    """Parametrize over both points of the first-order maps' rows, or of the others'."""
+    rows = [row for row in ENTRY_POINTS if (row[0] in FIRST_ORDER_MAPS) == first_order]
+    return pytest.mark.parametrize(
+        "call, names, args",
+        [(call, names, args) for _, call, names, *points in rows for args in points],
+        ids=[f"{name}-{kind}" for name, *_ in rows for kind in ("maps", "overflows")],
+    )
+
+
+def substitute(call, args, i, value):
+    """outcome of call(*args) with its i-th argument replaced by value."""
+    return outcome(lambda: call(*args[:i], value, *args[i + 1:]))
+
+
+def assert_takes_real_numbers(call, names, args):
     # a numpy scalar or 0-d array gives the plain-float call's bits as floats,
     # or its refusal, without a numpy warning; whatever float() does not take,
-    # text, and a bool (Python's or numpy's, as SimConfig refuses one; each
-    # was taken as 1.0 or 0.0) are a TypeError naming the argument; an int
-    # past the float range is taken as inf, and refused by name where inf is
+    # and text, are a TypeError naming the argument; an int past the float
+    # range is taken as inf, and refused by name where inf is
     expected = outcome(lambda: call(*args))
     for i, name in enumerate(names, len(args) - len(names)):
-        def substituted(value):
-            return outcome(lambda: call(*args[:i], value, *args[i + 1:]))
-
         for value in (np.float64(args[i]), np.array(args[i])):
-            assert substituted(value) == expected, (name, value)
-        for value in (np.array([args[i], args[i]]), str(args[i]), True, False, np.True_,
-                      np.array(False)):
-            assert substituted(value) == (
+            assert substitute(call, args, i, value) == expected, (name, value)
+        for value in (np.array([args[i], args[i]]), str(args[i])):
+            assert substitute(call, args, i, value) == (
                 TypeError, f"{name} must be a real number, got {value!r}"), (name, value)
-        past_range = substituted(10**400)
-        assert past_range == substituted(math.inf), name
+        past_range = substitute(call, args, i, 10**400)
+        assert past_range == substitute(call, args, i, math.inf), name
         if call is not sign_comparison_rates:  # which takes inf
             assert past_range == (ConfdopError, f"{name} must be finite, got inf")
+
+
+@each_point(first_order=True)
+def test_first_order_maps_take_real_numbers(call, names, args):
+    assert_takes_real_numbers(call, names, args)
+
+
+@each_point(first_order=False)
+def test_scalar_entry_points_take_real_numbers(call, names, args):
+    assert_takes_real_numbers(call, names, args)
+
+
+@pytest.mark.parametrize("call, names, points",
+                         [(call, names, points) for _, call, names, *points in ENTRY_POINTS],
+                         ids=[name for name, *_ in ENTRY_POINTS])
+def test_bool_is_refused_by_name(call, names, points):
+    # a bool (Python's or numpy's) is not a real number here, as SimConfig
+    # refuses one; each was taken as 1.0 or 0.0
+    for args in points:
+        for i, name in enumerate(names, len(args) - len(names)):
+            for value in (True, False, np.True_, np.array(False)):
+                assert substitute(call, args, i, value) == (
+                    TypeError, f"{name} must be a real number, got {value!r}"), (name, value)
+
+
+@pytest.mark.parametrize("call, refusal", [
+    (lambda: hill_differentials(GroupParameter(1e-200), np.float64(1e300), 1e200, 1e300, 1.0),
+     (ConfdopError, "Hill differential map overflows at (r=1e+300, t=1e+200, dr=1e+300, dt=1.0) "
+                    "for alpha=5.99584916e-192: dr*(1 + alpha*t) = inf")),
+    (lambda: inbound_ray_coords(GroupParameter(0.0), np.float64(0.0), -1e160),
+     (ConfdopError, "inbound-ray map overflows at (r'=0.0, t'=-1e+160) for alpha=0.0: "
+                    "t^2 (pass 1) = inf")),
+    (lambda: hill_velocity(GroupParameter(1e-3), np.array([1.0, 2.0]), 3.0),
+     (TypeError, "r must be a real number, got array([1., 2.])")),
+    (lambda: hubble_alpha_correction(np.float64(1e308), -1e308),
+     (ConfdopError, "Hubble rate correction overflows at (H0=1e+308, alpha=-1e+308): "
+                    "H0 - alpha = inf")),
+    (lambda: hubble_prediction(np.float64(0.0), np.float64(1e308), 10.0),
+     (ConfdopError, "Hubble relation overflows at (V=0.0, R=1e+308, H0=10.0): H0*R = inf")),
+    (lambda: sign_comparison_report(np.array([1.0, 2.0]), 1.0),
+     (TypeError, "anomaly_rate must be a real number, got array([1., 2.])")),
+    (lambda: slope_transform(GroupParameter(1e-3), Event(1.0, 2.0), np.array([1.0, 2.0])),
+     (TypeError, "slope must be a real number, got array([1., 2.])")),
+], ids=["hill_differentials", "inbound_ray_coords", "hill_velocity", "hubble_alpha_correction",
+        "hubble_prediction", "sign_comparison_report", "slope_transform"])
+def test_numpy_argument_is_refused_by_name_without_a_warning(call, refusal):
+    # numpy's scalar arithmetic warned before the refusal, or its conversion
+    # error named no argument; the overflow messages are the plain-float
+    # call's, written out
+    assert outcome(call) == refusal
 
 
 def test_each_step_of_a_map_has_one_name():
