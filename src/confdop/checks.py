@@ -29,6 +29,8 @@ import numpy as np
 from .conformal import (
     Event,
     GroupParameter,
+    _integer,
+    _real,
     _require_finite,
     hill_transform,
     line_element_squared,
@@ -86,6 +88,7 @@ def _uniform(u, low: float, high: float):
 
 
 def _rng(seed: int) -> np.random.Generator:
+    seed = _integer("seed", seed)
     if seed < 0:
         raise ConfdopError(f"seed must be >= 0, got {seed}")
     return np.random.default_rng(seed)
@@ -209,14 +212,17 @@ def run_metric_suite(cases: int, tol: float, seed: int) -> SuiteResult:
 
 
 def run_suite(name: str, tol: float | None, seed: int, cases: int | None) -> SuiteResult:
+    """Run the named suite.  tol is a real number (see conformal._real), and
+    seed and cases are integers (see conformal._integer), which the hill
+    suite does not read; None takes the suite's default tol or case count."""
     if name not in SUITES:
         raise ConfdopError(f"unknown suite {name!r}; choose from {SUITES}")
-    tol = DEFAULT_TOLERANCES[name] if tol is None else tol
+    tol = DEFAULT_TOLERANCES[name] if tol is None else _real("tol", tol)
     # a NaN tol FAILs every run and an infinite one PASSes every run
     _require_finite("tol", tol)
     if name == "hill":  # a fixed grid: seed and cases are not used
         return run_hill_suite(min_order=tol)
-    cases = DEFAULT_CASES[name] if cases is None else cases
+    cases = DEFAULT_CASES[name] if cases is None else _integer("cases", cases)
     if cases < 1:  # a check of no cases would pass without checking anything
         raise ConfdopError(f"cases must be >= 1, got {cases}")
     if cases > _MAX_CASES:

@@ -20,13 +20,14 @@ import sys
 import traceback
 from pathlib import Path
 
-from . import __version__, conformal
+from . import __version__
 from .checks import SUITES, run_suite
 from .conformal import (
     Event,
     GroupParameter,
     _overflow,
     _require_finite,
+    _transform_with_factor,
     hill_transform,
     transform_finite,  # not called here: perfbench's tracer wraps cli.transform_finite by getattr
 )
@@ -147,9 +148,9 @@ def cmd_transform(args) -> int:
             _require_finite("r", r)
             _require_finite("t", t)
             raise ConfdopError(_overflow("x4", f"(t={t}, c={c})", (("c*t", x4),)))
-    Event(r, x4)  # refuses a negative or non-finite r and a non-finite x4
-    g, r_prime, x4_prime, _ = conformal._finite_map(p.beta4, r, x4, conformal._refuse)
-    Event(r_prime, x4_prime)  # refuses the image as transform_finite does
+    # Event refuses a negative or non-finite r and a non-finite x4
+    g, image = _transform_with_factor(p, Event(r, x4))
+    r_prime, x4_prime = image.r, image.x4
     s2 = x4 * x4 - r * r
     t = x4 / c  # also for --t: the document's t is x4/c, which can differ from --t in its last bit
     doc = {

@@ -27,6 +27,7 @@ are safe to share between threads.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -67,19 +68,21 @@ def _require_finite(name: str, value: float) -> None:
         raise ConfdopError(f"{name} must be finite, got {value}")
 
 
+def _is_bool(value) -> bool:
+    """Whether value is a bool, Python's or numpy's (a scalar or 0-d array,
+    found by its dtype's kind, so that this module names no numpy)."""
+    return isinstance(value, bool) or getattr(getattr(value, "dtype", None), "kind", None) == "b"
+
+
 def _real(name: str, value) -> float:
     """value as a float: a float, an int, a numpy scalar or 0-d array, and an
     int past the float range as +-inf, so that it is refused as not finite.
     Raises TypeError naming `name` for text, which float() would parse; for
-    a bool, Python's or numpy's (a scalar or 0-d array, found by its dtype's
-    kind, so that this module names no numpy), as SimConfig refuses one;
-    and for anything else float() does not take, such as an array of more
-    than one element."""
+    a bool (see _is_bool), as SimConfig refuses one; and for anything else
+    float() does not take, such as an array of more than one element."""
     if type(value) is float:
         return value
-    if isinstance(value, (str, bytes, bytearray, bool)) or (
-        getattr(getattr(value, "dtype", None), "kind", None) == "b"
-    ):
+    if isinstance(value, (str, bytes, bytearray)) or _is_bool(value):
         raise TypeError(f"{name} must be a real number, got {value!r}")
     try:
         return float(value)
@@ -89,19 +92,43 @@ def _real(name: str, value) -> float:
         raise TypeError(f"{name} must be a real number, got {value!r}") from None
 
 
+def _integer(name: str, value) -> int:
+    """value as an exact int: an int, a numpy integer or 0-d integer array
+    (through operator.index, so np.uint64(2**64 - 1) stays exact), or a
+    real number (see _real) whose value is integral, such as 50.0.  Raises
+    TypeError naming `name` for a bool (see _is_bool), text, a fraction,
+    nan, inf, an array of more than one element and anything else."""
+    if type(value) is int:
+        return value
+    if not _is_bool(value):  # operator.index reads Python's bool as 0 or 1
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+        try:
+            if (number := _real(name, value)).is_integer():  # false for nan and inf
+                return int(number)
+        except TypeError:
+            pass
+    raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
 def _store_floats(obj, *names) -> None:
     """Store each named field of the frozen dataclass obj as _real's float."""
     for name in names:
         object.__setattr__(obj, name, _real(name, getattr(obj, name)))
 
 
-def _require_c(c: float) -> None:
-    # c*c divides the Hill and inbound-ray maps, so it must be a normal float
+def _require_c(c) -> float:
+    """c as _real's float, refused by name unless it is positive with c*c a
+    normal float: c*c divides the Hill and inbound-ray maps."""
+    c = _real("c", c)
     if not (c > 0.0 and _C2_MIN <= c * c < _INF):
         _require_finite("c", c)
         if not c > 0.0:
             raise ConfdopError(f"c must be positive, got {c}")
         raise ConfdopError(f"c must square to a normal float, got {c} (c*c = {c * c})")
+    return c
 
 
 @dataclass(frozen=True)
@@ -141,16 +168,15 @@ class GroupParameter:
     c: float = SPEED_OF_LIGHT
 
     def __post_init__(self):
-        if not type(self.beta4) is type(self.c) is float:
-            _store_floats(self, "beta4", "c")
-        _require_c(self.c)
+        if type(self.beta4) is not float:
+            _store_floats(self, "beta4")
+        object.__setattr__(self, "c", _require_c(self.c))
         _require_finite("beta4", self.beta4)
 
     @classmethod
     def from_alpha(cls, alpha: float, c: float = SPEED_OF_LIGHT) -> "GroupParameter":
         """Build from the inverse-time parameter, beta4 = alpha / (2c)."""
-        alpha, c = _real("alpha", alpha), _real("c", c)
-        _require_c(c)
+        alpha, c = _real("alpha", alpha), _require_c(c)
         _require_finite("alpha", alpha)
         return cls(beta4=alpha / (2.0 * c), c=c)
 
@@ -252,10 +278,20 @@ def conformal_factor(p: GroupParameter, e: Event) -> float:
     return _finite_map(p.beta4, e.r, e.x4, _refuse)[0]
 
 
+def _transform_with_factor(p: GroupParameter, e: Event) -> tuple[float, Event]:
+    """gamma and the image of transform_finite, from one evaluation of the
+    finite map; raises as transform_finite does."""
+    g, r, x4, _ = _finite_map(p.beta4, e.r, e.x4, _refuse)
+    return g, Event(r, x4)
+
+
 def transform_finite(p: GroupParameter, e: Event) -> Event:
-    """Finite transformation (r, x4) -> (gamma*r, gamma*(x4 - beta4*s2))."""
-    _, r, x4, _ = _finite_map(p.beta4, e.r, e.x4, _refuse)
-    return Event(r, x4)
+    """Finite transformation (r, x4) -> (gamma*r, gamma*(x4 - beta4*s2)).
+
+    Raises as conformal_factor does, and ConfdopError where an image
+    coordinate overflows, as Event refuses it.
+    """
+    return _transform_with_factor(p, e)[1]
 
 
 def transform_inverse_finite(p: GroupParameter, e_primed: Event) -> Event:
@@ -439,10 +475,11 @@ def flow_oracle(p: GroupParameter, e: Event, steps: int = 100_000) -> Event:
     near the float maximum can differ.  half_h is 0.5*h, the grouping
     0.5*h*k already has.
 
-    Raises StepDivergence once |r| + |x4| exceeds FLOW_DIVERGENCE_BOUND,
-    which signals an approach to the singular surface, or is NaN, as it
-    is after an overflow.
+    steps is an integer (see _integer), at least 1.  Raises StepDivergence
+    once |r| + |x4| exceeds FLOW_DIVERGENCE_BOUND, which signals an
+    approach to the singular surface, or is NaN, as it is after an overflow.
     """
+    steps = _integer("steps", steps)
     if steps < 1:
         raise ConfdopError(f"steps must be >= 1, got {steps}")
     if p.beta4 == 0.0:

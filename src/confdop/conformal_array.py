@@ -33,6 +33,7 @@ from .conformal import (
     GroupParameter,
     _differential,
     _finite_map,
+    _integer,
     conformal_factor,
     differential_map,
     flow_oracle,
@@ -44,8 +45,8 @@ from .conformal import (
 # 38-86 ms (mostly 38-50) at every count from 10 to 30, the loop 2.4-4.3 ms
 # an element; three alternating sweeps, medians of 5, 7 and 9 runs per
 # count, broke even at 22, 17 and 18 (2-core Xeon, Python 3.11.7, numpy
-# 2.4.6).  Keep it above 10, the case count of CI's and the benchmark's
-# short oracle runs.
+# 2.4.6).  Keep it above 10, the case count of the benchmark's set-up
+# warm-up (`check --suite oracle --cases 10`), which takes the loop.
 _FLOW_ARRAY_MIN_ELEMENTS = 22
 
 # Float64 values per element of _rk4_array_steps's row buffer, the widest
@@ -216,8 +217,10 @@ def flow_oracle_array(beta4, r, x4, steps: int) -> tuple[np.ndarray, np.ndarray]
     below 1, a peak sqrt(max r^2) + sqrt(max x4^2) above half of
     FLOW_DIVERGENCE_BOUND, or a final state past the bound, not finite or
     with r < 0.  beta4 = 0 returns the input.  The caller's arrays are
-    never written.
+    never written.  steps goes through flow_oracle's integer rule first,
+    so a step count it refuses by type is refused here too.
     """
+    steps = _integer("steps", steps)
     b, r_in, x_in = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (beta4, r, x4)))
     r_out, x_out = r_in.copy(), x_in.copy()
     # so far fine: no input that Event, GroupParameter or the step count refuses

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .conformal import _require_c
+from .conformal import _integer, _real, _require_c
 from .constants import SPEED_OF_LIGHT
 from .errors import ConfdopError, DegenerateDesign, ZeroSigma
 from .conformal_array import _max_rows
@@ -67,11 +67,12 @@ def _wls_terms(table: TrackingTable, c: float):
     Each is a new array built in place, with the bits of the plain
     expressions.
 
-    Raises ConfdopError for a c that GroupParameter refuses or a column
-    the fit reads that is not finite (naming it and its first bad row), and
-    DegenerateDesign for n < 2 or all-equal ranges.
+    Raises TypeError or ConfdopError for a c that GroupParameter refuses,
+    ConfdopError for a column the fit reads that is not finite (naming it
+    and its first bad row), and DegenerateDesign for n < 2 or all-equal
+    ranges.
     """
-    _require_c(c)
+    c = _require_c(c)
     _require_finite_columns(
         table, ("range_true", "range_rate_true", "doppler_frac_meas", "sigma_frac")
     )
@@ -120,8 +121,9 @@ def fit_alpha(table: TrackingTable, c: float = SPEED_OF_LIGHT) -> FitResult:
         alpha_hat = sum(w r y) / sum(w r^2),  stderr = sum(w r^2)^(-1/2),
         z = alpha_hat / stderr.
 
-    Raises ConfdopError for a c that GroupParameter refuses (c must be
-    positive with c*c a normal float), and DegenerateDesign for n < 2,
+    c is a real number (see conformal._real).  Raises TypeError or
+    ConfdopError for a c that GroupParameter refuses (c must be positive
+    with c*c a normal float), and DegenerateDesign for n < 2,
     all-equal ranges, or a sum(w r^2) that overflows to inf or underflows
     to 0, where the standard error is undefined.
     """
@@ -213,11 +215,13 @@ def bootstrap_alpha(
     gathers its (w*r*y, w*r^2) rows in one take and sums each column in
     numpy's pairwise order, as fit_alpha sums the table's.  A resample
     whose ranges are all equal, or whose sum(w r^2) overflows or
-    underflows, raises DegenerateDesign.  n_resamples must lie in
+    underflows, raises DegenerateDesign.  n_resamples and the seed are
+    integers (see conformal._integer); n_resamples must lie in
     [100, _MAX_RESAMPLES], the seed, a Philox key, in [0, 2**128); c is
     checked as fit_alpha checks it.  These and the record count are
     checked before any term of the fit is computed.
     """
+    n_resamples = _integer("n_resamples", n_resamples)
     if n_resamples < 100:
         raise ConfdopError(f"n_resamples must be >= 100, got {n_resamples}")
     if n_resamples > _MAX_RESAMPLES:
@@ -230,6 +234,7 @@ def bootstrap_alpha(
             f"a bootstrap takes at most 2**32 records, the range of numpy's "
             f"32-bit index draw, got {len(table)}"
         )
+    seed = _integer("seed", seed)
     if not 0 <= seed < 2**128:
         raise ConfdopError(f"bootstrap seed must be in [0, 2**128), got {seed}")
     r, _, _, terms = _wls_terms(table, c)
@@ -247,8 +252,10 @@ def bootstrap_alpha(
 
 
 def decide_metric(fit: FitResult, z_threshold: float = 5.0) -> MetricDecision:
-    """Conformal metric detected iff |z| strictly exceeds the threshold,
-    which must be finite and >= 0: no |z| exceeds NaN or inf."""
+    """Conformal metric detected iff |z| strictly exceeds the threshold, a
+    real number (see conformal._real) that must be finite and >= 0: no |z|
+    exceeds NaN or inf."""
+    z_threshold = _real("z_threshold", z_threshold)
     if not 0.0 <= z_threshold < math.inf:
         raise ConfdopError(f"z_threshold must be finite and >= 0, got {z_threshold}")
     if abs(fit.z_score_alpha_zero) > z_threshold:

@@ -3,7 +3,6 @@ and the strict JSON reader and writer that every JSON document goes through."""
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import math
@@ -181,10 +180,6 @@ def write_manifest(manifest: RunManifest, path) -> None:
     _write_json(asdict(manifest), path, sort_keys=True)
 
 
-# Each record's annotations, evaluated once per process rather than per load.
-_type_hints = functools.cache(typing.get_type_hints)
-
-
 def _shape_error(doc, record, where: str = "") -> str | None:
     """Why doc is not a JSON object of record's shape, naming the field, or
     None when it is.  The shape is record's annotations: exactly those keys,
@@ -194,7 +189,7 @@ def _shape_error(doc, record, where: str = "") -> str | None:
     at = f"{where}: " if where else ""
     if not isinstance(doc, dict):
         return f"{at}must be an object, got {json.dumps(doc):.40}"
-    hints = _type_hints(record)
+    hints = typing.get_type_hints(record)
     if doc.keys() != hints.keys():
         return (
             f"{at}missing keys {sorted(hints.keys() - doc.keys())}, "

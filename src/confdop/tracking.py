@@ -18,7 +18,7 @@ from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
-from .conformal import GroupParameter, _real, _require_c
+from .conformal import GroupParameter, _integer, _is_bool, _real, _require_c
 from .conformal_array import _max_rows
 from .constants import SPEED_OF_LIGHT
 from .errors import ConfdopError, ConfigInvalid, MalformedCsv, ZeroRange
@@ -41,7 +41,12 @@ _MAX_N_OBS = _max_rows(2)
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Fully determines a simulation run (SI units throughout)."""
+    """Fully determines a simulation run (SI units throughout).
+
+    The float fields take what conformal._real takes and the integer fields
+    (n_obs, seed) what conformal._integer takes; each is stored as a plain
+    float or int, and each refusal is a ConfigInvalid naming the field.
+    """
 
     r0: float
     v_radial: float
@@ -57,19 +62,16 @@ class SimConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if isinstance(value, bool):  # an int to Python, but not a number here
-                raise ConfigInvalid(f"{f.name}: must be a number, got {value!r}")
-            if f.name in ("n_obs", "seed"):
-                if isinstance(value, float) and value.is_integer():
-                    value = int(value)
-                if not isinstance(value, int):
-                    raise ConfigInvalid(f"{f.name}: must be an integer, got {value!r}")
-            elif not isinstance(value, (int, float)):
-                raise ConfigInvalid(f"{f.name}: must be a number, got {value!r}")
-            else:
-                value = _real(f.name, value)  # an integer past the float range is inf
-                if not math.isfinite(value):
-                    raise ConfigInvalid(f"{f.name}: must be finite, got {value}")
+            integer = f.name in ("n_obs", "seed")
+            try:
+                value = (_integer if integer else _real)(f.name, value)
+            except TypeError:
+                # a bool is not a number here, in an integer field too
+                kind = "an integer" if integer and not _is_bool(value) else "a number"
+                raise ConfigInvalid(f"{f.name}: must be {kind}, got {value!r}") from None
+            # _real reads an int past the float range as inf
+            if not (integer or math.isfinite(value)):
+                raise ConfigInvalid(f"{f.name}: must be finite, got {value}")
             object.__setattr__(self, f.name, value)
         if not self.r0 > 0.0:
             raise ConfigInvalid(f"r0: must be > 0, got {self.r0}")
@@ -84,7 +86,7 @@ class SimConfig:
         if self.n_obs > _MAX_N_OBS:
             raise ConfigInvalid(
                 f"n_obs: must be <= {_MAX_N_OBS}, so that numpy can size the "
-                f"(n_obs, 2) float64 noise draws, got {self.n_obs:.6g}"
+                f"(n_obs, 2) float64 noise draws, got {_real('n_obs', self.n_obs):.6g}"
             )
         if self.sigma_frac < 0.0:
             raise ConfigInvalid(f"sigma_frac: must be >= 0, got {self.sigma_frac}")
@@ -228,7 +230,7 @@ def anomaly_residuals(table: TrackingTable, c: float = SPEED_OF_LIGHT) -> Anomal
     With zero noise the residual rate equals the simulated alpha at every
     epoch.  c and the columns read are checked as fit_alpha checks them.
     """
-    _require_c(c)
+    c = _require_c(c)
     _require_finite_columns(table, ("range_true", "range_rate_true", "doppler_frac_meas"))
     zero = np.flatnonzero(table.range_true == 0.0)
     if zero.size:

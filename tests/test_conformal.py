@@ -6,6 +6,7 @@ Jacobian coefficients, and parameter-halving (Richardson) experiments
 for the first-order maps.
 """
 
+import inspect
 import math
 import re
 import sys
@@ -15,17 +16,27 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import confdop
 from confdop import (
     ConfdopError,
+    ConfigInvalid,
     DomainCrossing,
     Event,
+    FitResult,
     GroupParameter,
+    MetricDecision,
+    SimConfig,
     SingularTransform,
     SlopeSingular,
     StepDivergence,
+    TrackingTable,
     ZeroRadius,
+    anomaly_residuals,
+    bootstrap_alpha,
     conformal_factor,
+    decide_metric,
     differential_map,
+    fit_alpha,
     flow_oracle,
     hill_differentials,
     hill_transform,
@@ -44,6 +55,7 @@ from confdop import (
     transform_inverse_finite,
     wavelength_map,
 )
+from confdop.checks import run_suite
 from confdop.conformal_array import (
     conformal_factor_array,
     differential_map_array,
@@ -669,13 +681,48 @@ def sign_comparison_rates(anomaly_rate, hubble_rate):
     return report.anomaly_rate, report.hubble_rate, report.magnitude_ratio
 
 
+def fit_fields(table, c):
+    """fit_alpha's float fields."""
+    fit = fit_alpha(table, c)
+    return fit.alpha_hat, fit.alpha_stderr, fit.chi2, fit.z_score_alpha_zero
+
+
+def residual_rates(table, c):
+    """anomaly_residuals' residual rates as floats."""
+    return tuple(map(float, anomaly_residuals(table, c).residual_rate))
+
+
+def detected(fit, z_threshold):
+    """decide_metric's decision as 1.0 (conformal metric detected) or 0.0."""
+    return float(decide_metric(fit, z_threshold) is MetricDecision.CONFORMAL_DETECTED)
+
+
+def small_table(scale):
+    """An 8-record table whose ranges are scale * (1, ..., 8)."""
+    r = scale * np.arange(1.0, 9.0)
+    rate = np.full(8, 1e4)
+    frac = (rate + 2e-18 * r + np.linspace(-1e-3, 1e-3, 8)) / SPEED_OF_LIGHT
+    return TrackingTable(epoch=np.arange(8.0), range_true=r, range_rate_true=rate,
+                         range_meas=r, doppler_frac_meas=frac, sigma_frac=np.full(8, 1e-12))
+
+
+FIT_TABLE = small_table(1e11)
+OVERFLOW_TABLE = small_table(1e300)  # sum(w*r^2) overflows; the residual rates do not
+FIT = FitResult(alpha_hat=2e-18, alpha_stderr=1e-18, chi2=7.0, dof=7, z_score_alpha_zero=2.0,
+                n_used=8)
+OVERFLOWED_FIT = FitResult(alpha_hat=math.inf, alpha_stderr=1e-300, chi2=math.inf, dof=7,
+                           z_score_alpha_zero=math.inf, n_used=8)
+
 _MAX = sys.float_info.max
-# Every public scalar entry point: its name, a call, the names of its
-# real-number arguments (the call's last ones), one point it maps and one
-# whose image overflows. Event's image is its fields, so its second point
-# is the float range's edge; GroupParameter's alpha overflows to inf (the
-# maps refuse it as their first step), and from_alpha's beta4 = alpha/(2c)
-# overflows and is refused; the sign comparison's ratio is inf.
+# Every public entry point that takes a real number: its name, a call, the
+# names of its real-number arguments (the call's last ones), one point it
+# maps and one whose image overflows. Event's image is its fields, so its
+# second point is the float range's edge; GroupParameter's alpha overflows
+# to inf (the maps refuse it as their first step), and from_alpha's
+# beta4 = alpha/(2c) overflows and is refused; the sign comparison's ratio
+# is inf. The fit's and the bootstrap's sum(w*r^2) overflows and is refused
+# at OVERFLOW_TABLE, where anomaly_residuals maps; decide_metric's second
+# fit is one whose z overflowed to inf.
 ENTRY_POINTS = [
     ("Event", event_fields, ("r", "x4"), (1.0, 2.0), (_MAX, -_MAX)),
     ("GroupParameter", lambda beta4, c: parameter_fields(GroupParameter(beta4, c)),
@@ -706,6 +753,12 @@ ENTRY_POINTS = [
      (2.3e-18, 2.19e-18), (1e308, -1e308)),
     ("sign_comparison_rates", sign_comparison_rates, ("anomaly_rate", "hubble_rate"),
      (-2.9e-18, 2.3e-18), (1.0, 0.0)),
+    ("fit_alpha", fit_fields, ("c",), (FIT_TABLE, SPEED_OF_LIGHT), (OVERFLOW_TABLE, SPEED_OF_LIGHT)),
+    ("bootstrap_alpha", lambda table, c: bootstrap_alpha(table, 100, 0, c), ("c",),
+     (FIT_TABLE, SPEED_OF_LIGHT), (OVERFLOW_TABLE, SPEED_OF_LIGHT)),
+    ("anomaly_residuals", residual_rates, ("c",),
+     (FIT_TABLE, SPEED_OF_LIGHT), (OVERFLOW_TABLE, SPEED_OF_LIGHT)),
+    ("decide_metric", detected, ("z_threshold",), (FIT, 5.0), (OVERFLOWED_FIT, 5.0)),
 ]
 FIRST_ORDER_MAPS = ("hill_differentials", "hill_velocity", "inbound_ray_coords",
                     "inbound_ray_differentials", "wavelength_map")
@@ -730,7 +783,8 @@ def assert_takes_real_numbers(call, names, args):
     # a numpy scalar or 0-d array gives the plain-float call's bits as floats,
     # or its refusal, without a numpy warning; whatever float() does not take,
     # and text, are a TypeError naming the argument; an int past the float
-    # range is taken as inf, and refused by name where inf is
+    # range is taken as inf, and refused by name where inf is (decide_metric
+    # names its range in the refusal)
     expected = outcome(lambda: call(*args))
     for i, name in enumerate(names, len(args) - len(names)):
         for value in (np.float64(args[i]), np.array(args[i])):
@@ -741,7 +795,8 @@ def assert_takes_real_numbers(call, names, args):
         past_range = substitute(call, args, i, 10**400)
         assert past_range == substitute(call, args, i, math.inf), name
         if call is not sign_comparison_rates:  # which takes inf
-            assert past_range == (ConfdopError, f"{name} must be finite, got inf")
+            finite = "finite and >= 0" if call is detected else "finite"
+            assert past_range == (ConfdopError, f"{name} must be {finite}, got inf")
 
 
 @each_point(first_order=True)
@@ -792,6 +847,84 @@ def test_numpy_argument_is_refused_by_name_without_a_warning(call, refusal):
     # error named no argument; the overflow messages are the plain-float
     # call's, written out
     assert outcome(call) == refusal
+
+
+def config_repr(**field):
+    """repr of a SimConfig with `field` set: the type and bits of every field."""
+    return repr(SimConfig(r0=4.5e12, v_radial=12200.0, t_start=0.0, t_end=3e7,
+                          **{"n_obs": 40, **field}))
+
+
+# Every public integer parameter: the export that takes it (or its module's
+# function, for the two not exported), its name, a call of one value whose
+# result compares type and bits, and a value it takes.
+INTEGER_PARAMETERS = [
+    ("SimConfig", "n_obs", lambda n: config_repr(n_obs=n), 40),
+    ("SimConfig", "seed", lambda seed: config_repr(seed=seed), 7),
+    ("bootstrap_alpha", "n_resamples", lambda n: repr(bootstrap_alpha(FIT_TABLE, n, 0)), 100),
+    ("bootstrap_alpha", "seed", lambda seed: repr(bootstrap_alpha(FIT_TABLE, 100, seed)), 3),
+    ("flow_oracle", "steps",
+     lambda steps: repr(flow_oracle(GroupParameter(0.05), Event(1.0, 2.0), steps)), 50),
+    ("flow_oracle_array", "steps",
+     lambda steps: [a.tobytes() for a in flow_oracle_array([0.05, -0.02], 1.0, 2.0, steps)], 50),
+    ("run_suite", "seed", lambda seed: repr(run_suite("metric", None, seed, 10)), 3),
+    ("run_suite", "cases", lambda cases: repr(run_suite("group", None, 0, cases)), 10),
+]
+
+
+@pytest.mark.parametrize("export, name, call, base", INTEGER_PARAMETERS,
+                         ids=[f"{export}-{name}" for export, name, *_ in INTEGER_PARAMETERS])
+def test_integer_parameter_takes_exact_integers_only(export, name, call, base):
+    # a numpy integer, a 0-d integer array or an integral float gives the
+    # int call's type and bits (np.int64 was refused by SimConfig, and 100.0
+    # resamples ended in numpy's unnamed TypeError); a bool was read as 0 or
+    # 1 (seed=True drew seed 1, steps=True took one step) and a fraction was
+    # truncated or ran, so each of these is now a TypeError naming the
+    # parameter, or for SimConfig the ConfigInvalid that names the field
+    expected = call(base)
+    for value in (np.int64(base), np.uint64(base), np.array(base), float(base)):
+        assert call(value) == expected, value
+    for value in (True, np.True_, str(base), 2.5, math.nan, np.array([base, base])):
+        with pytest.raises((TypeError, ConfigInvalid)) as exc:
+            call(value)
+        if export == "SimConfig":  # whose pinned message calls a bool not a number
+            kind = "a number" if isinstance(value, (bool, np.bool_)) else "an integer"
+            refusal = ConfigInvalid, f"{name}: must be {kind}, got {value!r}"
+        else:
+            refusal = TypeError, f"{name} must be an integer, got {value!r}"
+        assert (type(exc.value), str(exc.value)) == refusal
+
+
+# Exports with no row in ENTRY_POINTS or INTEGER_PARAMETERS, by the reason.
+EXEMPT_EXPORTS = {
+    "takes only Event, GroupParameter, SimConfig, table, path or manifest objects": (
+        "conformal_factor", "interval_scale", "interval_squared", "invariant_ratio",
+        "transform_finite", "transform_inverse_finite", "simulate", "read_records_csv",
+        "write_records_csv", "load_manifest", "verify_manifest", "write_manifest"),
+    "takes arrays on purpose: its callers pass whole columns": (
+        "doppler_model_conformal", "line_element_squared", "TrackingTable"),
+    "records the values its caller checked (simulate passes SimConfig's seed and config)": (
+        "build_manifest",),
+    "a class of errors, results or records, built by the package": (
+        "ConfdopError", "ConfigInvalid", "DegenerateDesign", "DomainCrossing", "MalformedCsv",
+        "ManifestMismatch", "NotPastCone", "SingularTransform", "SlopeSingular",
+        "StepDivergence", "ZeroRadius", "ZeroRange", "ZeroSigma", "FitResult",
+        "MetricDecision", "RunManifest", "AnomalyResidual", "SignComparison"),
+    "a constant": ("ASTRONOMICAL_UNIT", "HUBBLE_RATE", "PIONEER_ANOMALY_RATE", "SPEED_OF_LIGHT"),
+}
+# Rows of ENTRY_POINTS named for what they call, not for the export.
+ROW_EXPORTS = {"from_alpha": "GroupParameter", "sign_comparison_rates": "sign_comparison_report"}
+
+
+def test_every_export_has_a_contract_row_or_a_reason():
+    # a new public function must join a table or say here why it takes no number
+    exports = {name for name, value in vars(confdop).items()
+               if not name.startswith("_") and not inspect.ismodule(value)}
+    tested = {ROW_EXPORTS.get(name, name) for name, *_ in ENTRY_POINTS}
+    tested |= {export for export, *_ in INTEGER_PARAMETERS}
+    exempt = [name for names in EXEMPT_EXPORTS.values() for name in names]
+    assert len(exempt) == len(set(exempt))
+    assert sorted(exports - tested) == sorted(exempt)
 
 
 def test_each_step_of_a_map_has_one_name():

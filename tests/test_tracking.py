@@ -21,6 +21,7 @@ from confdop import (
     DegenerateDesign,
     MalformedCsv,
     SimConfig,
+    build_manifest,
     TrackingTable,
     ZeroRange,
     anomaly_residuals,
@@ -29,6 +30,7 @@ from confdop import (
     read_records_csv,
     sign_comparison_report,
     simulate,
+    write_manifest,
     write_records_csv,
 )
 from confdop import tracking
@@ -166,9 +168,11 @@ class TestConfigBuiltDirectly:
         ("n_obs", 1e300, f"must be <= {MAX_N_OBS}, so that numpy can size the "),
         ("n_obs", 2**63, f"must be <= {MAX_N_OBS}, so that numpy can size the "),
         ("n_obs", MAX_N_OBS + 1, f"must be <= {MAX_N_OBS}, so that numpy can size the "),
+        # and 10**400 in an OverflowError traceback from the message itself
+        ("n_obs", 10**400, f"must be <= {MAX_N_OBS}, so that numpy can size the "),
     ], ids=["r0-str", "v_radial-None", "r0-huge-int", "t_start-huge-int", "n_obs-str",
             "seed-fraction", "c-1e-300", "c-1e155", "c-negative", "n_obs-1e300",
-            "n_obs-2**63", "n_obs-first-unsizable"])
+            "n_obs-2**63", "n_obs-first-unsizable", "n_obs-past-float-range"])
     def test_bad_value_names_the_key(self, key, value, message):
         with pytest.raises(ConfigInvalid, match=f"^{key}: {re.escape(message)}"):
             noiseless_cfg(**{key: value})
@@ -180,6 +184,25 @@ class TestConfigBuiltDirectly:
     def test_integral_float_n_obs_accepted_as_int(self):
         cfg = noiseless_cfg(n_obs=50.0)
         assert cfg.n_obs == 50 and type(cfg.n_obs) is int
+
+    def test_numpy_numbers_are_stored_as_plain_values(self, tmp_path):
+        # np.float32, np.int64 and 0-d arrays were refused, as were integer
+        # fields above 2**63 - 1 given as np.uint64, although Event and every
+        # map take numpy scalars
+        plain = dict(r0=4.5e12, v_radial=12200.0, t_end=1e8, n_obs=40, sigma_frac=0.5,
+                     seed=2**64 - 1)
+        numpy_made = dict(r0=np.array(4.5e12), v_radial=np.float32(12200.0),
+                          t_end=np.int64(100_000_000), n_obs=np.int64(40),
+                          sigma_frac=np.array(np.float32(0.5)), seed=np.uint64(2**64 - 1))
+        configs = noiseless_cfg(**plain), noiseless_cfg(**numpy_made)
+        assert [repr(cfg) for cfg in configs] == [repr(configs[0])] * 2
+        texts = []
+        for i, cfg in enumerate(configs):
+            manifest = build_manifest("simulate", "0", tracking.RNG_ALGORITHM, cfg.seed,
+                                      cfg.to_dict(), [], tmp_path)
+            write_manifest(manifest, tmp_path / f"{i}.json")
+            texts.append((tmp_path / f"{i}.json").read_bytes())
+        assert texts[0] == texts[1]
 
     def test_int_fields_become_floats_as_from_dict_makes_them(self):
         # the manifest records the config, so both paths must give the same JSON
